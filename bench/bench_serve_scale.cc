@@ -1,33 +1,16 @@
 /**
  * @file
- * Serving-core scaling: the discrete-event engine vs the legacy
- * polling loop it replaced, on identical closed-loop specs at
- * growing pool sizes. Both engines simulate the same seeded arrival
- * stream through the same shared calibration, so their
- * ServiceOutcomes are bit-identical; only the wall-clock cost
- * differs — O((R+E)·log P) for the event engine vs the polling
- * loop's O(P) (and per-waiter O(P + queue)) rescans every tick.
- *
- * Emits one machine-readable row per (pool size, engine):
- *     serve_scale,<devices>,<engine>,<requests>,<wall_ms>,<sim_rps>
- * and one ratio row per pool size:
- *     serve_scale_speedup,<devices>,<ratio>
- * (scripts/bench_report.sh folds these into BENCH_report.json).
- *
- * A second section measures batch-signature memoization on the
- * fleet regime (open-loop Poisson, Zipf-skewed four-class mix,
- * adaptive batching — service_fleet.ini's shape): memo=on replay vs
- * the memo=off execute-everything oracle, same event engine, rows
+ * Serving-core scaling: batch-signature memoization on the fleet
+ * regime (open-loop Poisson, Zipf-skewed four-class mix, adaptive
+ * batching — service_fleet.ini's shape) at growing pool sizes:
+ * memo=on replay vs the memo=off execute-everything oracle, rows
  *     serve_memo,<devices>,<mode>,<requests>,<wall_ms>,<sim_rps>
  *     serve_memo_speedup,<devices>,<ratio>
+ * (scripts/bench_report.sh folds these into BENCH_report.json).
  *
- * Exit-code-enforced invariants:
- *  1. both engines produce the identical outcome at every pool size
- *     (the event engine is an optimization, not an approximation);
- *  2. at 64+ devices the event engine sustains at least 10x the
- *     polling loop's simulated-requests per wall-second;
- *  3. memo on/off outcomes are bit-identical, and at 256 devices
- *     memo=on sustains at least 5x memo=off simulated throughput.
+ * Exit-code-enforced invariants: memo on/off outcomes are
+ * bit-identical at every pool size, and at 256 devices memo=on
+ * sustains at least 5x memo=off simulated throughput.
  */
 
 #include "bench_common.hh"
@@ -47,42 +30,6 @@ variant()
     ds.config.design = core::Design::Gmc;
     ds.config.salp = 128;
     return ds;
-}
-
-sim::ServiceSpec
-service(u32 devices)
-{
-    sim::ServiceSpec svc;
-    svc.name = "scale-" + std::to_string(devices);
-    // Closed-loop clients feeding gang-sized fixed batches: devices
-    // spend most of the time filling deep queues, the regime where
-    // the polling loop's per-tick rescans (an O(P) may-arrive probe
-    // plus an O(queue) eligible-prefix walk per waiting device,
-    // every tick) turn quadratic while the event engine touches
-    // only the devices whose inputs changed.
-    svc.policy = sim::BatchPolicyKind::FixedSize;
-    svc.closedLoop = true;
-    svc.clients = 512 * devices;
-    svc.thinkMs = 1.0;
-    // Constant total work across pool sizes: the per-request cost
-    // comparison stays apples-to-apples as P grows.
-    svc.durationMs = 160.0 / devices;
-    svc.batch = 256;
-    svc.devices = devices;
-    svc.lanes = 1; // gang = salp: 128 requests per wave group
-    svc.seed = 42;
-    return svc;
-}
-
-std::vector<serve::RequestClass>
-mix()
-{
-    serve::RequestClass c;
-    c.workload = "ColorGrade";
-    c.elements = 64; // minimal kernel: loop cost, not model cost
-    c.tenant = 0;
-    c.weight = 1.0;
-    return {c};
 }
 
 bool
@@ -150,74 +97,14 @@ fleetMix()
 int
 main()
 {
-    section("Serving-core scaling: event engine vs polling loop "
-            "(gmc salp 128, closed-loop clients, gang-sized fixed "
-            "batches; loop-only wall time)");
-
     const auto ds = variant();
-    const auto m = mix();
-    const auto cal =
-        serve::ServeSimulator::calibrateAll(ds.config, m);
-
     const u32 pools[] = {8, 64, 256};
-
-    AsciiTable t({"devices", "requests", "poll loop ms",
-                  "event loop ms", "poll req/s", "event req/s",
-                  "speedup"});
     bool ok = true;
-    std::string csv;
-    for (const u32 devices : pools) {
-        const serve::ServeSimulator sim(ds, service(devices), m);
-        const auto poll =
-            sim.run(&cal, serve::EngineKind::LegacyPolling);
-        const auto event = sim.run(&cal, serve::EngineKind::Event);
-
-        if (!sameOutcome(poll, event)) {
-            std::printf("FAIL: engines disagree at %u devices "
-                        "(poll %llu req, event %llu req)\n",
-                        devices,
-                        (unsigned long long)poll.requests,
-                        (unsigned long long)event.requests);
-            ok = false;
-            continue;
-        }
-
-        // Loop-only wall time: pool construction and calibration
-        // are identical across engines and excluded.
-        const double req = static_cast<double>(poll.requests);
-        const double pollRps = req / (poll.loopHostMs * 1e-3);
-        const double eventRps = req / (event.loopHostMs * 1e-3);
-        const double speedup = pollRps > 0 ? eventRps / pollRps : 0;
-        t.addRow({std::to_string(devices),
-                  std::to_string(poll.requests),
-                  fmtSig(poll.loopHostMs), fmtSig(event.loopHostMs),
-                  fmtSig(pollRps), fmtSig(eventRps),
-                  fmtSig(speedup, 3)});
-        char line[256];
-        std::snprintf(line, sizeof line,
-                      "serve_scale,%u,poll,%llu,%.3f,%.0f\n"
-                      "serve_scale,%u,event,%llu,%.3f,%.0f\n"
-                      "serve_scale_speedup,%u,%.2f\n",
-                      devices,
-                      (unsigned long long)poll.requests,
-                      poll.loopHostMs, pollRps, devices,
-                      (unsigned long long)event.requests,
-                      event.loopHostMs, eventRps, devices, speedup);
-        csv += line;
-
-        if (devices >= 64 && speedup < 10.0) {
-            std::printf("FAIL: event engine speedup %.2fx at %u "
-                        "devices (expected >= 10x)\n",
-                        speedup, devices);
-            ok = false;
-        }
-    }
-    std::printf("%s\n%s", t.render().c_str(), csv.c_str());
 
     section("Batch-signature memoization: replay vs the "
             "execute-everything oracle (fleet regime: open-loop "
-            "Poisson, Zipf tenants, adaptive batching; event "
-            "engine; loop-only wall time)");
+            "Poisson, Zipf tenants, adaptive batching; loop-only "
+            "wall time)");
 
     const auto fm = fleetMix();
     const auto fcal =
@@ -278,8 +165,7 @@ main()
 
     if (!ok)
         return 1;
-    std::printf("OK: outcomes bit-identical across engines and "
-                "memo modes; >=10x event sim-throughput at 64+ "
-                "devices; >=5x memo sim-throughput at 256\n");
+    std::printf("OK: outcomes bit-identical across memo modes; "
+                ">=5x memo sim-throughput at 256 devices\n");
     return 0;
 }

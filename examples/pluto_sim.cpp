@@ -18,6 +18,10 @@
 
 #include <cstdio>
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 #include "campaign/cli.hh"
 #include "common/emit.hh"
 #include "common/table.hh"
@@ -241,6 +245,13 @@ runNn(const sim::SimConfig &cfg, const CliInvocation &inv)
 int
 main(int argc, char **argv)
 {
+#ifdef __GLIBC__
+    // Cells allocate multi-MB host buffers on worker threads. glibc's
+    // dynamic mmap threshold would keep each freed buffer in that
+    // worker's arena, so peak RSS would depend on which worker ran
+    // which cell; a fixed threshold unmaps big buffers on free.
+    mallopt(M_MMAP_THRESHOLD, 1 << 20);
+#endif
     const std::vector<campaign::Mode> modes = {
         {"batch",
          "",

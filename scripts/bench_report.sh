@@ -4,16 +4,17 @@
 # scalar-vs-bulk kernel microbenches plus the exit-code-enforced
 # bench_batch_fastpath / bench_serve_policies invariants, the cache
 # replay bench (jsonl vs binary load), the serving-core scaling bench
-# (event engine vs polling loop) and the example campaigns (including
-# the 5M-request service_fleet scenario), and emit BENCH_report.json
+# (batch-signature memo vs the execute-everything oracle) and the
+# example campaigns (including the 5M-request service_fleet
+# scenario), and emit BENCH_report.json
 # mapping
 #   kernels:      benchmark name -> ns per element
 #   campaigns:    binary/scenario name -> wall-clock seconds, plus
 #                 (for the pluto_sim campaigns, via --metrics-out) the
 #                 cache hit rate and per-phase wall breakdown
 #   cache_replay: per-format load() wall of a 50k-entry cache
-#   serve_scale:  per-pool-size engine loop times and the event
-#                 engine's sim-throughput speedup over the old loop
+#   serve_memo:   per-pool-size memo on/off loop times and the memo's
+#                 sim-throughput speedup over the oracle
 #
 # Every run is also APPENDED to BENCH_history.jsonl as one JSON line
 # keyed by git SHA + UTC date (same-SHA reruns replace their line),
@@ -26,9 +27,9 @@
 # at 8x for several PRs fails the gate long before it decays back to
 # 1.0x, while 0.5x headroom plus the min() keeps a noisy runner from
 # flaking. The binary cache encoding must likewise not load slower
-# than jsonl once both have been measured, and the serving event
-# engine's per-pool-size speedup gates against the same
-# max(1.0, 0.5 * min) floor over its recorded series.
+# than jsonl once both have been measured, and the serving memo's
+# per-pool-size speedup gates against the same max(1.0, 0.5 * min)
+# floor over its recorded series.
 #
 # Measurements a given build does not support (no bench_cache_replay
 # binary, no --simd-tier flag: builds predating them) are skipped
@@ -146,13 +147,13 @@ else
   echo "skipping cache replay ($BUILD_DIR/bench_cache_replay not built)" >&2
 fi
 
-# ---- Serving-core scaling: event engine vs polling loop ----
+# ---- Serving-core scaling: memo replay vs the oracle ----
 
 : >"$workdir/serve_scale.txt"
 if [ -x "$BUILD_DIR/bench_serve_scale" ]; then
-  echo "running bench_serve_scale (engines + batch-signature memo)..." >&2
+  echo "running bench_serve_scale (batch-signature memo)..." >&2
   "$BUILD_DIR/bench_serve_scale" >"$workdir/serve_scale_out.txt"
-  grep -E '^serve_(scale|memo)(_speedup)?,' "$workdir/serve_scale_out.txt" \
+  grep -E '^serve_memo(_speedup)?,' "$workdir/serve_scale_out.txt" \
     >"$workdir/serve_scale.txt" || true
 else
   echo "skipping serve scaling ($BUILD_DIR/bench_serve_scale not built)" >&2
@@ -265,25 +266,17 @@ with open(os.path.join(workdir, "replay.txt")) as f:
                 "file_bytes": int(parts[4]),
             }
 
-# serve_scale,<devices>,<engine>,<requests>,<loop_ms>,<sim_rps>
-# serve_scale_speedup,<devices>,<ratio>
 # serve_memo,<devices>,<mode>,<requests>,<loop_ms>,<sim_rps>
 # serve_memo_speedup,<devices>,<ratio>
-serve_scale = {}
 serve_memo = {}
 with open(os.path.join(workdir, "serve_scale.txt")) as f:
     for line in f:
         parts = line.strip().split(",")
-        table = {"serve_scale": serve_scale,
-                 "serve_memo": serve_memo}.get(
-            parts[0].replace("_speedup", ""))
-        if table is None:
-            continue
-        if parts[0].endswith("_speedup") and len(parts) == 3:
-            d = table.setdefault(parts[1], {})
+        if parts[0] == "serve_memo_speedup" and len(parts) == 3:
+            d = serve_memo.setdefault(parts[1], {})
             d["speedup"] = float(parts[2])
-        elif len(parts) == 6:
-            d = table.setdefault(parts[1], {})
+        elif parts[0] == "serve_memo" and len(parts) == 6:
+            d = serve_memo.setdefault(parts[1], {})
             d[parts[2]] = {
                 "requests": int(parts[3]),
                 "loop_ms": float(parts[4]),
@@ -293,8 +286,6 @@ with open(os.path.join(workdir, "serve_scale.txt")) as f:
 report = {"kernels": kernels, "campaigns": campaigns}
 if replay:
     report["cache_replay"] = replay
-if serve_scale:
-    report["serve_scale"] = serve_scale
 if serve_memo:
     report["serve_memo"] = serve_memo
 with open(out, "w") as f:
@@ -339,11 +330,6 @@ if history:
     if replay:
         entry["cache_replay"] = {
             k: v["load_ms"] for k, v in replay.items()
-        }
-    if serve_scale:
-        entry["serve_scale"] = {
-            dev: d["speedup"]
-            for dev, d in serve_scale.items() if "speedup" in d
         }
     if serve_memo:
         entry["serve_memo"] = {
@@ -409,27 +395,24 @@ for scalar in sorted(kernels):
         print("missing bulk pair for %s" % scalar)
         fail = True
 
-# Serving event-engine and memo speedups gate per pool size, same
-# floor rule per series.
-for series, table in (("serve_scale", serve_scale),
-                      ("serve_memo", serve_memo)):
-    ss_floors = {}
-    for e in prior:
-        if e.get("sha") == sha:
-            continue
-        for dev, sp in e.get(series, {}).items():
-            ss_floors[dev] = min(ss_floors.get(dev, sp), sp)
-    for dev in sorted(table, key=int):
-        sp = table[dev].get("speedup")
-        if sp is None:
-            continue
-        floor = max(1.0, 0.5 * ss_floors.get(dev, 2.0))
-        print("%-24s %37s  %7.2fx (floor %.2fx)"
-              % ("%s @%s devices" % (series, dev), "", sp, floor))
-        if sp < floor:
-            print("FAIL: %s @%s devices at %.2fx is below its "
-                  "%.2fx floor" % (series, dev, sp, floor))
-            fail = True
+# The serving memo speedup gates per pool size, same floor rule.
+memo_floors = {}
+for e in prior:
+    if e.get("sha") == sha:
+        continue
+    for dev, sp in e.get("serve_memo", {}).items():
+        memo_floors[dev] = min(memo_floors.get(dev, sp), sp)
+for dev in sorted(serve_memo, key=int):
+    sp = serve_memo[dev].get("speedup")
+    if sp is None:
+        continue
+    floor = max(1.0, 0.5 * memo_floors.get(dev, 2.0))
+    print("%-24s %37s  %7.2fx (floor %.2fx)"
+          % ("serve_memo @%s devices" % dev, "", sp, floor))
+    if sp < floor:
+        print("FAIL: serve_memo @%s devices at %.2fx is below its "
+              "%.2fx floor" % (dev, sp, floor))
+        fail = True
 
 if "jsonl" in replay and "binary" in replay:
     jms = replay["jsonl"]["load_ms"]

@@ -1,5 +1,8 @@
 #include "common/bitvec.hh"
 
+#include <algorithm>
+#include <cstring>
+
 #include "common/logging.hh"
 
 namespace pluto
@@ -63,6 +66,36 @@ ElementView::set(u64 idx, u64 value)
 {
     PLUTO_ASSERT(idx < size());
     setPacked(data_, width_, idx, value);
+}
+
+void
+ElementView::fill(u64 value)
+{
+    // One period of the pattern: a byte holding 8 / width copies of
+    // a sub-byte element, or the width / 8 little-endian bytes of a
+    // wider one.
+    const u64 bytes = size() * width_ / 8;
+    const u32 period = width_ >= 8 ? width_ / 8 : 1;
+    if (bytes == 0)
+        return;
+    u8 pattern[4] = {};
+    if (width_ >= 8) {
+        for (u32 i = 0; i < period; ++i)
+            pattern[i] = static_cast<u8>(value >> (8 * i));
+    } else {
+        const u8 elem = static_cast<u8>(value & ((1u << width_) - 1));
+        for (u32 shift = 0; shift < 8; shift += width_)
+            pattern[0] |= static_cast<u8>(elem << shift);
+    }
+    u8 *out = data_.data();
+    if (period == 1) {
+        std::memset(out, pattern[0], bytes);
+        return;
+    }
+    // Replicate by doubling copies of the already-filled prefix.
+    std::memcpy(out, pattern, period);
+    for (u64 done = period; done < bytes; done *= 2)
+        std::memcpy(out + done, out, std::min(done, bytes - done));
 }
 
 ConstElementView::ConstElementView(std::span<const u8> data, u32 width)

@@ -56,6 +56,13 @@ class ElementView
     /** Store the low `width` bits of `value` into element `idx`. */
     void set(u64 idx, u64 value);
 
+    /**
+     * Store the low `width` bits of `value` into every element: one
+     * byte-period pattern replicated across the view (a memset at
+     * widths up to 8). Equivalent to set(i, value) for every i.
+     */
+    void fill(u64 value);
+
     /** @return number of elements in the view. */
     u64 size() const { return elementsPerBytes(data_.size(), width_); }
 

@@ -98,11 +98,10 @@ LutStore::materialize(LutPlacement &p)
 {
     const auto &geom = mod_.geometry();
     const u32 width = p.lut.elemBits();
-    const u64 slots = elementsPerBytes(geom.rowBytes, width);
     const u64 image_bytes = p.lut.size() * geom.rowBytes;
 
-    // Materialize the replicated element image, one LUT row at a
-    // time, unless it exceeds the host-memory budget.
+    // Materialize the replicated element image, one bulk-filled LUT
+    // row at a time, unless it exceeds the host-memory budget.
     p.materialized = image_bytes <= model_.materializeLimitBytes;
     for (u32 part = 0; p.materialized && part < p.partitionCount();
          ++part) {
@@ -110,11 +109,8 @@ LutStore::materialize(LutPlacement &p)
         for (u32 r = 0; r < p.rowsPerPartition; ++r) {
             const u64 global =
                 static_cast<u64>(part) * p.rowsPerPartition + r;
-            const u64 elem = p.lut.at(global);
-            auto row = mod_.rowAt(sa.rowAt(p.baseRow + r));
-            ElementView view(row, width);
-            for (u64 s = 0; s < slots; ++s)
-                view.set(s, elem);
+            ElementView(mod_.rowAt(sa.rowAt(p.baseRow + r)), width)
+                .fill(p.lut.at(global));
         }
     }
 }

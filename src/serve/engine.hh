@@ -2,16 +2,16 @@
  * @file
  * Discrete-event machinery for the serving simulator: the timestamped
  * event heap, the indexed least-loaded dispatch structure, and the
- * arena-backed request pool. Together they replace the polling tick
- * loop's O(P) scans with O(log P) operations, taking a service cell
- * from O(R·P) to O((R + E)·log P) for R requests and E events across
- * a P-device pool.
+ * arena-backed request pool. They stand in for per-tick O(P) scans
+ * of the pool with O(log P) operations, so a service cell costs
+ * O((R + E)·log P) for R requests and E events across a P-device
+ * pool.
  *
  * Determinism: every structure breaks ties by a total order that is a
  * pure function of simulation state — events by (time, kind, device
- * index), dispatch by (load, device index) — so outcomes are
- * bit-identical to the polling loop and independent of insertion
- * order (see tests/test_serve.cc).
+ * index), dispatch by (load, device index) — so outcomes reproduce a
+ * per-tick polling scan bit for bit and are independent of insertion
+ * order (see tests/test_serve.cc and tests/golden/serve_*.golden).
  *
  * Both index structures use lazy deletion: superseded entries stay in
  * the heap and are discarded when they surface, validated against the
@@ -35,7 +35,7 @@ namespace pluto::serve
 
 /**
  * Event kinds, in tie-break order: completions at time t are handled
- * before policy wake-ups at the same t, matching the polling loop's
+ * before policy wake-ups at the same t, matching a polling scan's
  * phase order (completions, then arrivals, then batching decisions).
  */
 enum class EvKind : u8
@@ -105,8 +105,8 @@ class EventQueue
 
 /**
  * Least-loaded device index: a lazy-deletion min-heap over
- * (load, device index) mirroring the polling loop's linear scan,
- * which picked the minimum queue+inFlight load and broke ties on the
+ * (load, device index) mirroring a linear scan of the pool, which
+ * picks the minimum queue+inFlight load and breaks ties on the
  * lowest device index. Callers push a fresh entry on every load
  * change; stale entries are purged when they reach the top.
  */
@@ -240,7 +240,7 @@ class RequestPool
 
     /**
      * @return length of the FIFO prefix sharing the front request's
-     * class — the polling loop's batch-eligibility rule.
+     * class — the batch-eligibility rule.
      */
     u64 eligiblePrefix(const Queue &q) const
     {

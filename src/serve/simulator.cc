@@ -2,18 +2,15 @@
  * @file
  * Discrete-event serving simulation (see simulator.hh).
  *
- * Two loop implementations share every model component (calibration,
- * pool setup, batch charging, metrics): the event engine drives the
- * clock from a binary heap of (time, kind, device) events plus the
- * LoadGen arrival stream, while the legacy polling loop rescans the
- * pool every tick. Their outcomes are bit-identical by construction;
- * tests/test_serve.cc asserts it over randomized specs.
- *
- * Event-engine equivalence sketch (vs the polling loop):
+ * The clock advances through a binary heap of (time, kind, device)
+ * events plus the LoadGen arrival stream. Its reference semantics is
+ * a per-tick polling scan of the whole pool — completions in device
+ * order, then arrivals, then batching decisions — which the event
+ * engine reproduces bit for bit (tests/golden/serve_outcomes.golden
+ * pins the outcomes):
  *  - Every scheduled instant (freeAt, wakeAt) is >= the clock when
  *    scheduled, so events always fire at t == now, and the heap's
- *    (time, kind, device) order reproduces the polling phases:
- *    completions in device order, then arrivals, then decisions.
+ *    (time, kind, device) order reproduces the polling phases.
  *  - The policy is re-offered exactly the devices whose decision
  *    inputs may have changed: devices that completed, idle devices
  *    that received an arrival, devices whose wake deadline fired,
@@ -34,7 +31,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <memory>
 
 #include "common/logging.hh"
 #include "obs/registry.hh"
@@ -56,16 +52,19 @@ namespace
  */
 constexpr const char *kCanonicalLut = "colorgrade";
 
-/** One pool device. */
-struct PoolDevice
+/**
+ * The serving state of one pool device. Batches charge on the cell's
+ * shared executor device with this slot's LUT residency injected.
+ */
+struct PoolSlot
 {
-    std::unique_ptr<runtime::PlutoDevice> dev;
-    runtime::LutHandle lut;
     /** FIFO queue handle into the cell's shared RequestPool. */
     RequestPool::Queue queue;
     /** In-service batch (empty when idle); grow-only capacity. */
     std::vector<Request> inFlight;
     bool busy = false;
+    /** LUT residency of this device (the memo signature's state). */
+    bool resident = false;
     TimeNs freeAt = 0.0;
     /** Policy deadline while waiting (kNever = event-driven only). */
     TimeNs wakeAt = kNever;
@@ -81,6 +80,9 @@ struct PoolDevice
     double batchReloadNs = 0.0;
     double batchTfawNs = 0.0;
     double batchExecNs = 0.0;
+    /** Occurrences of each memo entry on this device, by entry id:
+     *  the end-of-run device counter fold is bundle-delta x count. */
+    std::vector<u64> entryCounts;
 };
 
 } // namespace
@@ -141,8 +143,7 @@ ServeSimulator::calibrateAll(const runtime::DeviceConfig &cfg,
 }
 
 ServiceOutcome
-ServeSimulator::run(const Calibration *cal, EngineKind engine,
-                    BatchMemo *extMemo) const
+ServeSimulator::run(const Calibration *cal, BatchMemo *extMemo) const
 {
     // ---- Calibration: demand model per class, wave law once ----
     Calibration local;
@@ -154,41 +155,51 @@ ServeSimulator::run(const Calibration *cal, EngineKind engine,
     const std::vector<ClassDemand> &demand = cal->demands;
     const bool verified = cal->verified;
 
-    // ---- Device pool ----
+    // ---- Executor device and pool slots ----
+    // A batch's charge depends only on (class, size, residency) (see
+    // memo.hh), so one executor device serves the whole pool and the
+    // slots are plain state records. The pool's devices all run the
+    // same warm-up: run it once and report it once per slot.
     auto *tr = obs::tracer();
+    runtime::PlutoDevice exec(variant_.config);
+    if (tr)
+        exec.scheduler().setTraceLimit(4096);
+    const runtime::LutHandle lut = exec.loadLut(kCanonicalLut);
+    core::LutPlacement &placement =
+        exec.controller().lutPlacement(lut.reg);
+    // Warm the LUT residency, then zero the scheduler so busy time
+    // starts from the virtual epoch.
+    exec.lutOpTimedOnly(lut, 1, 1);
+    std::vector<PoolSlot> pool(spec_.devices);
+    for (auto &d : pool)
+        d.resident = placement.loaded;
     std::vector<u64> tracks;
-    std::vector<PoolDevice> pool(spec_.devices);
-    for (auto &d : pool) {
-        d.dev = std::make_unique<runtime::PlutoDevice>(
-            variant_.config);
-        if (tr)
-            d.dev->scheduler().setTraceLimit(4096);
-        d.lut = d.dev->loadLut(kCanonicalLut);
-        // Warm the LUT residency, then zero the scheduler so busy
-        // time starts from the virtual epoch.
-        d.dev->lutOpTimedOnly(d.lut, 1, 1);
-        if (tr) {
-            // One virtual-time track per pool device. Warmup commands
-            // (the cold pluto.lut_load above) render at negative
-            // timestamps so the serving timeline still starts at 0.
+    if (tr) {
+        // One virtual-time track per pool device. Warmup commands
+        // (the cold pluto.lut_load above) render at negative
+        // timestamps so the serving timeline still starts at 0.
+        const TimeNs warmEnd = exec.scheduler().elapsed();
+        for (u32 i = 0; i < spec_.devices; ++i) {
             const u64 track = tr->newVirtualTrack(
                 spec_.name + "/" + variant_.name + " dev" +
-                std::to_string(tracks.size()));
-            const TimeNs warmEnd = d.dev->scheduler().elapsed();
-            for (const auto &ev : d.dev->scheduler().trace())
+                std::to_string(i));
+            for (const auto &ev : exec.scheduler().trace())
                 tr->virtualSpan(track, "warmup/" + ev.name,
                                 ev.start - warmEnd,
                                 ev.end - ev.start);
             tracks.push_back(track);
         }
-        // Warmup commands (LUT load + first wave) are real device
-        // work: fold them into the counter hierarchy before the
-        // reset zeroes the scheduler for the serving epoch.
-        if (auto *sh = obs::shard())
-            sh->absorb("device", d.dev->stats().counters);
-        d.dev->resetStats();
     }
-    const u32 salp = pool.front().dev->salp();
+    // Warmup commands (LUT load + first wave) are real device work:
+    // fold them into the counter hierarchy once per device, one
+    // absorb each so the sums round exactly as P devices' would.
+    if (auto *sh = obs::shard()) {
+        const StatSet warm = exec.stats().counters;
+        for (u32 i = 0; i < spec_.devices; ++i)
+            sh->absorb("device", warm);
+    }
+    exec.resetStats();
+    const u32 salp = exec.salp();
     // A request cannot occupy more lock-step lanes than the device
     // has; charging phantom lanes would inflate energy and tFAW
     // pressure for hardware that does not exist.
@@ -214,13 +225,11 @@ ServeSimulator::run(const Calibration *cal, EngineKind engine,
     RequestPool rpool(variant_.config.arena ? *variant_.config.arena
                                             : privateArena);
 
-    // Incremental pool accounting, shared by both loops: total
-    // queued (not yet dispatched) requests, and busy devices.
+    // Incremental pool accounting: total queued (not yet
+    // dispatched) requests, and busy devices.
     u64 depth = 0;
     u32 busyCount = 0;
 
-    // Event-engine state; idle under the legacy loop. Declared here
-    // so startBatch can schedule the completion event.
     EventQueue evq;
     u64 evFired = 0;
     u64 evCoalesced = 0;
@@ -236,26 +245,20 @@ ServeSimulator::run(const Calibration *cal, EngineKind engine,
     u64 memoHits = 0;
     u64 memoMisses = 0;
     u64 memoVerifyChecks = 0;
-    // Per-device occurrence count of each memo entry, indexed by
-    // entry id: the end-of-run device counter fold is
-    // bundle-delta x count in first-seen entry order.
-    std::vector<std::vector<u64>> entryCounts(pool.size());
 
     // Serve `n` queued requests (a same-class prefix) on `d` at
     // `now`; returns when the device frees.
-    const auto startBatch = [&](PoolDevice &d, u32 n, TimeNs now) {
+    const auto startBatch = [&](PoolSlot &d, u32 n, TimeNs now) {
+        const u32 dev = static_cast<u32>(&d - pool.data());
         const u32 cls = rpool.front(d.queue).cls;
         const ClassDemand &dem = demand[cls];
-        auto &placement =
-            d.dev->controller().lutPlacement(d.lut.reg);
 
         // Signature: class, batch size, and the LUT residency the
         // batch starts from — the only device state the charge
         // depends on (the paper's Figure-11 reload cost). The
         // variant descriptor and gang law are constant per cell, so
         // they live in the cell identity, not the key.
-        const u64 sig =
-            BatchMemo::signature(cls, n, placement.loaded);
+        const u64 sig = BatchMemo::signature(cls, n, d.resident);
         i64 idx = memo.find(sig);
         const bool miss = idx < 0;
         bool verifySample = false;
@@ -278,11 +281,12 @@ ServeSimulator::run(const Calibration *cal, EngineKind engine,
         BatchBundle fresh;
         if (execute) {
             // Canonical epoch: every batch charges from a freshly
-            // zeroed scheduler, so the bundle is a pure function of
-            // the signature — FP rounding included — and a replay
-            // is bit-exact.
-            d.dev->resetStats();
-            const auto &sched = d.dev->scheduler();
+            // zeroed scheduler and the slot's residency, so the
+            // bundle is a pure function of the signature — FP
+            // rounding included — and a replay is bit-exact.
+            placement.loaded = d.resident;
+            exec.resetStats();
+            const auto &sched = exec.scheduler();
             // ceil(n / gang) lock-step wave groups through the
             // scheduler's batch fast path; full gangs occupy
             // gang*lanes SALP lanes, the remainder group only what
@@ -290,13 +294,12 @@ ServeSimulator::run(const Calibration *cal, EngineKind engine,
             const u32 full = n / gang;
             const u32 rem = n % gang;
             if (full > 0)
-                d.dev->lutOpTimedOnly(d.lut, dem.waves * full,
-                                      gang * lanes);
+                exec.lutOpTimedOnly(lut, dem.waves * full,
+                                    gang * lanes);
             if (rem > 0)
-                d.dev->lutOpTimedOnly(d.lut, dem.waves,
-                                      rem * lanes);
+                exec.lutOpTimedOnly(lut, dem.waves, rem * lanes);
             if (dem.hostNs > 0.0)
-                d.dev->hostWork(dem.hostNs * n);
+                exec.hostWork(dem.hostNs * n);
             fresh.serviceNs = sched.elapsed();
             fresh.energyPj = sched.energyTotal();
             // Decompose the batch's service time for tail
@@ -328,38 +331,33 @@ ServeSimulator::run(const Calibration *cal, EngineKind engine,
                       "cached bundle differs from the re-executed "
                       "oracle",
                       spec_.name.c_str(), variant_.name.c_str(),
-                      cls, n, placement.loaded ? 1 : 0);
+                      cls, n, d.resident ? 1 : 0);
         }
         const BatchBundle &b =
             (!miss && memoMode == sim::MemoMode::Off)
                 ? fresh
                 : memo.entry(static_cast<u32>(idx)).bundle;
-        // A replay must advance the residency state machine exactly
-        // as the execution it stands in for would have.
-        if (!execute)
-            placement.loaded = b.residentAfter;
+        // A replay advances the residency state machine exactly as
+        // the execution it stands in for would have.
+        d.resident = b.residentAfter;
 
         const TimeNs serviceNs = b.serviceNs;
         if (tr) {
             // Bundle trace events are epoch-relative (each batch
             // charges from scheduler time 0), so they map onto the
             // virtual clock by plain offset.
-            const u64 track =
-                tracks[static_cast<std::size_t>(&d - pool.data())];
             tr->virtualSpan(
-                track, mix_[cls].workload, now, serviceNs,
+                tracks[dev], mix_[cls].workload, now, serviceNs,
                 {obs::argNum("batch", static_cast<double>(n)),
                  obs::argNum("class", static_cast<double>(cls))});
             for (const auto &ev : b.trace)
-                tr->virtualSpan(track, ev.name, now + ev.start,
+                tr->virtualSpan(tracks[dev], ev.name, now + ev.start,
                                 ev.end - ev.start);
         }
         d.busy = true;
         d.wakeAt = kNever;
         d.freeAt = now + serviceNs;
-        if (engine == EngineKind::Event)
-            evq.schedule(d.freeAt, EvKind::DeviceFree,
-                         static_cast<u32>(&d - pool.data()));
+        evq.schedule(d.freeAt, EvKind::DeviceFree, dev);
         d.busyNs += serviceNs;
         d.energyPj += b.energyPj;
         d.batchDispatchNs = now;
@@ -368,14 +366,9 @@ ServeSimulator::run(const Calibration *cal, EngineKind engine,
         d.batchTfawNs = b.tfawNs;
         d.batchExecNs =
             std::max(0.0, serviceNs - b.reloadNs - b.tfawNs);
-        {
-            auto &counts = entryCounts[static_cast<std::size_t>(
-                &d - pool.data())];
-            if (counts.size() <= static_cast<std::size_t>(idx))
-                counts.resize(static_cast<std::size_t>(idx) + 1,
-                              0);
-            ++counts[static_cast<std::size_t>(idx)];
-        }
+        if (d.entryCounts.size() <= static_cast<std::size_t>(idx))
+            d.entryCounts.resize(static_cast<std::size_t>(idx) + 1, 0);
+        ++d.entryCounts[static_cast<std::size_t>(idx)];
         d.inFlight.clear();
         d.inFlight.reserve(n);
         rpool.forEach(d.queue, n, [&](const Request &r) {
@@ -390,7 +383,7 @@ ServeSimulator::run(const Calibration *cal, EngineKind engine,
     // Deliver the finished batch of `d`: per-request phase
     // attribution, metrics, and closed-loop re-arming. @return the
     // number of requests completed.
-    const auto completeBatch = [&](PoolDevice &d) {
+    const auto completeBatch = [&](PoolSlot &d) {
         d.busy = false;
         --busyCount;
         d.availAt = d.freeAt;
@@ -424,7 +417,7 @@ ServeSimulator::run(const Calibration *cal, EngineKind engine,
 
     // Offer `d`'s queue to the batching policy at `now`. @return the
     // dispatched batch size (0 = the policy waits).
-    const auto decide = [&](PoolDevice &d, TimeNs now, bool drain,
+    const auto decide = [&](PoolSlot &d, TimeNs now, bool drain,
                             bool mayArrive) -> u32 {
         QueueView v;
         v.eligible =
@@ -444,259 +437,161 @@ ServeSimulator::run(const Calibration *cal, EngineKind engine,
         return 0;
     };
 
-    // ---- Legacy polling loop: the pre-event O(R·P) tick loop,
-    // kept as the equivalence oracle and throughput baseline. ----
-    const auto runLegacyPolling = [&]() {
-        bool drain = false;
-        TimeNs now = 0.0;
-        u32 stalled = 0;
-        for (;;) {
-            u64 progressed = 0;
-            // Next event: arrival, completion, or policy timer —
-            // found by scanning the whole pool.
-            TimeNs t = gen.nextArrivalAt();
-            for (const auto &d : pool) {
-                if (d.busy)
-                    t = std::min(t, d.freeAt);
-                else if (d.queue.size > 0)
-                    t = std::min(t, d.wakeAt);
-            }
-            if (t == kNever) {
-                // Nothing scheduled. Any queued leftovers are
-                // policies waiting for arrivals that will never
-                // come: flush them.
-                bool queued = false;
-                for (const auto &d : pool)
-                    queued = queued || d.queue.size > 0;
-                if (!queued || drain)
-                    break;
-                drain = true;
-                ++progressed; // entering drain mode is progress
-            } else {
-                now = std::max(now, t);
-            }
-
-            // 1. Completions (ties resolve in device order).
-            for (auto &d : pool) {
-                if (!d.busy || d.freeAt > now)
-                    continue;
-                progressed += completeBatch(d);
-            }
-
-            // 2. Arrivals: least-loaded dispatch (ties to the
-            //    lowest device index) by linear scan, queue depth
-            //    re-summed after each enqueue.
-            std::vector<Request> batch;
-            Request next;
-            while (gen.poll(now, next))
-                batch.push_back(next);
-            for (const auto &r : batch) {
-                PoolDevice *best = &pool.front();
-                auto load = [](const PoolDevice &d) {
-                    return d.queue.size + d.inFlight.size();
-                };
-                for (auto &d : pool)
-                    if (load(d) < load(*best))
-                        best = &d;
-                rpool.pushBack(best->queue, r);
-                ++depth;
-                ++progressed;
-                metrics.onArrival(r.arriveNs);
-                u64 sum = 0;
-                for (const auto &d : pool)
-                    sum += d.queue.size;
-                metrics.onQueueDepth(r.arriveNs, sum);
-            }
-
-            // 3. Batching decisions for idle devices with work.
-            for (auto &d : pool) {
-                if (d.busy || d.queue.size == 0)
-                    continue;
-                bool mayArrive = gen.hasPending();
-                if (spec_.closedLoop && !drain)
-                    for (const auto &other : pool)
-                        mayArrive =
-                            mayArrive || !other.inFlight.empty();
-                if (decide(d, now, drain, mayArrive) > 0)
-                    ++progressed;
-            }
-
-            // A policy whose deadline test disagrees with its own
-            // wakeAt could pin the clock; fail loudly instead of
-            // spinning.
-            stalled = progressed ? 0 : stalled + 1;
-            if (stalled > 8)
-                panic("serving event loop stalled at t=%.3f ms "
-                      "(policy wakeAt never dispatches)",
-                      now * 1e-6);
-        }
-    };
-
     // ---- Event engine: heap-scheduled completions and wake-ups,
     // indexed dispatch, dirty-set policy offers. ----
-    const auto runEventEngine = [&]() {
-        LoadIndex loads(spec_.devices);
-        // Devices whose policy inputs changed since their last
-        // offer; deduplicated, decided in device-index order.
-        std::vector<u32> dirty;
-        std::vector<u8> inDirty(spec_.devices, 0);
-        const auto markDirty = [&](u32 dev) {
-            if (!inDirty[dev]) {
-                inDirty[dev] = 1;
-                dirty.push_back(dev);
-            }
-        };
-        // Devices whose last policy offer decided to wait, lazily
-        // pruned: re-offering them is O(waiters), not O(P).
-        // Invariant: inWaiters[i] <=> i is in the list.
-        std::vector<u32> waiters;
-        std::vector<u8> inWaiters(spec_.devices, 0);
-        const auto markWaiting = [&]() {
-            std::size_t keep = 0;
-            for (const u32 w : waiters) {
-                if (!pool[w].busy && pool[w].queue.size > 0) {
-                    markDirty(w);
-                    waiters[keep++] = w; // waiting until re-decided
-                } else {
-                    inWaiters[w] = 0; // dispatched or drained since
-                }
-            }
-            waiters.resize(keep);
-        };
-        // Drop events that no longer match their device's state
-        // (superseded wake deadlines) off the top of the heap.
-        const auto purgeStale = [&]() {
-            while (!evq.empty()) {
-                const Ev &e = evq.top();
-                const PoolDevice &d = pool[e.dev];
-                const bool valid =
-                    e.kind == EvKind::DeviceFree
-                        ? d.busy && d.freeAt == e.t
-                        : !d.busy && d.queue.size > 0 &&
-                              d.wakeAt == e.t;
-                if (valid)
-                    return;
-                ++evCoalesced;
-                evq.pop();
-            }
-        };
-        const auto mayArriveNow = [&](bool drain) {
-            return gen.hasPending() ||
-                   (spec_.closedLoop && !drain && busyCount > 0);
-        };
-
-        bool drain = false;
-        TimeNs now = 0.0;
-        u32 stalled = 0;
-        Request next;
-        for (;;) {
-            u64 progressed = 0;
-            purgeStale();
-            const TimeNs t =
-                std::min(gen.nextArrivalAt(),
-                         evq.empty() ? kNever : evq.top().t);
-            if (t == kNever) {
-                if (depth == 0 || drain)
-                    break;
-                drain = true;
-                ++progressed; // entering drain mode is progress
-                markWaiting();
-            } else {
-                now = std::max(now, t);
-            }
-
-            // 1. Due events: completions first, in device order —
-            //    the heap's (t, kind, dev) order guarantees it.
-            while (!evq.empty() && evq.top().t <= now) {
-                const Ev e = evq.top();
-                evq.pop();
-                PoolDevice &d = pool[e.dev];
-                if (e.kind == EvKind::DeviceFree) {
-                    if (!d.busy || d.freeAt != e.t) {
-                        ++evCoalesced;
-                        continue;
-                    }
-                    ++evFired;
-                    progressed += completeBatch(d);
-                    loads.update(e.dev, d.queue.size);
-                    if (d.queue.size > 0)
-                        markDirty(e.dev);
-                } else {
-                    if (d.busy || d.queue.size == 0 ||
-                        d.wakeAt != e.t) {
-                        ++evCoalesced;
-                        continue;
-                    }
-                    ++evFired;
-                    d.wakeAt = kNever; // consumed
-                    markDirty(e.dev);
-                }
-            }
-
-            // 2. Arrivals: indexed least-loaded dispatch,
-            //    incrementally maintained global queue depth.
-            while (gen.poll(now, next)) {
-                const u32 dev = loads.leastLoaded();
-                PoolDevice &d = pool[dev];
-                rpool.pushBack(d.queue, next);
-                loads.update(dev,
-                             d.queue.size + d.inFlight.size());
-                ++depth;
-                ++progressed;
-                metrics.onArrival(next.arriveNs);
-                metrics.onQueueDepth(next.arriveNs, depth);
-                if (!d.busy)
-                    markDirty(dev);
-            }
-
-            // 3. Batching decisions for devices whose inputs
-            //    changed, in device-index order. A false start-of-
-            //    pass may-arrive signal re-offers every waiter (see
-            //    the equivalence sketch in the file comment).
-            if (!mayArriveNow(drain))
-                markWaiting();
-            std::sort(dirty.begin(), dirty.end());
-            for (const u32 idx : dirty) {
-                inDirty[idx] = 0;
-                PoolDevice &d = pool[idx];
-                if (d.busy || d.queue.size == 0)
-                    continue;
-                const TimeNs prevWake = d.wakeAt;
-                if (decide(d, now, drain, mayArriveNow(drain)) >
-                    0) {
-                    ++progressed;
-                } else {
-                    if (!inWaiters[idx]) {
-                        inWaiters[idx] = 1;
-                        waiters.push_back(idx);
-                    }
-                    if (d.wakeAt != kNever) {
-                        if (d.wakeAt != prevWake)
-                            evq.schedule(d.wakeAt,
-                                         EvKind::PolicyWake, idx);
-                        else
-                            ++evCoalesced; // deadline queued
-                    }
-                }
-            }
-            dirty.clear();
-
-            // A policy whose deadline test disagrees with its own
-            // wakeAt could pin the clock; fail loudly instead of
-            // spinning.
-            stalled = progressed ? 0 : stalled + 1;
-            if (stalled > 8)
-                panic("serving event loop stalled at t=%.3f ms "
-                      "(policy wakeAt never dispatches)",
-                      now * 1e-6);
+    const auto loopT0 = std::chrono::steady_clock::now();
+    LoadIndex loads(spec_.devices);
+    // Devices whose policy inputs changed since their last offer;
+    // deduplicated, decided in device-index order.
+    std::vector<u32> dirty;
+    std::vector<u8> inDirty(spec_.devices, 0);
+    const auto markDirty = [&](u32 dev) {
+        if (!inDirty[dev]) {
+            inDirty[dev] = 1;
+            dirty.push_back(dev);
         }
     };
+    // Devices whose last policy offer decided to wait, lazily
+    // pruned: re-offering them is O(waiters), not O(P).
+    // Invariant: inWaiters[i] <=> i is in the list.
+    std::vector<u32> waiters;
+    std::vector<u8> inWaiters(spec_.devices, 0);
+    const auto markWaiting = [&]() {
+        std::size_t keep = 0;
+        for (const u32 w : waiters) {
+            if (!pool[w].busy && pool[w].queue.size > 0) {
+                markDirty(w);
+                waiters[keep++] = w; // waiting until re-decided
+            } else {
+                inWaiters[w] = 0; // dispatched or drained since
+            }
+        }
+        waiters.resize(keep);
+    };
+    // Drop events that no longer match their device's state
+    // (superseded wake deadlines) off the top of the heap.
+    const auto purgeStale = [&]() {
+        while (!evq.empty()) {
+            const Ev &e = evq.top();
+            const PoolSlot &d = pool[e.dev];
+            const bool valid = e.kind == EvKind::DeviceFree
+                                   ? d.busy && d.freeAt == e.t
+                                   : !d.busy && d.queue.size > 0 &&
+                                         d.wakeAt == e.t;
+            if (valid)
+                return;
+            ++evCoalesced;
+            evq.pop();
+        }
+    };
+    const auto mayArriveNow = [&](bool drain) {
+        return gen.hasPending() ||
+               (spec_.closedLoop && !drain && busyCount > 0);
+    };
 
-    const auto loopT0 = std::chrono::steady_clock::now();
-    if (engine == EngineKind::LegacyPolling)
-        runLegacyPolling();
-    else
-        runEventEngine();
+    bool drain = false;
+    TimeNs now = 0.0;
+    u32 stalled = 0;
+    Request next;
+    for (;;) {
+        u64 progressed = 0;
+        purgeStale();
+        const TimeNs t = std::min(gen.nextArrivalAt(),
+                                  evq.empty() ? kNever : evq.top().t);
+        if (t == kNever) {
+            // Nothing scheduled. Any queued leftovers are policies
+            // waiting for arrivals that will never come: flush them.
+            if (depth == 0 || drain)
+                break;
+            drain = true;
+            ++progressed; // entering drain mode is progress
+            markWaiting();
+        } else {
+            now = std::max(now, t);
+        }
+
+        // 1. Due events: completions first, in device order — the
+        //    heap's (t, kind, dev) order guarantees it.
+        while (!evq.empty() && evq.top().t <= now) {
+            const Ev e = evq.top();
+            evq.pop();
+            PoolSlot &d = pool[e.dev];
+            if (e.kind == EvKind::DeviceFree) {
+                if (!d.busy || d.freeAt != e.t) {
+                    ++evCoalesced;
+                    continue;
+                }
+                ++evFired;
+                progressed += completeBatch(d);
+                loads.update(e.dev, d.queue.size);
+                if (d.queue.size > 0)
+                    markDirty(e.dev);
+            } else {
+                if (d.busy || d.queue.size == 0 || d.wakeAt != e.t) {
+                    ++evCoalesced;
+                    continue;
+                }
+                ++evFired;
+                d.wakeAt = kNever; // consumed
+                markDirty(e.dev);
+            }
+        }
+
+        // 2. Arrivals: least-loaded dispatch (ties to the lowest
+        //    device index), incrementally maintained queue depth.
+        while (gen.poll(now, next)) {
+            const u32 dev = loads.leastLoaded();
+            PoolSlot &d = pool[dev];
+            rpool.pushBack(d.queue, next);
+            loads.update(dev, d.queue.size + d.inFlight.size());
+            ++depth;
+            ++progressed;
+            metrics.onArrival(next.arriveNs);
+            metrics.onQueueDepth(next.arriveNs, depth);
+            if (!d.busy)
+                markDirty(dev);
+        }
+
+        // 3. Batching decisions for devices whose inputs changed,
+        //    in device-index order. A false start-of-pass
+        //    may-arrive signal re-offers every waiter (see the
+        //    equivalence sketch in the file comment).
+        if (!mayArriveNow(drain))
+            markWaiting();
+        std::sort(dirty.begin(), dirty.end());
+        for (const u32 idx : dirty) {
+            inDirty[idx] = 0;
+            PoolSlot &d = pool[idx];
+            if (d.busy || d.queue.size == 0)
+                continue;
+            const TimeNs prevWake = d.wakeAt;
+            if (decide(d, now, drain, mayArriveNow(drain)) > 0) {
+                ++progressed;
+            } else {
+                if (!inWaiters[idx]) {
+                    inWaiters[idx] = 1;
+                    waiters.push_back(idx);
+                }
+                if (d.wakeAt != kNever) {
+                    if (d.wakeAt != prevWake)
+                        evq.schedule(d.wakeAt, EvKind::PolicyWake,
+                                     idx);
+                    else
+                        ++evCoalesced; // deadline already queued
+                }
+            }
+        }
+        dirty.clear();
+
+        // A policy whose deadline test disagrees with its own
+        // wakeAt could pin the clock; fail loudly instead of
+        // spinning.
+        stalled = progressed ? 0 : stalled + 1;
+        if (stalled > 8)
+            panic("serving event loop stalled at t=%.3f ms "
+                  "(policy wakeAt never dispatches)",
+                  now * 1e-6);
+    }
     const double loopHostMs =
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - loopT0)
@@ -721,16 +616,13 @@ ServeSimulator::run(const Calibration *cal, EngineKind engine,
         sh->add("serve/energy_pj", energyPj);
         sh->gaugeMax("serve/pool_devices",
                      static_cast<double>(spec_.devices));
-        if (engine == EngineKind::Event) {
-            sh->add("serve/events/scheduled",
-                    static_cast<double>(evq.scheduled()));
-            sh->add("serve/events/fired",
-                    static_cast<double>(evFired));
-            sh->add("serve/events/coalesced",
-                    static_cast<double>(evCoalesced));
-            sh->gaugeMax("serve/events/heap_peak",
-                         static_cast<double>(evq.peak()));
-        }
+        sh->add("serve/events/scheduled",
+                static_cast<double>(evq.scheduled()));
+        sh->add("serve/events/fired", static_cast<double>(evFired));
+        sh->add("serve/events/coalesced",
+                static_cast<double>(evCoalesced));
+        sh->gaugeMax("serve/events/heap_peak",
+                     static_cast<double>(evq.peak()));
         if (outcome.sloGood + outcome.sloViolations > 0) {
             sh->add("serve/slo/good",
                     static_cast<double>(outcome.sloGood));
@@ -753,12 +645,12 @@ ServeSimulator::run(const Calibration *cal, EngineKind engine,
         // executed and replayed runs; this fold is bit-identical
         // across memo modes by construction.
         StatSet folded;
-        for (const auto &counts : entryCounts) {
+        for (const auto &d : pool) {
             folded.clear();
-            for (std::size_t ei = 0; ei < counts.size(); ++ei) {
-                if (counts[ei] == 0)
+            for (std::size_t ei = 0; ei < d.entryCounts.size(); ++ei) {
+                if (d.entryCounts[ei] == 0)
                     continue;
-                const double k = static_cast<double>(counts[ei]);
+                const double k = static_cast<double>(d.entryCounts[ei]);
                 for (const auto &[name, value] :
                      memo.entries()[ei].bundle.counters.counters())
                     folded.add(name, value * k);

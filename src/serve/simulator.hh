@@ -12,35 +12,40 @@
  *    number of canonical LUT-query waves (the wave time is measured
  *    on the same configuration), so serving charges flow through the
  *    real command scheduler.
- *  - A DevicePool holds `devices` PlutoDevice instances, each with a
- *    FIFO queue; arrivals dispatch to the least-loaded queue. Serving
- *    a batch of k same-class requests charges the device's scheduler
- *    via PlutoDevice::lutOpTimedOnly — i.e. the scheduler's batch
- *    fast path (QueryEngine::queryTimedOnlyBatch submitting one
+ *  - A pool of `devices` devices, each with a FIFO queue; arrivals
+ *    dispatch to the least-loaded queue. The devices are identical
+ *    and a batch's charge depends only on (class, batch size, LUT
+ *    residency) (see memo.hh), so the cell builds one executor
+ *    PlutoDevice and keeps each pool device as a state record
+ *    (queue, busy/free instants, residency). Serving a batch of k
+ *    same-class requests charges the executor's scheduler, with the
+ *    slot's residency injected, via PlutoDevice::lutOpTimedOnly —
+ *    i.e. the scheduler's batch fast path
+ *    (QueryEngine::queryTimedOnlyBatch submitting one
  *    CommandScheduler::burst) — as ceil(k / gang) wave groups, where
  *    gang = max(1, device SALP / `lanes`) requests share one
  *    lock-step wave (Section 5.5 subarray-level parallelism). The
  *    serial host portion is charged per request. The batch's service
  *    time and energy are the scheduler's elapsed/energy deltas; they
- *    advance the global virtual clock.
+ *    advance the global virtual clock. Pool setup is O(1) in P
+ *    apart from the slot records.
  *  - Batching therefore trades queueing delay for wave sharing: on a
  *    device with SALP headroom (salp > lanes) a full gang serves k
  *    requests in one wave group's time, raising capacity; without
  *    headroom (gang = 1) batching only amortizes queue wakeups.
  *
- *  - The default loop is a discrete-event engine (serve/engine.hh):
+ *  - The loop is a discrete-event engine (serve/engine.hh):
  *    completions and policy wake-ups flow through a timestamped
  *    binary heap ordered by (time, event kind, device index),
  *    arrivals stream from LoadGen, dispatch picks the least-loaded
  *    device through an indexed min-heap, and only devices whose
  *    queue state changed are re-offered to the batching policy —
- *    O((R + E) log P) total, vs the O(R·P) polling loop it replaced
- *    (retained as EngineKind::LegacyPolling, the test oracle).
+ *    O((R + E) log P) total.
  *
  * Determinism: arrivals, mix draws, dispatch, batching and charging
  * are all pure functions of (variant config, service spec, mix), so
  * a cell's ServiceOutcome is bit-identical across host thread
- * counts, shards, cache replays — and across engines.
+ * counts, shards and cache replays.
  */
 
 #ifndef PLUTO_SERVE_SIMULATOR_HH
@@ -54,28 +59,6 @@ namespace pluto::serve
 {
 
 class BatchMemo;
-
-/**
- * Simulation loop implementation. Both produce bit-identical
- * ServiceOutcomes; they differ only in algorithmic cost.
- */
-enum class EngineKind
-{
-    /**
-     * Default: heap-indexed discrete-event engine — O(log P) event
-     * dispatch, indexed least-loaded selection, incremental depth
-     * accounting; O((R + E) log P) per cell.
-     */
-    Event,
-    /**
-     * The pre-event polling tick loop: every tick linearly scans the
-     * pool for completions, batching and drain detection, and every
-     * arrival pays an O(P) least-loaded scan plus an O(P) queue-depth
-     * re-sum; O(R·P) per cell. Kept as the equivalence oracle for
-     * tests and the baseline for bench_serve_scale.
-     */
-    LegacyPolling,
-};
 
 /** Calibrated demand of one request class on one variant. */
 struct ClassDemand
@@ -120,8 +103,7 @@ class ServeSimulator
      * Execute the simulation. Calibrates the mix itself, or reuses
      * `cal` (from calibrateAll on the same config and mix) — the
      * calibration depends only on (variant config, mix), so sweeps
-     * over service parameters share one. `engine` selects the loop
-     * implementation; outcomes are bit-identical across engines.
+     * over service parameters share one.
      *
      * Every batch charges from a canonical scheduler epoch and its
      * cost bundle is memoized by (class, size, residency) signature
@@ -133,7 +115,6 @@ class ServeSimulator
      * it must come from an identical (variant, spec, mix) cell.
      */
     ServiceOutcome run(const Calibration *cal = nullptr,
-                       EngineKind engine = EngineKind::Event,
                        BatchMemo *memo = nullptr) const;
 
     /** Calibrate every class of a mix on one configuration. */

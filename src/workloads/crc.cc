@@ -37,7 +37,11 @@ packetByte(u64 p, u64 j, u64 seed)
     return static_cast<u8>(x);
 }
 
-/** Host reference CRC implementations (match the library LUTs). */
+/**
+ * Host reference CRC implementations (match the library LUTs). The
+ * bit steps are branch-free: with data-dependent branches this check
+ * dominated the host time of a paper-scale CRC cell.
+ */
 u8
 refCrc8(u64 p, u64 seed)
 {
@@ -45,8 +49,7 @@ refCrc8(u64 p, u64 seed)
     for (u64 j = 0; j < packetBytes; ++j) {
         crc = static_cast<u8>(crc ^ packetByte(p, j, seed));
         for (int k = 0; k < 8; ++k)
-            crc = static_cast<u8>((crc & 0x80) ? (crc << 1) ^ 0x07
-                                               : (crc << 1));
+            crc = static_cast<u8>((crc << 1) ^ (0x07 & -(crc >> 7)));
     }
     return crc;
 }
@@ -58,8 +61,7 @@ refCrc16(u64 p, u64 seed)
     for (u64 j = 0; j < packetBytes; ++j) {
         crc = static_cast<u16>(crc ^ (u16(packetByte(p, j, seed)) << 8));
         for (int k = 0; k < 8; ++k)
-            crc = static_cast<u16>((crc & 0x8000) ? (crc << 1) ^ 0x1021
-                                                  : (crc << 1));
+            crc = static_cast<u16>((crc << 1) ^ (0x1021 & -(crc >> 15)));
     }
     return crc;
 }
@@ -71,7 +73,7 @@ refCrc32(u64 p, u64 seed)
     for (u64 j = 0; j < packetBytes; ++j) {
         crc ^= packetByte(p, j, seed);
         for (int k = 0; k < 8; ++k)
-            crc = (crc & 1) ? (crc >> 1) ^ 0xEDB88320u : (crc >> 1);
+            crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
     }
     return crc;
 }

@@ -8,6 +8,8 @@
 
 #include "workloads/workload.hh"
 
+#include <algorithm>
+
 #include "common/random.hh"
 
 namespace pluto::workloads
@@ -63,9 +65,17 @@ class LutImageWorkload : public Workload
         const auto lut = dev.loadLut(lutName_);
         const auto in = dev.alloc(elements, 8);
         const auto out = dev.alloc(elements, 8);
-        const auto image =
-            syntheticImage(elements, mixSeed(936000, seed));
-        dev.write(in, image);
+        // Both references map bytes to bytes, so the expected image
+        // is kept as bytes and the u64 input vector is dropped before
+        // the result is read back: one u64 vector is live at a time.
+        std::vector<u8> expect(elements);
+        {
+            const auto image =
+                syntheticImage(elements, mixSeed(936000, seed));
+            dev.write(in, image);
+            for (u64 i = 0; i < elements; ++i)
+                expect[i] = static_cast<u8>(reference_(image[i]));
+        }
 
         dev.resetStats(); // kernel time excludes LUT loading
         dev.lutOp(out, in, lut);
@@ -75,13 +85,8 @@ class LutImageWorkload : public Workload
         res.hostNs = stats.counters.get("host.ns");
 
         const auto got = dev.read(out);
-        res.verified = true;
-        for (u64 i = 0; i < elements; ++i) {
-            if (got[i] != reference_(image[i])) {
-                res.verified = false;
-                break;
-            }
-        }
+        res.verified = std::equal(got.begin(), got.end(),
+                                  expect.begin(), expect.end());
         return res;
     }
 

@@ -15,16 +15,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <functional>
 #include <sstream>
 
+#include "golden.hh"
 #include "runtime/device.hh"
-
-#ifndef PLUTO_GOLDEN_DIR
-#define PLUTO_GOLDEN_DIR "tests/golden"
-#endif
 
 namespace pluto::runtime
 {
@@ -124,12 +119,6 @@ goldenCases()
     };
 }
 
-std::string
-goldenPath(const std::string &name)
-{
-    return std::string(PLUTO_GOLDEN_DIR) + "/" + name + ".golden";
-}
-
 class GoldenTrace : public ::testing::TestWithParam<std::size_t>
 {
 };
@@ -138,27 +127,8 @@ TEST_P(GoldenTrace, MatchesCheckedInFile)
 {
     const auto cases = goldenCases();
     const GoldenCase &c = cases[GetParam()];
-    const std::string got = recordTrace(c.design, c.body);
-    const std::string path = goldenPath(c.name);
-
-    if (std::getenv("PLUTO_UPDATE_GOLDEN")) {
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        ASSERT_TRUE(out) << "cannot write " << path;
-        out << got;
-        ASSERT_TRUE(out.good());
-        GTEST_SKIP() << "golden updated: " << path;
-    }
-
-    std::ifstream in(path, std::ios::binary);
-    ASSERT_TRUE(in) << path
-                    << " missing — regenerate with "
-                       "PLUTO_UPDATE_GOLDEN=1 ./test_golden_trace";
-    std::ostringstream want;
-    want << in.rdbuf();
-    EXPECT_EQ(got, want.str())
-        << "instruction stream or timing model drifted from " << path
-        << "\nIf intended, regenerate with PLUTO_UPDATE_GOLDEN=1 and "
-           "review the diff.";
+    test::expectGolden(c.name, recordTrace(c.design, c.body),
+                       "instruction stream or timing model");
 }
 
 INSTANTIATE_TEST_SUITE_P(Cases, GoldenTrace,

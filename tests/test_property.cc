@@ -3,9 +3,9 @@
  * Property-based tests over wide parameter sweeps: query-engine
  * correctness across every (element width x design) combination
  * against both the sweep emulation and a scalar reference; tFAW
- * window invariants under random loads; packed-element views against
- * a naive bit-by-bit model; scheduler time/energy accounting
- * linearity.
+ * window invariants under random loads; packed-element views (and
+ * their bulk fill, incl. LUT materialization) against a naive model;
+ * scheduler time/energy accounting linearity.
  */
 
 #include <gtest/gtest.h>
@@ -277,6 +277,68 @@ TEST_P(ViewProperty, MatchesNaiveBitModel)
         EXPECT_EQ(view.get(probe), ref_get(probe))
             << "width " << width << " step " << step;
     }
+}
+
+TEST_P(ViewProperty, FillMatchesScalarSets)
+{
+    // The bulk fill equals one set() per element, and leaves the
+    // tail bytes past the last whole element untouched.
+    const u32 width = GetParam();
+    Rng rng(width * 13);
+    for (const u64 bytes : {1u, 3u, 4u, 7u, 32u, 61u, 8192u}) {
+        std::vector<u8> bulk(bytes);
+        for (auto &b : bulk)
+            b = static_cast<u8>(rng.next());
+        std::vector<u8> scalar = bulk;
+        const u64 value = rng.next();
+        ElementView(bulk, width).fill(value);
+        ElementView sv(scalar, width);
+        for (u64 i = 0; i < sv.size(); ++i)
+            sv.set(i, value);
+        EXPECT_EQ(bulk, scalar) << "width " << width << " bytes "
+                                << bytes;
+    }
+}
+
+TEST_P(ViewProperty, LutMaterializeMatchesScalarImage)
+{
+    // A partitioned placement (2 to 4 partitions at base row 16 on
+    // the tiny geometry) materializes the same replicated row image
+    // a per-slot set() loop writes.
+    const u32 width = GetParam();
+    dram::Module mod(dram::Geometry::tiny());
+    dram::CommandScheduler sched(dram::TimingParams::ddr4_2400(),
+                                 dram::EnergyParams::ddr4());
+    core::LutStore store(mod, sched);
+    Rng rng(width * 31);
+    // The element width bounds the index width (paper footnote 5).
+    const u32 indexBits = std::min(width, 7u);
+    const u64 mask = (1ull << width) - 1;
+    std::vector<u64> values(1ull << indexBits);
+    for (auto &v : values)
+        v = rng.next() & mask;
+    const Lut lut("fill", indexBits, width, values);
+    std::vector<dram::SubarrayAddress> subarrays = {
+        {0, 1}, {0, 2}, {1, 3}, {1, 5}};
+    subarrays.resize(std::min<std::size_t>(4, values.size()));
+    const auto &p = store.placement(store.place(
+        lut, subarrays, core::LutLoadMethod::FromMemory, 16));
+    ASSERT_TRUE(p.materialized);
+    ASSERT_GE(p.partitionCount(), 2u);
+    const u64 rowBytes = mod.geometry().rowBytes;
+    for (u32 part = 0; part < p.partitionCount(); ++part)
+        for (u32 r = 0; r < p.rowsPerPartition; ++r) {
+            std::vector<u8> want(rowBytes, 0);
+            ElementView view(want, width);
+            const u64 elem = lut.at(part * p.rowsPerPartition + r);
+            for (u64 s = 0; s < view.size(); ++s)
+                view.set(s, elem);
+            EXPECT_EQ(mod.readRow(p.partitions[part].rowAt(
+                          p.baseRow + r)),
+                      want)
+                << "width " << width << " partition " << part
+                << " row " << r;
+        }
 }
 
 INSTANTIATE_TEST_SUITE_P(Widths, ViewProperty,

@@ -3,17 +3,30 @@
  * Service-layer tests: batching policy decisions, deterministic load
  * generation, the serving simulator's invariants (bit-identical
  * reruns, tenant accounting, saturation behavior, batching with SALP
- * headroom) and the service cache round trip.
+ * headroom), outcomes and telemetry pinned against
+ * tests/golden/serve_*.golden, per-slot residency on the shared
+ * executor, pool memory independent of the pool size, and the
+ * service cache round trip.
  */
 
 #include <gtest/gtest.h>
+
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 
+#include "golden.hh"
+
+#include "common/digest.hh"
 #include "common/random.hh"
+#include "obs/registry.hh"
+#include "obs/trace.hh"
 #include "serve/cache.hh"
 #include "serve/engine.hh"
 #include "serve/loadgen.hh"
@@ -555,6 +568,68 @@ expectSameOutcome(const ServiceOutcome &a, const ServiceOutcome &b)
     }
 }
 
+// ---- Pinned serving goldens (tests/golden/serve_*.golden) ----
+//
+// The goldens are the serving oracle: they were recorded from the
+// pool of one full PlutoDevice per slot, and every refactor of the
+// loop or the pool must reproduce them bit for bit. Regenerate with
+// PLUTO_UPDATE_GOLDEN=1 ./test_serve (see tests/README.md).
+
+/** The three pLUTo designs the goldens cover, at SALP 128. */
+std::vector<sim::DeviceSpec>
+goldenVariants()
+{
+    std::vector<sim::DeviceSpec> out;
+    const std::pair<const char *, core::Design> designs[] = {
+        {"gmc", core::Design::Gmc},
+        {"gsa", core::Design::Gsa},
+        {"bsa", core::Design::Bsa},
+    };
+    for (const auto &[name, design] : designs) {
+        sim::DeviceSpec v = testVariant(128);
+        v.name = name;
+        v.config.design = design;
+        out.push_back(v);
+    }
+    return out;
+}
+
+/** A golden cell: the offered load scales with the pool. */
+sim::ServiceSpec
+goldenService(sim::BatchPolicyKind policy, bool closed, u32 devices,
+              sim::MemoMode memo)
+{
+    sim::ServiceSpec svc = testService(policy, 30000.0 * devices);
+    svc.durationMs = 2.0;
+    svc.devices = devices;
+    svc.closedLoop = closed;
+    svc.clients = 6 * devices;
+    svc.thinkMs = 0.02;
+    svc.sloMs = 0.5;
+    svc.memo = memo;
+    return svc;
+}
+
+constexpr sim::BatchPolicyKind kPolicies[] = {
+    sim::BatchPolicyKind::Immediate,
+    sim::BatchPolicyKind::FixedSize,
+    sim::BatchPolicyKind::TimeWindow,
+    sim::BatchPolicyKind::Adaptive,
+};
+
+constexpr sim::MemoMode kMemoModes[] = {
+    sim::MemoMode::On,
+    sim::MemoMode::Off,
+    sim::MemoMode::Verify,
+};
+
+/** @return digest of every cached outcome field (codec body). */
+std::string
+outcomeDigest(const ServiceOutcome &out)
+{
+    return fnv1aHex(ServiceCacheCodec::encodeBody(out));
+}
+
 TEST(ServeSimulator, RerunsAreBitIdentical)
 {
     const auto variant = testVariant();
@@ -568,53 +643,6 @@ TEST(ServeSimulator, RerunsAreBitIdentical)
     expectSameOutcome(a, b);
 }
 
-TEST(ServeSimulator, EventEngineMatchesThePollingOracle)
-{
-    // The heap-indexed event engine must reproduce the legacy
-    // polling loop's outcome bit for bit across every policy, both
-    // loop modes, light and saturating load, and pool sizes that
-    // exercise dispatch ties. One shared calibration keeps the grid
-    // cheap.
-    const auto variant = testVariant(128);
-    const auto mix = twoClassMix();
-    const auto cal =
-        ServeSimulator::calibrateAll(variant.config, mix);
-    const sim::BatchPolicyKind policies[] = {
-        sim::BatchPolicyKind::Immediate,
-        sim::BatchPolicyKind::FixedSize,
-        sim::BatchPolicyKind::TimeWindow,
-        sim::BatchPolicyKind::Adaptive,
-    };
-    u64 cells = 0;
-    for (const auto policy : policies)
-        for (const double rate : {2000.0, 60000.0})
-            for (const u32 devices : {1u, 3u, 5u})
-                for (const bool closed : {false, true}) {
-                    auto svc = testService(policy, rate);
-                    svc.devices = devices;
-                    svc.durationMs = 3.0;
-                    svc.closedLoop = closed;
-                    svc.clients = 9;
-                    svc.thinkMs = 0.02;
-                    svc.sloMs = 0.5;
-                    SCOPED_TRACE(
-                        "policy=" +
-                        std::string(sim::batchPolicyName(policy)) +
-                        " rate=" + std::to_string(rate) +
-                        " devices=" + std::to_string(devices) +
-                        " closed=" + std::to_string(closed));
-                    ServeSimulator sim(variant, svc, mix);
-                    const auto ev =
-                        sim.run(&cal, EngineKind::Event);
-                    const auto legacy =
-                        sim.run(&cal, EngineKind::LegacyPolling);
-                    ASSERT_GT(ev.requests, 0u);
-                    expectSameOutcome(ev, legacy);
-                    ++cells;
-                }
-    EXPECT_EQ(cells, 48u);
-}
-
 TEST(ServeSimulator, SkewedTenantsStayDeterministic)
 {
     const auto variant = testVariant();
@@ -624,12 +652,15 @@ TEST(ServeSimulator, SkewedTenantsStayDeterministic)
     const auto cal =
         ServeSimulator::calibrateAll(variant.config, mix);
     ServeSimulator sim(variant, svc, mix);
-    const auto a = sim.run(&cal, EngineKind::Event);
-    const auto b = sim.run(&cal, EngineKind::Event);
+    const auto a = sim.run(&cal);
+    const auto b = sim.run(&cal);
     ASSERT_GT(a.requests, 0u);
     expectSameOutcome(a, b);
-    // The skewed stream still matches the polling oracle.
-    expectSameOutcome(a, sim.run(&cal, EngineKind::LegacyPolling));
+    // The skewed stream matches its pinned outcome.
+    test::expectGolden("serve_skewed",
+                       "skew3 requests=" + std::to_string(a.requests) +
+                           " " + outcomeDigest(a) + "\n",
+                       "skewed serving outcome");
     // And skew shifts traffic toward tenant 0 vs the uniform draw.
     auto uniform = svc;
     uniform.tenantSkew = 0.0;
@@ -784,66 +815,6 @@ TEST(ServeSimulator, GsaPaysLutReloadGmcDoesNot)
     EXPECT_GT(b.phaseMs[reload], 0.0);
 }
 
-TEST(ServeSimulator, MemoModesAreBitIdenticalAcrossTheGrid)
-{
-    // memo=on replay and memo=verify sampling must reproduce the
-    // memo=off oracle bit for bit — outcomes, histograms, phase
-    // attribution, tenant digests — across every batching policy,
-    // both designs (GSA exercises the residency component of the
-    // signature: its destructive sweeps flip the placement state
-    // between batches) and both engine kinds.
-    sim::DeviceSpec gmc = testVariant(128);
-    gmc.name = "gmc";
-    sim::DeviceSpec gsa = testVariant(128);
-    gsa.name = "gsa";
-    gsa.config.design = core::Design::Gsa;
-    const auto mix = twoClassMix();
-    const sim::BatchPolicyKind policies[] = {
-        sim::BatchPolicyKind::Immediate,
-        sim::BatchPolicyKind::FixedSize,
-        sim::BatchPolicyKind::TimeWindow,
-        sim::BatchPolicyKind::Adaptive,
-    };
-    u64 cells = 0;
-    for (const auto &variant : {gmc, gsa}) {
-        const auto cal =
-            ServeSimulator::calibrateAll(variant.config, mix);
-        for (const auto policy : policies)
-            for (const auto engine :
-                 {EngineKind::Event, EngineKind::LegacyPolling}) {
-                auto svc = testService(policy, 20000.0);
-                svc.durationMs = 3.0;
-                svc.sloMs = 0.5;
-                SCOPED_TRACE(
-                    "design=" + variant.name + " policy=" +
-                    std::string(sim::batchPolicyName(policy)) +
-                    " engine=" +
-                    (engine == EngineKind::Event ? "event"
-                                                 : "poll"));
-                auto on = svc;
-                on.memo = sim::MemoMode::On;
-                auto off = svc;
-                off.memo = sim::MemoMode::Off;
-                auto verify = svc;
-                verify.memo = sim::MemoMode::Verify;
-                const auto a =
-                    ServeSimulator(variant, on, mix)
-                        .run(&cal, engine);
-                const auto b =
-                    ServeSimulator(variant, off, mix)
-                        .run(&cal, engine);
-                const auto c =
-                    ServeSimulator(variant, verify, mix)
-                        .run(&cal, engine);
-                ASSERT_GT(a.requests, 0u);
-                expectSameOutcome(a, b);
-                expectSameOutcome(a, c);
-                ++cells;
-            }
-    }
-    EXPECT_EQ(cells, 16u);
-}
-
 TEST(ServeSimulator, SharedMemoReplaysWithoutNewEntries)
 {
     // A second run over the same signature stream must find every
@@ -857,14 +828,49 @@ TEST(ServeSimulator, SharedMemoReplaysWithoutNewEntries)
         ServeSimulator::calibrateAll(variant.config, mix);
     ServeSimulator sim(variant, svc, mix);
     BatchMemo memo;
-    const auto a = sim.run(&cal, EngineKind::Event, &memo);
+    const auto a = sim.run(&cal, &memo);
     ASSERT_GT(a.requests, 0u);
     const auto entries = memo.entries().size();
     ASSERT_GT(entries, 0u);
     EXPECT_GT(memo.approxBytes(), 0u);
-    const auto b = sim.run(&cal, EngineKind::Event, &memo);
+    const auto b = sim.run(&cal, &memo);
     EXPECT_EQ(memo.entries().size(), entries);
     expectSameOutcome(a, b);
+}
+
+TEST(ServeSimulator, MissesExecuteFromTheSlotsResidency)
+{
+    // Each pool slot carries its own LUT residency, and a miss runs
+    // on the shared executor with that residency injected. Seed the
+    // memo with every GMC bundle rewritten to evict the LUT: a
+    // slot's next batch then misses on a non-resident signature and
+    // must pay a cold reload, whatever state earlier batches left
+    // the executor's own LUT in.
+    const auto variant = testVariant(128);
+    auto svc = testService(sim::BatchPolicyKind::Immediate, 20000.0);
+    svc.durationMs = 2.0;
+    const auto mix = twoClassMix();
+    const auto cal =
+        ServeSimulator::calibrateAll(variant.config, mix);
+    const ServeSimulator sim(variant, svc, mix);
+    BatchMemo warm;
+    sim.run(&cal, &warm);
+    BatchMemo memo;
+    for (const auto &e : warm.entries()) {
+        ASSERT_TRUE(e.bundle.residentAfter);
+        BatchBundle evicting = e.bundle;
+        evicting.residentAfter = false;
+        memo.insert(e.key, evicting);
+    }
+    const std::size_t seeded = memo.entries().size();
+    sim.run(&cal, &memo);
+    ASSERT_GT(memo.entries().size(), seeded);
+    for (std::size_t i = seeded; i < memo.entries().size(); ++i) {
+        const BatchBundle &b = memo.entry(static_cast<u32>(i)).bundle;
+        EXPECT_GT(b.counters.get("pluto.lut_reload.cold"), 0.0) << i;
+        EXPECT_GT(b.reloadNs, 0.0) << i;
+        EXPECT_TRUE(b.residentAfter) << i;
+    }
 }
 
 TEST(ServeSimulatorDeathTest, VerifyModeDetectsACorruptedBundle)
@@ -881,11 +887,156 @@ TEST(ServeSimulatorDeathTest, VerifyModeDetectsACorruptedBundle)
         ServeSimulator::calibrateAll(variant.config, mix);
     ServeSimulator sim(variant, svc, mix);
     BatchMemo memo;
-    sim.run(&cal, EngineKind::Event, &memo);
+    sim.run(&cal, &memo);
     ASSERT_GT(memo.entries().size(), 0u);
     memo.corruptForTests(1.0);
-    EXPECT_DEATH(sim.run(&cal, EngineKind::Event, &memo),
+    EXPECT_DEATH(sim.run(&cal, &memo),
                  "memo verify mismatch");
+}
+
+TEST(ServeSimulator, OutcomesMatchPinnedGoldens)
+{
+    // Policy x loop mode x pool size x design; each cell must give
+    // the pinned digest under every memo mode.
+    const auto mix = twoClassMix();
+    std::string got;
+    for (const auto &variant : goldenVariants()) {
+        const auto cal =
+            ServeSimulator::calibrateAll(variant.config, mix);
+        for (const auto policy : kPolicies)
+            for (const bool closed : {false, true})
+                for (const u32 devices : {1u, 8u, 64u}) {
+                    const std::string cell =
+                        variant.name + "/" +
+                        sim::batchPolicyName(policy) + "/" +
+                        (closed ? "closed" : "open") + "/" +
+                        std::to_string(devices);
+                    SCOPED_TRACE(cell);
+                    std::string line;
+                    for (const auto memo : kMemoModes) {
+                        const auto out =
+                            ServeSimulator(
+                                variant,
+                                goldenService(policy, closed,
+                                              devices, memo),
+                                mix)
+                                .run(&cal);
+                        EXPECT_GT(out.requests, 0u);
+                        const std::string l =
+                            cell + " requests=" +
+                            std::to_string(out.requests) + " " +
+                            outcomeDigest(out) + "\n";
+                        if (line.empty())
+                            line = l;
+                        else
+                            EXPECT_EQ(l, line)
+                                << sim::memoModeName(memo);
+                    }
+                    got += line;
+                }
+    }
+    test::expectGolden("serve_outcomes", got, "serving outcomes");
+}
+
+TEST(ServeSimulator, TelemetryMatchesPinnedGoldens)
+{
+    // --metrics-out and --trace see a pool of P devices whatever the
+    // simulator builds internally: the full counter tree (device/*
+    // warm-up and batch folds, serve/*) and the per-slot warm-up
+    // span count are pinned per design x pool size, and agree across
+    // memo modes (misses and verify samples execute with the slot's
+    // residency injected).
+    const auto mix = twoClassMix();
+    auto &reg = obs::Registry::get();
+    std::string got;
+    for (const auto &variant : goldenVariants()) {
+        const auto cal =
+            ServeSimulator::calibrateAll(variant.config, mix);
+        for (const u32 devices : {1u, 7u, 64u}) {
+            const std::string cell =
+                variant.name + "/" + std::to_string(devices);
+            SCOPED_TRACE(cell);
+            std::string line;
+            for (const auto memo : kMemoModes) {
+                reg.reset();
+                reg.enable(true);
+                obs::Tracer tracer;
+                obs::Tracer::install(&tracer);
+                const auto out =
+                    ServeSimulator(
+                        variant,
+                        goldenService(sim::BatchPolicyKind::Adaptive,
+                                      false, devices, memo),
+                        mix)
+                        .run(&cal);
+                obs::Tracer::install(nullptr);
+                const auto snap = reg.snapshot();
+                reg.enable(false);
+                reg.reset();
+
+                std::string counters;
+                for (const auto &[path, v] : snap.counters())
+                    counters += path + "=" + fmtDoubleExact(v) + "\n";
+                const std::string trace = tracer.renderJson();
+                const std::string warm = "\"name\":\"warmup/";
+                u64 spans = 0;
+                for (auto at = trace.find(warm);
+                     at != std::string::npos;
+                     at = trace.find(warm, at + 1))
+                    ++spans;
+                EXPECT_GT(spans, 0u);
+                const std::string l =
+                    cell + " outcome=" + outcomeDigest(out) +
+                    " counters=" + fnv1aHex(counters) +
+                    " warmup_spans=" + std::to_string(spans) + "\n";
+                if (line.empty())
+                    line = l;
+                else
+                    EXPECT_EQ(l, line) << sim::memoModeName(memo);
+            }
+            got += line;
+        }
+    }
+    test::expectGolden("serve_telemetry", got, "serving telemetry");
+}
+
+/** @return peak RSS (KiB) of a forked child that runs `fn`. */
+long
+childPeakRssKb(const std::function<void()> &fn)
+{
+    const pid_t pid = fork();
+    if (pid == 0) {
+        fn();
+        _exit(0);
+    }
+    int status = 0;
+    rusage ru{};
+    EXPECT_EQ(wait4(pid, &status, 0, &ru), pid);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+    return ru.ru_maxrss;
+}
+
+TEST(ServeSimulator, PoolMemoryDoesNotGrowWithDevices)
+{
+    // A near-zero-load cell costs its pool build: 256 slots must not
+    // pay 256 functional LUT images (2 MiB each on the default
+    // geometry) over a 1-slot pool.
+    const auto variant = testVariant(128);
+    const auto mix = twoClassMix();
+    const auto cal = ServeSimulator::calibrateAll(variant.config, mix);
+    const auto peakKb = [&](u32 devices) {
+        return childPeakRssKb([&]() {
+            auto svc = goldenService(sim::BatchPolicyKind::Adaptive,
+                                     false, devices,
+                                     sim::MemoMode::On);
+            svc.durationMs = 0.001;
+            ServeSimulator(variant, svc, mix).run(&cal);
+        });
+    };
+    const long one = peakKb(1);
+    const long many = peakKb(256);
+    EXPECT_LT(many - one, 32 * 1024)
+        << "1 slot: " << one << " KiB, 256 slots: " << many << " KiB";
 }
 
 TEST(BatchMemo, SignaturesSeparateClassSizeAndResidency)
