@@ -49,11 +49,13 @@ forEachTask(std::size_t count, u32 threads,
 {
     threads = resolveThreads(count, threads);
 
-    // Telemetry: grow the shard pool here (the coordinator), so the
-    // workers below can bind lock-free.
+    // Telemetry: one shard per task, grown here (the coordinator) so
+    // the workers below can bind lock-free. The shards fold into the
+    // root in task order after the join, so counter sums associate
+    // the same way whichever worker ran which task.
     auto &reg = obs::Registry::get();
     if (reg.enabled()) {
-        reg.ensureWorkers(threads);
+        reg.ensureTaskShards(count);
         reg.root().gaugeMax("campaign/workers",
                             static_cast<double>(threads));
     }
@@ -63,8 +65,6 @@ forEachTask(std::size_t count, u32 threads,
     std::exception_ptr first_error;
 
     const auto worker = [&](u32 w, bool spawned) {
-        if (reg.enabled())
-            reg.bindThread(w);
         if (spawned) {
             if (auto *tr = obs::tracer())
                 tr->setThreadName("worker " + std::to_string(w));
@@ -74,6 +74,8 @@ forEachTask(std::size_t count, u32 threads,
                 next.fetch_add(1, std::memory_order_relaxed);
             if (i >= count)
                 return;
+            if (reg.enabled())
+                reg.bindThread(i);
             try {
                 fn(i, w);
             } catch (...) {
@@ -99,10 +101,10 @@ forEachTask(std::size_t count, u32 threads,
             th.join();
     }
     // Task boundary: the workers are gone (or, single-threaded, done),
-    // so folding their shards into the root needs no atomics.
+    // so folding the task shards into the root needs no atomics.
     if (reg.enabled()) {
         reg.bindThreadToRoot();
-        reg.mergeWorkers();
+        reg.mergeTaskShards();
     }
     if (first_error)
         std::rethrow_exception(first_error);

@@ -10,6 +10,8 @@
  *  - thread-pool fan-out over the index space (forEachTask), with one
  *    atomic work queue, stable worker indices, and propagation of the
  *    first worker exception to the caller;
+ *  - one telemetry shard per task, folded in task order, so
+ *    `--metrics-out` sums do not depend on the scheduling;
  *  - `i % n` sharding of the global index space (RunOptions);
  *  - one grow-only ScratchArena per worker, so every device a worker
  *    builds reuses the same functional-path buffers;
@@ -95,7 +97,9 @@ u32 resolveThreads(std::size_t count, u32 threads);
  * workers can own per-thread state (e.g. a ScratchArena). If a
  * worker throws, the remaining queue is drained without running
  * further tasks, all workers are joined, and the first exception is
- * rethrown on the calling thread.
+ * rethrown on the calling thread. With telemetry enabled, task i
+ * writes to its own registry shard; after the join the shards fold
+ * into the root in task order and the caller is bound to the root.
  */
 void forEachTask(std::size_t count, u32 threads,
                  const std::function<void(std::size_t, u32)> &fn);

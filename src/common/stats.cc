@@ -1,6 +1,5 @@
 #include "common/stats.hh"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/digest.hh"
@@ -69,121 +68,6 @@ geomean(const std::vector<double> &values)
         acc += std::log(v);
     }
     return std::exp(acc / static_cast<double>(values.size()));
-}
-
-P2Quantile::P2Quantile(double q) : q_(q)
-{
-    PLUTO_ASSERT(q > 0.0 && q < 1.0);
-    inc_ = {0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0};
-}
-
-void
-P2Quantile::add(double x)
-{
-    if (n_ < 5) {
-        h_[n_++] = x;
-        std::sort(h_.begin(), h_.begin() + n_);
-        if (n_ == 5) {
-            for (int i = 0; i < 5; ++i)
-                pos_[i] = i + 1;
-            want_ = {1.0, 1.0 + 2.0 * q_, 1.0 + 4.0 * q_,
-                     3.0 + 2.0 * q_, 5.0};
-        }
-        return;
-    }
-
-    // Locate the cell containing x and clamp the extreme markers.
-    int k;
-    if (x < h_[0]) {
-        h_[0] = x;
-        k = 0;
-    } else if (x < h_[1]) {
-        k = 0;
-    } else if (x < h_[2]) {
-        k = 1;
-    } else if (x < h_[3]) {
-        k = 2;
-    } else if (x <= h_[4]) {
-        k = 3;
-    } else {
-        h_[4] = x;
-        k = 3;
-    }
-    for (int i = k + 1; i < 5; ++i)
-        pos_[i] += 1.0;
-    for (int i = 0; i < 5; ++i)
-        want_[i] += inc_[i];
-    ++n_;
-
-    // Nudge the three interior markers toward their desired ranks,
-    // preferring the parabolic (P²) height update and falling back to
-    // linear interpolation when the parabola would cross a neighbor.
-    for (int i = 1; i <= 3; ++i) {
-        const double d = want_[i] - pos_[i];
-        if ((d >= 1.0 && pos_[i + 1] - pos_[i] > 1.0) ||
-            (d <= -1.0 && pos_[i - 1] - pos_[i] < -1.0)) {
-            const double s = d >= 1.0 ? 1.0 : -1.0;
-            const double qp =
-                h_[i] +
-                s / (pos_[i + 1] - pos_[i - 1]) *
-                    ((pos_[i] - pos_[i - 1] + s) *
-                         (h_[i + 1] - h_[i]) /
-                         (pos_[i + 1] - pos_[i]) +
-                     (pos_[i + 1] - pos_[i] - s) *
-                         (h_[i] - h_[i - 1]) /
-                         (pos_[i] - pos_[i - 1]));
-            if (h_[i - 1] < qp && qp < h_[i + 1])
-                h_[i] = qp;
-            else
-                h_[i] = h_[i] + s * (h_[i + static_cast<int>(s)] -
-                                     h_[i]) /
-                                    (pos_[i + static_cast<int>(s)] -
-                                     pos_[i]);
-            pos_[i] += s;
-        }
-    }
-}
-
-double
-P2Quantile::value() const
-{
-    if (n_ == 0)
-        return 0.0;
-    if (n_ <= 5) {
-        // Exact nearest-rank quantile of the sorted prefix.
-        const auto rank = static_cast<std::size_t>(
-            std::ceil(q_ * static_cast<double>(n_)));
-        return h_[std::min<std::size_t>(rank ? rank - 1 : 0, n_ - 1)];
-    }
-    return h_[2];
-}
-
-StreamSummary::StreamSummary()
-    : p50_(0.5), p95_(0.95), p99_(0.99), p999_(0.999)
-{
-}
-
-void
-StreamSummary::add(double x)
-{
-    if (n_ == 0) {
-        min_ = max_ = x;
-    } else {
-        min_ = std::min(min_, x);
-        max_ = std::max(max_, x);
-    }
-    ++n_;
-    sum_ += x;
-    p50_.add(x);
-    p95_.add(x);
-    p99_.add(x);
-    p999_.add(x);
-}
-
-double
-StreamSummary::mean() const
-{
-    return n_ ? sum_ / static_cast<double>(n_) : 0.0;
 }
 
 } // namespace pluto

@@ -1,16 +1,14 @@
 /**
  * @file
  * Lightweight named statistics registry used by the simulator to count
- * DRAM commands and accumulate time/energy, small numeric helpers
- * (geometric mean) shared by the bench harnesses, and the streaming
- * P² quantile estimator behind the service layer's tail-latency
- * metrics.
+ * DRAM commands and accumulate time/energy, plus small numeric helpers
+ * (geometric mean) shared by the bench harnesses. Distributions and
+ * quantiles live in obs/histogram.
  */
 
 #ifndef PLUTO_COMMON_STATS_HH
 #define PLUTO_COMMON_STATS_HH
 
-#include <array>
 #include <map>
 #include <string>
 #include <vector>
@@ -64,79 +62,6 @@ class StatSet
 
 /** Geometric mean of positive values. Returns 0 for an empty input. */
 double geomean(const std::vector<double> &values);
-
-/**
- * Streaming quantile estimator (the P² algorithm of Jain & Chlamtac,
- * CACM 1985): tracks one quantile of an unbounded observation stream
- * in O(1) memory with five markers, no sample buffer.
- *
- * Fully deterministic: the estimate is a pure function of the
- * observation sequence. With five or fewer observations the estimate
- * is the exact sample quantile (nearest-rank on the sorted
- * observations); beyond that the markers are adjusted with the P²
- * parabolic/linear rules and value() is an approximation that
- * converges as the stream grows.
- */
-class P2Quantile
-{
-  public:
-    /** Estimator for quantile `q` in (0, 1), e.g. 0.99 for p99. */
-    explicit P2Quantile(double q);
-
-    /** Observe one sample. */
-    void add(double x);
-
-    /** @return current quantile estimate (0 before any sample). */
-    double value() const;
-
-    /** @return the tracked quantile in (0, 1). */
-    double quantile() const { return q_; }
-
-    /** @return observations seen so far. */
-    u64 count() const { return n_; }
-
-  private:
-    double q_;
-    u64 n_ = 0;
-    /** Marker heights (the five tracked order statistics). */
-    std::array<double, 5> h_{};
-    /** Actual marker positions (1-based ranks). */
-    std::array<double, 5> pos_{};
-    /** Desired marker positions. */
-    std::array<double, 5> want_{};
-    /** Desired-position increments per observation. */
-    std::array<double, 5> inc_{};
-};
-
-/**
- * Mean / max / tail summary of one observation stream: the standard
- * service-latency digest (p50/p95/p99/p999) built from P2Quantile
- * markers plus exact count, mean and extrema.
- */
-class StreamSummary
-{
-  public:
-    StreamSummary();
-
-    /** Observe one sample. */
-    void add(double x);
-
-    u64 count() const { return n_; }
-    double mean() const;
-    double min() const { return n_ ? min_ : 0.0; }
-    double max() const { return n_ ? max_ : 0.0; }
-    double p50() const { return p50_.value(); }
-    double p95() const { return p95_.value(); }
-    double p99() const { return p99_.value(); }
-    double p999() const { return p999_.value(); }
-
-  private:
-    u64 n_ = 0;
-    double sum_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-    P2Quantile p50_, p95_, p99_, p999_;
-};
 
 } // namespace pluto
 

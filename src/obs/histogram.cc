@@ -105,6 +105,22 @@ Histogram::quantile(double q) const
 {
     if (count_ == 0)
         return 0.0;
+    const i32 idx = rankBucket(q);
+    double rep;
+    if (idx == kUnderflowBucket)
+        rep = std::min(min_, 0.0);
+    else if (idx >= kOverflowBucket)
+        rep = max_;
+    else
+        rep = 0.5 * (bucketLo(idx) + bucketHi(idx));
+    return std::clamp(rep, min_, max_);
+}
+
+i32
+Histogram::rankBucket(double q) const
+{
+    if (count_ == 0)
+        return kUnderflowBucket;
     q = std::clamp(q, 0.0, 1.0);
     const u64 rank = std::max<u64>(
         1, static_cast<u64>(
@@ -112,18 +128,10 @@ Histogram::quantile(double q) const
     u64 seen = 0;
     for (const auto &[idx, n] : buckets_) {
         seen += n;
-        if (seen < rank)
-            continue;
-        double rep;
-        if (idx == kUnderflowBucket)
-            rep = std::min(min_, 0.0);
-        else if (idx >= kOverflowBucket)
-            rep = max_;
-        else
-            rep = 0.5 * (bucketLo(idx) + bucketHi(idx));
-        return std::clamp(rep, min_, max_);
+        if (seen >= rank)
+            return idx;
     }
-    return max_; // unreachable: counts always sum to count_
+    return buckets_.rbegin()->first; // unreachable: counts sum to count_
 }
 
 void
@@ -154,8 +162,11 @@ Histogram::encodeJson() const
         if (!first)
             out += ",";
         first = false;
-        out += "[" + std::to_string(idx) + "," + std::to_string(n) +
-               "]";
+        out += '[';
+        out += std::to_string(idx);
+        out += ',';
+        out += std::to_string(n);
+        out += ']';
     }
     out += "]}";
     return out;

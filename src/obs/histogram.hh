@@ -1,21 +1,25 @@
 /**
  * @file
- * obs::Histogram: a log-bucketed (HDR-style) latency histogram whose
- * merges are *exact*, unlike the P² streaming estimators in
- * common/stats — merging two histograms and then asking for p99
+ * obs::Histogram: a log-bucketed (HDR-style) latency histogram, the
+ * one quantile estimator of the simulator. Every latency quantile it
+ * reports (service tenant and pool digests, time-series windows,
+ * --metrics-out digests) comes from one of these.
+ *
+ * Merges are *exact*: merging two histograms and then asking for p99
  * yields bit-identical buckets to recording every sample into one
  * histogram, in any merge order. That is the property sharded
- * campaigns need: per-worker/per-shard digests fold at the
- * forEachTask join (and across cache shards) without approximation
- * drift.
+ * campaigns need: per-task/per-shard digests fold at the forEachTask
+ * join (and across cache shards) without approximation drift.
  *
  * Bucketing comes straight from the IEEE-754 double bits: the biased
  * exponent selects the octave and the top kSubBits mantissa bits
  * select one of 64 linear sub-buckets inside it, so every bucket
  * spans at most a 1/64 relative width (quantile lookups are within
- * ~0.8% of the exact sample). Bucket counts are u64 and the sparse
- * bucket map is keyed by the derived index, so merge = per-key sum,
- * which is associative and commutative exactly. The `sum` field is a
+ * ~0.8% of the exact sample). Bucket indices grow with the value, so
+ * "bucket >= rankBucket(q)" selects every sample at or above the
+ * q-quantile's bucket. Bucket counts are u64 and the sparse bucket
+ * map is keyed by the derived index, so merge = per-key sum, which
+ * is associative and commutative exactly. The `sum` field is a
  * double and therefore order-sensitive at ulp level in general;
  * campaign folds always run in deterministic task order, so rendered
  * bytes stay stable anyway.
@@ -92,6 +96,13 @@ class Histogram
      * `q` outside [0, 1] clamps; 0 when empty.
      */
     double quantile(double q) const;
+
+    /**
+     * @return the index of the bucket holding sample rank
+     * ceil(q * count) (at least 1): the bucket quantile(q) answers
+     * from. `q` clamps into [0, 1]; kUnderflowBucket when empty.
+     */
+    i32 rankBucket(double q) const;
 
     /** @return the sparse bucket map (index -> count), key-ascending. */
     const std::map<i32, u64> &buckets() const { return buckets_; }

@@ -157,21 +157,21 @@ void
 Registry::reset()
 {
     root_.clear();
-    for (auto &w : workers_)
+    for (auto &w : tasks_)
         w.clear();
 }
 
 void
-Registry::ensureWorkers(u32 n)
+Registry::ensureTaskShards(std::size_t n)
 {
-    while (workers_.size() < n)
-        workers_.emplace_back();
+    while (tasks_.size() < n)
+        tasks_.emplace_back();
 }
 
 void
-Registry::bindThread(u32 idx)
+Registry::bindThread(std::size_t idx)
 {
-    t_shard = &workers_.at(idx);
+    t_shard = &tasks_.at(idx);
 }
 
 void
@@ -181,9 +181,9 @@ Registry::bindThreadToRoot()
 }
 
 void
-Registry::mergeWorkers()
+Registry::mergeTaskShards()
 {
-    for (auto &w : workers_) {
+    for (auto &w : tasks_) {
         root_.merge(w);
         w.clear();
     }
@@ -193,7 +193,7 @@ CounterShard
 Registry::snapshot() const
 {
     CounterShard merged = root_;
-    for (const auto &w : workers_)
+    for (const auto &w : tasks_)
         merged.merge(w);
     return merged;
 }

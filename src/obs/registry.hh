@@ -6,18 +6,20 @@
  * Names are path-style ("device/sched/tfaw_stall_ns",
  * "campaign/cache/hits"); the registry renders them as a nested JSON
  * tree for `--metrics-out`. Two merge semantics: *counters* sum and
- * *gauges* keep the maximum, so both fold deterministically
- * regardless of which worker produced which share.
+ * *gauges* keep the maximum.
  *
  * Concurrency model (no locks on the hot path):
  *  - the registry is disabled by default; `obs::shard()` is then a
  *    null pointer and instrumentation costs one branch;
- *  - when enabled, each campaign worker is bound (bindThread) to its
- *    own CounterShard before tasks start, writes to it exclusively
- *    while tasks run, and the shards are merged into the root shard
- *    by the coordinating thread *after the workers joined* — the
- *    task-boundary merge needs no atomics because it happens outside
- *    the parallel phase;
+ *  - when enabled, each campaign *task* gets its own CounterShard:
+ *    the worker thread running task i binds (bindThread) to shard i
+ *    for the duration of the task and writes to it exclusively;
+ *  - after the workers joined, the coordinating thread folds the
+ *    task shards into the root shard in task order. The fold needs
+ *    no atomics because it happens outside the parallel phase, and
+ *    because its order does not follow the scheduling, double
+ *    counters sum with the same association at any thread count, so
+ *    `--metrics-out` is byte-stable across reruns;
  *  - the main thread is bound to the root shard on enable().
  *
  * Telemetry is side-band: nothing in here feeds back into simulated
@@ -133,35 +135,35 @@ class Registry
     void reset();
 
     /**
-     * Grow the worker shard pool to at least `n` slots. Call from the
+     * Grow the task shard pool to at least `n` slots. Call from the
      * coordinating thread before workers start; shard references stay
      * stable afterwards (deque storage).
      */
-    void ensureWorkers(u32 n);
+    void ensureTaskShards(std::size_t n);
 
-    /** @return worker shard `idx` (< the ensured count). */
-    CounterShard &worker(u32 idx) { return workers_.at(idx); }
+    /** @return task shard `idx` (< the ensured count). */
+    CounterShard &taskShard(std::size_t idx) { return tasks_.at(idx); }
 
     /** @return the root (main-thread) shard. */
     CounterShard &root() { return root_; }
 
     /**
-     * Bind the calling thread to worker shard `idx`, so obs::shard()
-     * reaches it without knowing the worker index. Unbind by binding
+     * Bind the calling thread to task shard `idx`, so obs::shard()
+     * reaches it without knowing the task index. Unbind by binding
      * elsewhere or via enable(false)/thread exit.
      */
-    void bindThread(u32 idx);
+    void bindThread(std::size_t idx);
 
     /** Bind the calling thread to the root shard. */
     void bindThreadToRoot();
 
     /**
-     * Fold every worker shard into the root and clear the worker
-     * shards. Call after the workers joined (the task boundary).
+     * Fold every task shard into the root in index order and clear
+     * the task shards. Call after the workers joined.
      */
-    void mergeWorkers();
+    void mergeTaskShards();
 
-    /** @return root plus any unmerged worker shards, merged. */
+    /** @return root plus any unmerged task shards, merged. */
     CounterShard snapshot() const;
 
     /**
@@ -177,7 +179,7 @@ class Registry
   private:
     bool enabled_ = false;
     CounterShard root_;
-    std::deque<CounterShard> workers_;
+    std::deque<CounterShard> tasks_;
 };
 
 /**

@@ -68,7 +68,10 @@ argNum(std::string key, double v)
 TraceArg
 argStr(std::string key, const std::string &v)
 {
-    return {std::move(key), "\"" + esc(v) + "\""};
+    std::string json = "\"";
+    json += esc(v);
+    json += '"';
+    return {std::move(key), std::move(json)};
 }
 
 /** One recorded event (Chrome trace-event fields). */
@@ -324,8 +327,10 @@ Tracer::renderJson() const
             for (std::size_t a = 0; a < ev->args.size(); ++a) {
                 if (a)
                     line += ",";
-                line += "\"" + esc(ev->args[a].key) +
-                        "\":" + ev->args[a].json;
+                line += '"';
+                line += esc(ev->args[a].key);
+                line += "\":";
+                line += ev->args[a].json;
             }
             line += "}";
         }

@@ -19,7 +19,10 @@ namespace
 // v4: batches charge from a canonical per-batch scheduler epoch
 // (batch-signature memoization), which moves outcomes by FP ulps
 // and drops inter-batch tFAW carry-in relative to v3.
-constexpr u32 kServeSchema = 4;
+// v5: histogram-only quantiles (pool-wide p50..p999 from the latency
+// histogram, p99_p2_ms/p999_p2_ms dropped), bucket-resolution tail
+// threshold, and the memo mode no longer keys a cell.
+constexpr u32 kServeSchema = 5;
 
 /** The scalar double fields of a ServiceOutcome, in JSON order. */
 struct Field
@@ -65,8 +68,6 @@ constexpr TenantField kTenantFields[] = {
     {"p99_ms", &TenantSummary::p99Ms},
     {"p999_ms", &TenantSummary::p999Ms},
     {"max_ms", &TenantSummary::maxMs},
-    {"p99_p2_ms", &TenantSummary::p99P2Ms},
-    {"p999_p2_ms", &TenantSummary::p999P2Ms},
     {"slo_ms", &TenantSummary::sloMs},
     {"slo_attainment", &TenantSummary::sloAttainment},
     {"slo_burn_rate", &TenantSummary::sloBurnRate},
@@ -135,8 +136,7 @@ ServiceCache::key(const runtime::DeviceConfig &cfg,
       << fmtDoubleExact(svc.sloTarget) << ','
       << fmtDoubleExact(svc.tailQuantile) << ','
       << fmtDoubleExact(svc.timeseriesMs) << ','
-      << fmtDoubleExact(svc.tenantSkew) << ','
-      << sim::memoModeName(svc.memo);
+      << fmtDoubleExact(svc.tenantSkew);
     for (const auto &c : mix)
         d << '|' << c.workload << ',' << c.elements << ',' << c.seed
           << ',' << c.tenant << ',' << fmtDoubleExact(c.weight)

@@ -42,7 +42,10 @@ class ServiceCache
   public:
     using JsonlCache::JsonlCache;
 
-    /** @return the content key of one (variant, service, mix) cell. */
+    /** @return the content key of one (variant, service, mix) cell.
+     *  Every ServiceSpec field that shapes the outcome is keyed; the
+     *  memo mode is not, because outcomes do not depend on it (a cell
+     *  cached under memo = on replays under off/verify). */
     static std::string key(const runtime::DeviceConfig &cfg,
                            const sim::ServiceSpec &svc,
                            const std::vector<RequestClass> &mix);

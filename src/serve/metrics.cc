@@ -157,9 +157,11 @@ ServiceMetrics::onArrival(TimeNs at)
 void
 ServiceMetrics::onQueueDepth(TimeNs at, u64 depth)
 {
-    queueDepth_.add(static_cast<double>(depth));
-    series_.record(at, kColQueueDepth,
-                   static_cast<double>(depth));
+    const double d = static_cast<double>(depth);
+    queueDepthSum_ += d;
+    ++queueDepthSamples_;
+    queueDepthMax_ = std::max(queueDepthMax_, d);
+    series_.record(at, kColQueueDepth, d);
 }
 
 void
@@ -178,21 +180,32 @@ ServiceMetrics::onComplete(const Request &r, TimeNs finishNs,
                            const PhaseBreakdownNs &ph)
 {
     const double ms = (finishNs - r.arriveNs) * 1e-6;
-    latencyMs_.add(ms);
-    tenantMs_[r.tenant].add(ms);
     latHist_.add(ms);
-    tenantHist_[r.tenant].add(ms);
+    TenantState &t = tenants_[r.tenant];
+    t.hist.add(ms);
+    BucketSums &b = t.tail[{r.cls, obs::Histogram::bucketOf(ms)}];
+    ++b.requests;
+    b.latMs += ms;
+    for (u32 i = 0; i < kPhaseCount; ++i) {
+        const double phMs = ph.ns[i] * 1e-6;
+        phaseMs_[i] += phMs;
+        t.phaseMs[i] += phMs;
+        b.phaseMs[i] += phMs;
+    }
 
-    Sample s;
-    s.tenant = r.tenant;
-    s.cls = r.cls;
-    s.latMs = ms;
-    for (u32 i = 0; i < kPhaseCount; ++i)
-        s.phaseMs[i] = ph.ns[i] * 1e-6;
-    s.sloMs = r.cls < cfg_.classSloMs.size()
-                  ? cfg_.classSloMs[r.cls]
-                  : cfg_.sloMs;
-    samples_.push_back(s);
+    const double sloMs = r.cls < cfg_.classSloMs.size()
+                             ? cfg_.classSloMs[r.cls]
+                             : cfg_.sloMs;
+    if (sloMs > 0.0) {
+        // The tightest SLO among a tenant's classes is the one
+        // reported: mixed-SLO tenants show the strictest bound.
+        t.sloMs = t.sloMs > 0.0 ? std::min(t.sloMs, sloMs) : sloMs;
+        const bool good = ms <= sloMs;
+        t.sloGood += good;
+        t.sloViolations += !good;
+        sloGood_ += good;
+        sloViolations_ += !good;
+    }
 
     series_.record(finishNs, kColCompletions, 1.0);
     series_.record(finishNs, kColLatencyMs, ms);
@@ -204,7 +217,7 @@ ServiceMetrics::finish(u32 devices, TimeNs busyNs, double energyPj,
                        bool verified) const
 {
     ServiceOutcome out;
-    out.requests = latencyMs_.count();
+    out.requests = latHist_.count();
     out.batches = batches_;
     out.meanBatch =
         batches_ ? static_cast<double>(batchedRequests_) /
@@ -215,14 +228,17 @@ ServiceMetrics::finish(u32 devices, TimeNs busyNs, double energyPj,
                             ? static_cast<double>(out.requests) /
                                   (lastFinishNs_ * 1e-9)
                             : 0.0;
-    out.meanMs = latencyMs_.mean();
-    out.p50Ms = latencyMs_.p50();
-    out.p95Ms = latencyMs_.p95();
-    out.p99Ms = latencyMs_.p99();
-    out.p999Ms = latencyMs_.p999();
-    out.maxMs = latencyMs_.max();
-    out.meanQueueDepth = queueDepth_.mean();
-    out.maxQueueDepth = queueDepth_.max();
+    out.meanMs = latHist_.mean();
+    out.p50Ms = latHist_.quantile(0.50);
+    out.p95Ms = latHist_.quantile(0.95);
+    out.p99Ms = latHist_.quantile(0.99);
+    out.p999Ms = latHist_.quantile(0.999);
+    out.maxMs = latHist_.max();
+    out.meanQueueDepth =
+        queueDepthSamples_
+            ? queueDepthSum_ / static_cast<double>(queueDepthSamples_)
+            : 0.0;
+    out.maxQueueDepth = queueDepthMax_;
     out.utilization =
         lastFinishNs_ > 0.0 && devices > 0
             ? busyNs / (static_cast<double>(devices) * lastFinishNs_)
@@ -236,101 +252,66 @@ ServiceMetrics::finish(u32 devices, TimeNs busyNs, double energyPj,
     out.sloTarget = cfg_.sloTarget;
     out.tailQuantile = cfg_.tailQuantile;
     out.seriesIntervalMs = cfg_.seriesIntervalMs;
-
-    // ---- Phase sums + SLO counting (one pass over the samples) ----
-    struct TenantScratch
-    {
-        double phaseMs[kPhaseCount] = {};
-        double sloMs = 0.0;
-        u64 sloGood = 0;
-        u64 sloViolations = 0;
-    };
-    std::map<u32, TenantScratch> scratch;
-    for (const auto &s : samples_) {
-        TenantScratch &t = scratch[s.tenant];
-        for (u32 i = 0; i < kPhaseCount; ++i) {
-            out.phaseMs[i] += s.phaseMs[i];
-            t.phaseMs[i] += s.phaseMs[i];
-        }
-        if (s.sloMs > 0.0) {
-            // The tightest SLO among a tenant's classes is the one
-            // reported: mixed-SLO tenants show the strictest bound.
-            t.sloMs = t.sloMs > 0.0 ? std::min(t.sloMs, s.sloMs)
-                                    : s.sloMs;
-            const bool good = s.latMs <= s.sloMs;
-            t.sloGood += good;
-            t.sloViolations += !good;
-            out.sloGood += good;
-            out.sloViolations += !good;
-        }
-    }
+    std::copy(std::begin(phaseMs_), std::end(phaseMs_), out.phaseMs);
+    out.sloGood = sloGood_;
+    out.sloViolations = sloViolations_;
     out.sloAttainment = attainmentOf(out.sloGood, out.sloViolations);
     out.sloBurnRate =
         burnOf(out.sloGood, out.sloViolations, cfg_.sloTarget);
 
-    // ---- Tail blame: exact nearest-rank threshold on the samples,
-    //      then (tenant, class) aggregation of everything at/above it.
-    if (!samples_.empty()) {
-        std::vector<double> lat;
-        lat.reserve(samples_.size());
-        for (const auto &s : samples_)
-            lat.push_back(s.latMs);
-        std::sort(lat.begin(), lat.end());
-        const u64 n = lat.size();
-        const u64 rank = std::max<u64>(
-            1, static_cast<u64>(
-                   std::ceil(cfg_.tailQuantile *
-                             static_cast<double>(n))));
-        out.tailThresholdMs = lat[rank - 1];
-        std::map<std::pair<u32, u32>, TailGroup> groups;
-        for (const auto &s : samples_) {
-            if (s.latMs < out.tailThresholdMs)
-                continue;
-            ++out.tailRequests;
-            TailGroup &g = groups[{s.tenant, s.cls}];
-            g.tenant = s.tenant;
-            g.cls = s.cls;
-            if (g.workload.empty() &&
-                s.cls < cfg_.classNames.size())
-                g.workload = cfg_.classNames[s.cls];
-            ++g.requests;
-            g.meanMs += s.latMs;
-            for (u32 i = 0; i < kPhaseCount; ++i)
-                g.phaseMs[i] += s.phaseMs[i];
+    // ---- Tail blame: every (tenant, class, bucket) cell at or above
+    //      the bucket of the nearest-rank tail sample, summed per
+    //      (tenant, class) in bucket order.
+    if (!latHist_.empty()) {
+        out.tailThresholdMs = latHist_.quantile(cfg_.tailQuantile);
+        const i32 cut = latHist_.rankBucket(cfg_.tailQuantile);
+        for (const auto &[tenant, t] : tenants_) {
+            for (const auto &[key, b] : t.tail) {
+                const auto [cls, bucket] = key;
+                if (bucket < cut)
+                    continue;
+                if (out.tail.empty() ||
+                    out.tail.back().tenant != tenant ||
+                    out.tail.back().cls != cls) {
+                    TailGroup g;
+                    g.tenant = tenant;
+                    g.cls = cls;
+                    if (cls < cfg_.classNames.size())
+                        g.workload = cfg_.classNames[cls];
+                    out.tail.push_back(std::move(g));
+                }
+                TailGroup &g = out.tail.back();
+                g.requests += b.requests;
+                g.meanMs += b.latMs;
+                for (u32 i = 0; i < kPhaseCount; ++i)
+                    g.phaseMs[i] += b.phaseMs[i];
+                out.tailRequests += b.requests;
+            }
         }
-        for (auto &[key, g] : groups) {
+        for (TailGroup &g : out.tail)
             g.meanMs /= static_cast<double>(g.requests);
-            out.tail.push_back(std::move(g));
-        }
     }
 
-    // ---- Per-tenant digests: histogram quantiles, P² cross-check.
-    for (const auto &[tenant, s] : tenantMs_) {
-        TenantSummary t;
-        t.tenant = tenant;
-        t.requests = s.count();
-        t.meanMs = s.mean();
-        const obs::Histogram &h = tenantHist_.at(tenant);
-        t.p50Ms = h.quantile(0.50);
-        t.p95Ms = h.quantile(0.95);
-        t.p99Ms = h.quantile(0.99);
-        t.p999Ms = h.quantile(0.999);
-        t.maxMs = h.max();
-        t.p99P2Ms = s.p99();
-        t.p999P2Ms = s.p999();
-        const auto it = scratch.find(tenant);
-        if (it != scratch.end()) {
-            for (u32 i = 0; i < kPhaseCount; ++i)
-                t.phaseMs[i] = it->second.phaseMs[i];
-            t.sloMs = it->second.sloMs;
-            t.sloGood = it->second.sloGood;
-            t.sloViolations = it->second.sloViolations;
-            t.sloAttainment =
-                attainmentOf(t.sloGood, t.sloViolations);
-            t.sloBurnRate =
-                burnOf(t.sloGood, t.sloViolations, cfg_.sloTarget);
-        }
-        out.tenants.push_back(t);
+    // ---- Per-tenant digests.
+    for (const auto &[tenant, t] : tenants_) {
+        TenantSummary s;
+        s.tenant = tenant;
+        s.requests = t.hist.count();
+        s.meanMs = t.hist.mean();
+        s.p50Ms = t.hist.quantile(0.50);
+        s.p95Ms = t.hist.quantile(0.95);
+        s.p99Ms = t.hist.quantile(0.99);
+        s.p999Ms = t.hist.quantile(0.999);
+        s.maxMs = t.hist.max();
+        std::copy(std::begin(t.phaseMs), std::end(t.phaseMs),
+                  s.phaseMs);
+        s.sloMs = t.sloMs;
+        s.sloGood = t.sloGood;
+        s.sloViolations = t.sloViolations;
+        s.sloAttainment = attainmentOf(s.sloGood, s.sloViolations);
+        s.sloBurnRate =
+            burnOf(s.sloGood, s.sloViolations, cfg_.sloTarget);
+        out.tenants.push_back(s);
     }
 
     // ---- Virtual-time series: flatten the window store.
@@ -363,13 +344,12 @@ ServiceMetricsSink::csvColumns()
             "requests",        "batches",          "mean_batch",
             "throughput_rps",  "mean_ms",          "p50_ms",
             "p95_ms",          "p99_ms",           "p999_ms",
-            "max_ms",          "p99_p2_ms",        "p999_p2_ms",
-            "queue_wait_ms",   "batch_wait_ms",    "lut_reload_ms",
-            "tfaw_stall_ms",   "exec_ms",          "slo_ms",
-            "slo_good",        "slo_violations",   "slo_attainment",
-            "slo_burn_rate",   "mean_queue_depth", "max_queue_depth",
-            "utilization",     "pj_per_request",   "makespan_ms",
-            "verified"};
+            "max_ms",          "queue_wait_ms",    "batch_wait_ms",
+            "lut_reload_ms",   "tfaw_stall_ms",    "exec_ms",
+            "slo_ms",          "slo_good",         "slo_violations",
+            "slo_attainment",  "slo_burn_rate",    "mean_queue_depth",
+            "max_queue_depth", "utilization",      "pj_per_request",
+            "makespan_ms",     "verified"};
 }
 
 std::string
@@ -412,11 +392,7 @@ ServiceMetricsSink::renderCsv(const sim::SimConfig &cfg,
                     fmtNum("%.6f", r.out.p95Ms),
                     fmtNum("%.6f", r.out.p99Ms),
                     fmtNum("%.6f", r.out.p999Ms),
-                    fmtNum("%.6f", r.out.maxMs),
-                    // The overall digest is the P² stream itself, so
-                    // the cross-check columns repeat it.
-                    fmtNum("%.6f", r.out.p99Ms),
-                    fmtNum("%.6f", r.out.p999Ms)});
+                    fmtNum("%.6f", r.out.maxMs)});
         phaseCells(r.out.phaseMs, r.out.requests, row);
         row.insert(row.end(),
                    {fmtNum("%.6f", r.out.sloMs),
@@ -449,9 +425,7 @@ ServiceMetricsSink::renderCsv(const sim::SimConfig &cfg,
                          fmtNum("%.6f", t.p95Ms),
                          fmtNum("%.6f", t.p99Ms),
                          fmtNum("%.6f", t.p999Ms),
-                         fmtNum("%.6f", t.maxMs),
-                         fmtNum("%.6f", t.p99P2Ms),
-                         fmtNum("%.6f", t.p999P2Ms)});
+                         fmtNum("%.6f", t.maxMs)});
             phaseCells(t.phaseMs, t.requests, trow);
             trow.insert(trow.end(),
                         {fmtNum("%.6f", t.sloMs),
@@ -527,8 +501,6 @@ ServiceMetricsSink::renderJson(const sim::SimConfig &cfg,
                      static_cast<unsigned long long>(t.requests));
             setLatency(trow, "", t.meanMs, t.p50Ms, t.p95Ms,
                        t.p99Ms, t.p999Ms, t.maxMs);
-            trow.set("p99_p2_ms", t.p99P2Ms);
-            trow.set("p999_p2_ms", t.p999P2Ms);
             setPhases(trow, t.phaseMs);
             setSlo(trow, t.sloMs, r.out.sloTarget, t.sloGood,
                    t.sloViolations, t.sloAttainment, t.sloBurnRate);

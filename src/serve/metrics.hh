@@ -3,16 +3,26 @@
  * ServiceMetrics: streaming metric collection of one serving
  * simulation and the CSV/JSON report writers of --service mode.
  *
- * v2 adds tail-latency attribution: every completed request carries a
- * phase breakdown on the virtual clock (queue wait behind a busy
- * device, policy batch wait, LUT reload, tFAW stall, execution), the
- * phases sum exactly to the end-to-end latency, and finish() folds
- * them into per-tenant aggregates, a tail-blame table above a
- * configurable quantile, an exactly mergeable latency Histogram
- * (obs/histogram), a fixed-interval virtual-time series
- * (obs/timeseries) and SLO attainment/burn-rate when a [service]
- * slo_ms is configured. Per-tenant quantiles come from the mergeable
- * histograms; the legacy P² estimates stay as cross-check columns.
+ * Every completed request carries a phase breakdown on the virtual
+ * clock (queue wait behind a busy device, policy batch wait, LUT
+ * reload, tFAW stall, execution) that sums exactly to its end-to-end
+ * latency. onComplete() folds each request into fixed-size state and
+ * keeps no per-request record:
+ *
+ *  - the exactly mergeable latency histograms (obs/histogram), one
+ *    pool-wide and one per tenant, are the only quantile estimator:
+ *    every p50..p999 column, mean and max comes from them;
+ *  - phase sums and SLO good/violation counts, pool-wide and per
+ *    tenant, accumulate online in completion order;
+ *  - tail blame keeps per-(tenant, class) request/latency/phase sums
+ *    per histogram bucket. finish() blames every request whose
+ *    bucket is at or above the bucket holding the nearest-rank
+ *    sample of `tail_quantile`, so the threshold has the histogram's
+ *    <= 1/64 relative resolution;
+ *  - a fixed-interval virtual-time series (obs/timeseries).
+ *
+ * Memory therefore grows with the number of tenants, classes and
+ * occupied latency buckets, never with the request count.
  *
  * Everything in a ServiceOutcome derives from the virtual clock and
  * the devices' command schedulers, so outcomes are bit-identical
@@ -27,9 +37,9 @@
 
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "common/stats.hh"
 #include "obs/histogram.hh"
 #include "obs/timeseries.hh"
 #include "serve/loadgen.hh"
@@ -73,9 +83,6 @@ struct TenantSummary
     double p99Ms = 0.0;
     double p999Ms = 0.0;
     double maxMs = 0.0;
-    /** Legacy P² streaming estimates, kept as a cross-check. */
-    double p99P2Ms = 0.0;
-    double p999P2Ms = 0.0;
     /** Phase sums over the tenant's requests, ms (Phase order). */
     double phaseMs[kPhaseCount] = {};
     /** Tightest effective SLO among the tenant's requests, ms
@@ -134,7 +141,8 @@ struct ServiceOutcome
     double makespanMs = 0.0;
     /** Completed requests per second of virtual time. */
     double throughputRps = 0.0;
-    /** End-to-end latency digest (queueing + service), ms. */
+    /** End-to-end latency digest (queueing + service), ms, from
+     *  latHist (quantiles at <= 1/64 relative bucket width). */
     double meanMs = 0.0;
     double p50Ms = 0.0;
     double p95Ms = 0.0;
@@ -166,11 +174,13 @@ struct ServiceOutcome
     u64 sloViolations = 0;
     double sloAttainment = 0.0;
     double sloBurnRate = 0.0;
-    /** Tail-blame cutoff echo and the exact nearest-rank threshold
-     *  it resolved to on this cell's latency samples. */
+    /** Tail-blame cutoff echo and the threshold it resolved to:
+     *  latHist.quantile(tailQuantile), the midpoint of the bucket
+     *  holding the nearest-rank sample. */
     double tailQuantile = 0.0;
     double tailThresholdMs = 0.0;
-    /** Requests at/above the threshold (the blamed population). */
+    /** Requests whose latency bucket is at or above the threshold's
+     *  (the blamed population). */
     u64 tailRequests = 0;
     /** Virtual-time series window width echo, ms. */
     double seriesIntervalMs = 0.0;
@@ -258,25 +268,37 @@ class ServiceMetrics
                           double energyPj, bool verified) const;
 
   private:
-    /** One completed request, kept for the tail-blame pass. */
-    struct Sample
+    /** Tail-blame sums of one (class, latency bucket) cell. */
+    struct BucketSums
     {
-        u32 tenant = 0;
-        u32 cls = 0;
+        u64 requests = 0;
         double latMs = 0.0;
         double phaseMs[kPhaseCount] = {};
-        /** Effective SLO of the request, ms (0 = untracked). */
+    };
+
+    /** Online state of one tenant. */
+    struct TenantState
+    {
+        obs::Histogram hist;
+        double phaseMs[kPhaseCount] = {};
+        /** Tightest effective SLO among the tenant's requests, ms. */
         double sloMs = 0.0;
+        u64 sloGood = 0;
+        u64 sloViolations = 0;
+        /** (class, Histogram::bucketOf(latency)) -> sums. */
+        std::map<std::pair<u32, i32>, BucketSums> tail;
     };
 
     MetricsConfig cfg_;
-    StreamSummary latencyMs_;
-    std::map<u32, StreamSummary> tenantMs_;
-    std::map<u32, obs::Histogram> tenantHist_;
     obs::Histogram latHist_;
-    std::vector<Sample> samples_;
+    std::map<u32, TenantState> tenants_;
+    double phaseMs_[kPhaseCount] = {};
+    u64 sloGood_ = 0;
+    u64 sloViolations_ = 0;
     obs::TimeSeries series_;
-    StreamSummary queueDepth_;
+    double queueDepthSum_ = 0.0;
+    u64 queueDepthSamples_ = 0;
+    double queueDepthMax_ = 0.0;
     u64 batches_ = 0;
     u64 batchedRequests_ = 0;
     TimeNs lastFinishNs_ = 0.0;

@@ -2,8 +2,9 @@
  * @file
  * Campaign-core tests: forEachTask edge cases (zero tasks, more
  * threads than tasks, worker-index stability/uniqueness, exception
- * propagation), the JsonlCache version header (legacy files load,
- * future formats are rejected with a clear error), per-mode key
+ * propagation, task-order telemetry folds), the JsonlCache version
+ * header (legacy files load, future formats are rejected with a
+ * clear error), per-mode key
  * namespacing (equal descriptors cannot collide across modes in a
  * shared --cache-dir), and the NN campaign mode's sharded+cached
  * byte-identity — the properties every mode inherits from the core.
@@ -26,6 +27,7 @@
 #include "campaign/cache.hh"
 #include "campaign/runner.hh"
 #include "nn/campaign.hh"
+#include "obs/registry.hh"
 #include "serve/cache.hh"
 #include "sim/cache.hh"
 
@@ -116,6 +118,33 @@ TEST(ForEachTask, PropagatesWorkerExceptions)
     calls.store(0);
     EXPECT_THROW(forEachTask(10, 1, boom), std::runtime_error);
     EXPECT_EQ(calls.load(), 4u);
+}
+
+TEST(ForEachTask, TelemetryFoldsInTaskOrder)
+{
+    // Counter values whose double sum depends on association: in
+    // task order ((1 + 1e16) - 1e16) == 0, while a per-worker fold
+    // that pairs tasks 1 and 2 on one worker yields 1. Task 0 is slow,
+    // so the other worker runs every remaining task.
+    const std::vector<double> values = {1.0, 1e16, -1e16, 3.0, -3.0};
+    double expect = 0.0;
+    for (const double v : values)
+        expect += v;
+    auto &reg = obs::Registry::get();
+    for (const u32 threads : {1u, 2u, 4u}) {
+        reg.enable(true);
+        reg.reset();
+        forEachTask(values.size(), threads, [&](std::size_t i, u32) {
+            if (i == 0)
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(50));
+            obs::shard()->add("unit/sum", values[i]);
+        });
+        EXPECT_EQ(reg.root().counters().at("unit/sum"), expect)
+            << threads << " threads";
+        reg.reset();
+        reg.enable(false);
+    }
 }
 
 TEST(RunCampaign, CountsHitsAndZerosWallUnderDeterminism)

@@ -249,9 +249,10 @@ TEST_P(BulkKernelWidths, BitPlaneMatchesScalarTranspose)
                 EXPECT_EQ((out[i / 8] >> (i % 8)) & 1,
                           (values[i] >> bit) & 1)
                     << "n " << n << " bit " << bit << " slot " << i;
-            if (n % 8)
+            if (n % 8) {
                 EXPECT_EQ(out[n / 8] >> (n % 8), 0)
                     << "tail bits must be zeroed";
+            }
         }
     }
 }
@@ -517,93 +518,6 @@ TEST(Units, Conversions)
     EXPECT_DOUBLE_EQ(units::pJToMj(1e9), 1.0);
     // 10 W for 1 us = 10 uJ = 1e7 pJ.
     EXPECT_DOUBLE_EQ(units::energyFromPower(10.0, 1000.0), 1e7);
-}
-
-/** Exact nearest-rank quantile of a sample (the P² reference). */
-double
-exactQuantile(std::vector<double> xs, double q)
-{
-    std::sort(xs.begin(), xs.end());
-    const auto rank = static_cast<std::size_t>(
-        std::ceil(q * static_cast<double>(xs.size())));
-    return xs[std::min(rank ? rank - 1 : 0, xs.size() - 1)];
-}
-
-TEST(P2Quantile, EmptyAndSingle)
-{
-    P2Quantile p(0.99);
-    EXPECT_EQ(p.count(), 0u);
-    EXPECT_DOUBLE_EQ(p.value(), 0.0);
-    p.add(42.0);
-    EXPECT_EQ(p.count(), 1u);
-    EXPECT_DOUBLE_EQ(p.value(), 42.0);
-}
-
-TEST(P2Quantile, ExactForSmallSamples)
-{
-    // With five or fewer observations the estimator is the exact
-    // sorted-sample quantile, whatever the insertion order.
-    const std::vector<double> xs = {7.0, 1.0, 9.0, 3.0, 5.0};
-    for (const double q : {0.5, 0.9, 0.99}) {
-        for (std::size_t n = 1; n <= xs.size(); ++n) {
-            P2Quantile p(q);
-            std::vector<double> prefix(xs.begin(), xs.begin() + n);
-            for (const double x : prefix)
-                p.add(x);
-            EXPECT_DOUBLE_EQ(p.value(), exactQuantile(prefix, q))
-                << "q=" << q << " n=" << n;
-        }
-    }
-}
-
-TEST(P2Quantile, ConvergesOnUniformStream)
-{
-    Rng rng(123);
-    P2Quantile p50(0.5), p95(0.95), p99(0.99);
-    std::vector<double> xs;
-    for (int i = 0; i < 20000; ++i) {
-        const double x = rng.uniform();
-        xs.push_back(x);
-        p50.add(x);
-        p95.add(x);
-        p99.add(x);
-    }
-    EXPECT_NEAR(p50.value(), exactQuantile(xs, 0.5), 0.02);
-    EXPECT_NEAR(p95.value(), exactQuantile(xs, 0.95), 0.02);
-    EXPECT_NEAR(p99.value(), exactQuantile(xs, 0.99), 0.02);
-}
-
-TEST(P2Quantile, ConvergesOnHeavyTailAndIsDeterministic)
-{
-    // Exponential-ish tail, the shape of service latencies.
-    Rng rng(7);
-    P2Quantile a(0.99), b(0.99);
-    std::vector<double> xs;
-    for (int i = 0; i < 30000; ++i) {
-        const double x = -std::log1p(-rng.uniform());
-        xs.push_back(x);
-        a.add(x);
-        b.add(x);
-    }
-    const double exact = exactQuantile(xs, 0.99);
-    EXPECT_NEAR(a.value(), exact, exact * 0.05);
-    // Same stream, bit-identical estimate.
-    EXPECT_EQ(a.value(), b.value());
-}
-
-TEST(StreamSummary, TracksMeanExtremaAndTails)
-{
-    StreamSummary s;
-    EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(s.max(), 0.0);
-    for (int i = 1; i <= 4; ++i)
-        s.add(static_cast<double>(i));
-    EXPECT_EQ(s.count(), 4u);
-    EXPECT_DOUBLE_EQ(s.mean(), 2.5);
-    EXPECT_DOUBLE_EQ(s.min(), 1.0);
-    EXPECT_DOUBLE_EQ(s.max(), 4.0);
-    EXPECT_DOUBLE_EQ(s.p50(), 2.0);  // exact on small samples
-    EXPECT_DOUBLE_EQ(s.p999(), 4.0);
 }
 
 } // namespace

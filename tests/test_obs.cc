@@ -82,18 +82,18 @@ TEST(Registry, WorkerShardsFoldIntoRootAtTaskBoundary)
     ASSERT_NE(shard(), nullptr); // enable() bound us to the root
     shard()->inc("main/ticks");
 
-    reg.ensureWorkers(2);
-    reg.worker(0).add("campaign/cells", 4.0);
-    reg.worker(1).add("campaign/cells", 6.0);
-    reg.worker(0).gaugeMax("campaign/peak", 1.0);
-    reg.worker(1).gaugeMax("campaign/peak", 7.0);
+    reg.ensureTaskShards(2);
+    reg.taskShard(0).add("campaign/cells", 4.0);
+    reg.taskShard(1).add("campaign/cells", 6.0);
+    reg.taskShard(0).gaugeMax("campaign/peak", 1.0);
+    reg.taskShard(1).gaugeMax("campaign/peak", 7.0);
 
-    reg.mergeWorkers();
+    reg.mergeTaskShards();
     const CounterShard snap = reg.snapshot();
     EXPECT_DOUBLE_EQ(snap.counters().at("campaign/cells"), 10.0);
     EXPECT_DOUBLE_EQ(snap.counters().at("main/ticks"), 1.0);
     EXPECT_DOUBLE_EQ(snap.gauges().at("campaign/peak"), 7.0);
-    EXPECT_TRUE(reg.worker(0).empty()); // cleared by the merge
+    EXPECT_TRUE(reg.taskShard(0).empty()); // cleared by the merge
 }
 
 TEST(Registry, ShardIsNullWhenDisabled)
@@ -234,8 +234,9 @@ TEST(Tracer, VirtualTrackIsMonotoneAndLabeled)
         EXPECT_GE(ts, prev);
         prev = ts;
         ++n;
-        if (ev->find("ph")->asString() == "i")
+        if (ev->find("ph")->asString() == "i") {
             EXPECT_TRUE(ev->find("s")); // instants carry a scope
+        }
     }
     EXPECT_EQ(n, 3u);
 
@@ -435,10 +436,10 @@ TEST(Registry, HistogramsFoldExactlyAcrossWorkerShards)
     for (double v : samples)
         expect.add(v);
 
-    reg.ensureWorkers(3);
+    reg.ensureTaskShards(3);
     for (std::size_t i = 0; i < samples.size(); ++i)
-        reg.worker(i % 3).hist("unit/lat_ms").add(samples[i]);
-    reg.mergeWorkers();
+        reg.taskShard(i % 3).hist("unit/lat_ms").add(samples[i]);
+    reg.mergeTaskShards();
 
     const CounterShard snap = reg.snapshot();
     ASSERT_EQ(snap.hists().count("unit/lat_ms"), 1u);
@@ -447,7 +448,7 @@ TEST(Registry, HistogramsFoldExactlyAcrossWorkerShards)
     EXPECT_EQ(folded.count(), expect.count());
     EXPECT_EQ(folded.min(), expect.min());
     EXPECT_EQ(folded.max(), expect.max());
-    EXPECT_TRUE(reg.worker(0).empty()); // cleared by the merge
+    EXPECT_TRUE(reg.taskShard(0).empty()); // cleared by the merge
 
     // The metrics JSON renders a digest per histogram path.
     const std::string json = reg.renderJson({});

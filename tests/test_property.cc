@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <string_view>
 
 #include "common/random.hh"
 #include "pluto/query_engine.hh"
@@ -82,9 +84,13 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(Design::Bsa, Design::Gsa,
                                          Design::Gmc)),
     [](const auto &info) {
-        return "w" + std::to_string(std::get<0>(info.param)) + "_" +
-               std::string(core::designName(std::get<1>(info.param)))
-                   .substr(6);
+        std::string name = "w";
+        name += std::to_string(std::get<0>(info.param));
+        name += '_';
+        name += std::string_view(
+                    core::designName(std::get<1>(info.param)))
+                    .substr(6);
+        return name;
     });
 
 // ---- tFAW window invariant under random loads ----

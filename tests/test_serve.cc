@@ -5,8 +5,10 @@
  * reruns, tenant accounting, saturation behavior, batching with SALP
  * headroom), outcomes and telemetry pinned against
  * tests/golden/serve_*.golden, per-slot residency on the shared
- * executor, pool memory independent of the pool size, and the
- * service cache round trip.
+ * executor, pool memory independent of the pool size, the metrics
+ * fold against the sample-exact tail oracle, metrics memory
+ * independent of the request count, and the service cache round trip
+ * and key.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +22,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <map>
 
 #include "golden.hh"
 
@@ -32,6 +35,7 @@
 #include "serve/loadgen.hh"
 #include "serve/memo.hh"
 #include "serve/policy.hh"
+#include "serve/runner.hh"
 #include "serve/simulator.hh"
 #include "serve/zipf.hh"
 
@@ -159,8 +163,9 @@ TEST(LoadGen, PoissonIsSeededAndReproducible)
         EXPECT_EQ(ra[i].cls, rb[i].cls);
         ASSERT_LT(ra[i].cls, 2u);
         sawBoth[ra[i].cls] = true;
-        if (i)
+        if (i) {
             EXPECT_GT(ra[i].arriveNs, ra[i - 1].arriveNs);
+        }
         EXPECT_LE(ra[i].arriveNs, svc.durationMs * 1e6);
     }
     EXPECT_TRUE(sawBoth[0]);
@@ -552,8 +557,6 @@ expectSameOutcome(const ServiceOutcome &a, const ServiceOutcome &b)
         EXPECT_EQ(a.tenants[i].tenant, b.tenants[i].tenant);
         EXPECT_EQ(a.tenants[i].requests, b.tenants[i].requests);
         EXPECT_EQ(a.tenants[i].p99Ms, b.tenants[i].p99Ms);
-        EXPECT_EQ(a.tenants[i].p99P2Ms, b.tenants[i].p99P2Ms);
-        EXPECT_EQ(a.tenants[i].p999P2Ms, b.tenants[i].p999P2Ms);
         EXPECT_EQ(a.tenants[i].sloMs, b.tenants[i].sloMs);
         EXPECT_EQ(a.tenants[i].sloGood, b.tenants[i].sloGood);
         EXPECT_EQ(a.tenants[i].sloViolations,
@@ -753,8 +756,8 @@ TEST(ServeSimulator, PhasesPartitionLatencyAndSloPartitionsRequests)
         out.meanMs * static_cast<double>(out.requests);
     EXPECT_NEAR(phaseSum, totalMs, 1e-6 * std::max(1.0, totalMs));
 
-    // The mergeable histogram sees every completion and agrees with
-    // the exact streaming digest on the extremes.
+    // The latency histogram sees every completion and carries the
+    // exact maximum.
     EXPECT_EQ(out.latHist.count(), out.requests);
     EXPECT_EQ(out.latHist.max(), out.maxMs);
 
@@ -1039,6 +1042,253 @@ TEST(ServeSimulator, PoolMemoryDoesNotGrowWithDevices)
         << "1 slot: " << one << " KiB, 256 slots: " << many << " KiB";
 }
 
+// ---- ServiceMetrics against the sample-exact oracle ----
+
+/** One synthetic completion, as ServiceMetrics::onComplete sees it. */
+struct SyntheticCompletion
+{
+    Request req;
+    TimeNs finishNs = 0.0;
+    PhaseBreakdownNs ph;
+
+    double latMs() const { return (finishNs - req.arriveNs) * 1e-6; }
+    double phaseMs(u32 i) const { return ph.ns[i] * 1e-6; }
+};
+
+/** Analysis knobs of the synthetic stream: 4 classes with their own
+ *  SLOs (class 3 at the service SLO). */
+MetricsConfig
+syntheticConfig(double tailQuantile)
+{
+    MetricsConfig cfg;
+    cfg.sloMs = 1.5;
+    cfg.tailQuantile = tailQuantile;
+    cfg.classSloMs = {0.25, 1.0, 4.0, 1.5};
+    cfg.classNames = {"c0", "c1", "c2", "c3"};
+    return cfg;
+}
+
+/** Seeded stream: 3 tenants x 4 classes, latencies log-uniform over
+ *  0.01..10 ms (~10 octaves), random five-way phase splits. */
+std::vector<SyntheticCompletion>
+syntheticStream(std::size_t n, u64 seed)
+{
+    Rng rng(seed);
+    std::vector<SyntheticCompletion> out(n);
+    TimeNs at = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+        SyntheticCompletion &c = out[i];
+        at += rng.uniform(1.0, 2000.0);
+        c.req.id = i;
+        c.req.tenant = static_cast<u32>(rng.below(3));
+        c.req.cls = static_cast<u32>(rng.below(4));
+        c.req.arriveNs = at;
+        const double latNs = 1e4 * std::exp(rng.uniform() *
+                                            std::log(1000.0));
+        c.finishNs = at + latNs;
+        double w[kPhaseCount], total = 0.0;
+        for (u32 p = 0; p < kPhaseCount; ++p)
+            total += w[p] = rng.uniform();
+        for (u32 p = 0; p < kPhaseCount; ++p)
+            c.ph.ns[p] = latNs * w[p] / total;
+    }
+    return out;
+}
+
+/** Per-(tenant, class) sums of a tail population. */
+struct OracleGroup
+{
+    u64 requests = 0;
+    double latMs = 0.0;
+    double phaseMs[kPhaseCount] = {};
+
+    void add(const SyntheticCompletion &c)
+    {
+        ++requests;
+        latMs += c.latMs();
+        for (u32 p = 0; p < kPhaseCount; ++p)
+            phaseMs[p] += c.phaseMs(p);
+    }
+};
+
+/** Per-tenant phase and SLO sums of the oracle. */
+struct OracleTenant
+{
+    double phaseMs[kPhaseCount] = {};
+    double sloMs = 0.0;
+    u64 sloGood = 0;
+    u64 sloViolations = 0;
+};
+
+/**
+ * The sample-exact fold: keep every completion, sort the latencies,
+ * take the exact nearest-rank tail threshold and group every sample
+ * at or above it. Also groups the bucket population (samples whose
+ * histogram bucket is at or above the threshold sample's bucket) and
+ * sums phases and SLO counts in completion order.
+ */
+struct ExactFold
+{
+    double phaseMs[kPhaseCount] = {};
+    u64 sloGood = 0;
+    u64 sloViolations = 0;
+    std::map<u32, OracleTenant> tenants;
+    double thresholdMs = 0.0;
+    i32 thresholdBucket = 0;
+    std::map<std::pair<u32, u32>, OracleGroup> exact;
+    std::map<std::pair<u32, u32>, OracleGroup> bucketed;
+
+    ExactFold(const std::vector<SyntheticCompletion> &stream,
+              const MetricsConfig &cfg)
+    {
+        for (const auto &c : stream) {
+            OracleTenant &t = tenants[c.req.tenant];
+            for (u32 p = 0; p < kPhaseCount; ++p) {
+                phaseMs[p] += c.phaseMs(p);
+                t.phaseMs[p] += c.phaseMs(p);
+            }
+            const double slo = cfg.classSloMs[c.req.cls];
+            if (slo > 0.0) {
+                t.sloMs = t.sloMs > 0.0 ? std::min(t.sloMs, slo) : slo;
+                const bool good = c.latMs() <= slo;
+                t.sloGood += good;
+                t.sloViolations += !good;
+                sloGood += good;
+                sloViolations += !good;
+            }
+        }
+        std::vector<double> lat;
+        for (const auto &c : stream)
+            lat.push_back(c.latMs());
+        std::sort(lat.begin(), lat.end());
+        const u64 rank = std::max<u64>(
+            1, static_cast<u64>(std::ceil(
+                   cfg.tailQuantile * static_cast<double>(lat.size()))));
+        thresholdMs = lat[rank - 1];
+        thresholdBucket = obs::Histogram::bucketOf(thresholdMs);
+        for (const auto &c : stream) {
+            const std::pair<u32, u32> key{c.req.tenant, c.req.cls};
+            if (c.latMs() >= thresholdMs)
+                exact[key].add(c);
+            if (obs::Histogram::bucketOf(c.latMs()) >= thresholdBucket)
+                bucketed[key].add(c);
+        }
+    }
+};
+
+/** @return |a - b| <= tol * max(|a|, |b|). */
+bool
+relNear(double a, double b, double tol)
+{
+    return std::fabs(a - b) <= tol * std::max(std::fabs(a), std::fabs(b));
+}
+
+TEST(ServiceMetrics, BucketedTailMatchesTheExactOracle)
+{
+    const auto stream = syntheticStream(20000, 0x7a11);
+    for (const double q : {0.5, 0.9, 0.99, 0.999}) {
+        const MetricsConfig cfg = syntheticConfig(q);
+        ServiceMetrics m(cfg);
+        for (const auto &c : stream)
+            m.onComplete(c.req, c.finishNs, c.ph);
+        const ServiceOutcome out = m.finish(2, 1e6, 1.0, true);
+        const ExactFold oracle(stream, cfg);
+
+        // The threshold is the histogram's answer, within one bucket
+        // of the exact nearest-rank sample.
+        EXPECT_EQ(out.tailThresholdMs, out.latHist.quantile(q));
+        EXPECT_TRUE(relNear(out.tailThresholdMs, oracle.thresholdMs,
+                            1.0 / 64))
+            << "q=" << q;
+        EXPECT_EQ(out.latHist.rankBucket(q), oracle.thresholdBucket);
+
+        // The bucketed tail is exactly the bucket population.
+        ASSERT_EQ(out.tail.size(), oracle.bucketed.size()) << "q=" << q;
+        u64 total = 0;
+        for (const TailGroup &g : out.tail) {
+            const auto it = oracle.bucketed.find({g.tenant, g.cls});
+            ASSERT_NE(it, oracle.bucketed.end());
+            const OracleGroup &o = it->second;
+            EXPECT_EQ(g.requests, o.requests);
+            EXPECT_EQ(g.workload, cfg.classNames[g.cls]);
+            EXPECT_TRUE(relNear(g.meanMs * static_cast<double>(
+                                               g.requests),
+                                o.latMs, 1e-12));
+            for (u32 p = 0; p < kPhaseCount; ++p)
+                EXPECT_TRUE(relNear(g.phaseMs[p], o.phaseMs[p], 1e-12))
+                    << "q=" << q << " phase " << phaseName(p);
+            total += g.requests;
+        }
+        EXPECT_EQ(total, out.tailRequests);
+
+        // The sample-exact population is a subset of it; the extra
+        // requests sit within one bucket width below the threshold.
+        for (const auto &[key, o] : oracle.exact) {
+            const auto it = oracle.bucketed.find(key);
+            ASSERT_NE(it, oracle.bucketed.end());
+            EXPECT_GE(it->second.requests, o.requests);
+        }
+        for (const auto &c : stream) {
+            const double lat = c.latMs();
+            if (obs::Histogram::bucketOf(lat) >= oracle.thresholdBucket &&
+                lat < oracle.thresholdMs) {
+                EXPECT_LE((oracle.thresholdMs - lat) / oracle.thresholdMs,
+                          1.0 / 64);
+            }
+        }
+
+        // Phase sums and SLO counts are the same additions in the
+        // same order: bit-identical.
+        for (u32 p = 0; p < kPhaseCount; ++p)
+            EXPECT_EQ(out.phaseMs[p], oracle.phaseMs[p]);
+        EXPECT_EQ(out.sloGood, oracle.sloGood);
+        EXPECT_EQ(out.sloViolations, oracle.sloViolations);
+        ASSERT_EQ(out.tenants.size(), oracle.tenants.size());
+        for (const TenantSummary &t : out.tenants) {
+            const OracleTenant &o = oracle.tenants.at(t.tenant);
+            for (u32 p = 0; p < kPhaseCount; ++p)
+                EXPECT_EQ(t.phaseMs[p], o.phaseMs[p]);
+            EXPECT_EQ(t.sloMs, o.sloMs);
+            EXPECT_EQ(t.sloGood, o.sloGood);
+            EXPECT_EQ(t.sloViolations, o.sloViolations);
+        }
+    }
+}
+
+TEST(ServiceMetrics, MetricsMemoryDoesNotGrowWithRequests)
+{
+    // onComplete keeps fixed-size state per (tenant, class, bucket):
+    // 2M completions must not cost more than 100k do. Both streams
+    // span the same 10 ms of virtual time, so the time series has
+    // the same windows.
+    const auto peakKb = [](std::size_t n) {
+        return childPeakRssKb([n]() {
+            ServiceMetrics m(syntheticConfig(0.99));
+            Rng rng(n);
+            for (std::size_t i = 0; i < n; ++i) {
+                Request r;
+                r.id = i;
+                r.tenant = static_cast<u32>(rng.below(3));
+                r.cls = static_cast<u32>(rng.below(4));
+                r.arriveNs = static_cast<double>(i) * 1e7 /
+                             static_cast<double>(n);
+                const double latNs =
+                    1e4 * std::exp(rng.uniform() * std::log(1000.0));
+                PhaseBreakdownNs ph;
+                ph.ns[static_cast<u32>(Phase::Exec)] = latNs;
+                m.onComplete(r, r.arriveNs + latNs, ph);
+            }
+            const auto out = m.finish(1, 0.0, 0.0, true);
+            if (out.requests != n)
+                _exit(1);
+        });
+    };
+    const long small = peakKb(100000);
+    const long large = peakKb(2000000);
+    EXPECT_LT(large - small, 16 * 1024)
+        << "100k: " << small << " KiB, 2M: " << large << " KiB";
+}
+
 TEST(BatchMemo, SignaturesSeparateClassSizeAndResidency)
 {
     const u64 base = BatchMemo::signature(3, 17, false);
@@ -1116,8 +1366,6 @@ TEST(ServiceCache, RoundTripsOutcomesBitIdentically)
     t.p99Ms = 0.41;
     t.p999Ms = 0.51;
     t.maxMs = 0.61;
-    t.p99P2Ms = 0.42;
-    t.p999P2Ms = 0.52;
     t.phaseMs[1] = 0.07;
     t.phaseMs[4] = 2.0 / 3.0;
     t.sloMs = 2.0;
@@ -1195,17 +1443,59 @@ TEST(ServiceCache, KeySeparatesSpecsAndMixes)
     mix3[0].sloMs = 1.5;
     EXPECT_NE(base, ServiceCache::key(dev, svc, mix3));
 
-    // Memo modes key separately even though their outcomes agree: a
-    // verify-mode cell must actually verify, not replay an on-mode
-    // cache line.
-    sim::ServiceSpec svc7 = svc;
-    svc7.memo = sim::MemoMode::Off;
-    EXPECT_NE(base, ServiceCache::key(dev, svc7, mix));
-    sim::ServiceSpec svc8 = svc;
-    svc8.memo = sim::MemoMode::Verify;
-    EXPECT_NE(base, ServiceCache::key(dev, svc8, mix));
-    EXPECT_NE(ServiceCache::key(dev, svc7, mix),
-              ServiceCache::key(dev, svc8, mix));
+    // Outcomes do not depend on the memo mode, so it does not key a
+    // cell: switching modes replays instead of recomputing.
+    for (const auto memo : kMemoModes) {
+        sim::ServiceSpec svc7 = svc;
+        svc7.memo = memo;
+        EXPECT_EQ(base, ServiceCache::key(dev, svc7, mix))
+            << sim::memoModeName(memo);
+    }
+}
+
+TEST(ServiceCache, MemoOnCellReplaysUnderMemoOff)
+{
+    namespace fs = std::filesystem;
+    const auto dir =
+        (fs::temp_directory_path() / "pluto_serve_memo_key_test")
+            .string();
+    fs::remove_all(dir);
+    const auto scenario = [](const char *memo) {
+        std::string err;
+        const auto cfg = sim::SimConfig::parse(
+            std::string(R"(
+[scenario]
+name = memo_key
+[device]
+design = gmc
+[workload CRC-8]
+elements = 1024
+[service s]
+rate = 20000
+duration_ms = 1
+devices = 2
+sweep batch = 1, 8
+memo = )") + memo + "\n",
+            err);
+        EXPECT_TRUE(cfg) << err;
+        return *cfg;
+    };
+    sim::RunOptions opt;
+    opt.threads = 2;
+    opt.deterministic = true;
+    opt.cacheDir = dir;
+    const auto onCfg = scenario("on");
+    const auto cold = ServiceRunner(onCfg).run(opt);
+    ASSERT_EQ(cold.runs.size(), 2u);
+    EXPECT_EQ(cold.cacheHits, 0u);
+
+    const auto offCfg = scenario("off");
+    const auto replay = ServiceRunner(offCfg).run(opt);
+    EXPECT_EQ(replay.cacheHits, replay.runs.size());
+    EXPECT_EQ(replay.cacheMisses, 0u);
+    EXPECT_EQ(ServiceMetricsSink::renderCsv(offCfg, replay.runs),
+              ServiceMetricsSink::renderCsv(onCfg, cold.runs));
+    fs::remove_all(dir);
 }
 
 } // namespace
