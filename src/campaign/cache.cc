@@ -155,7 +155,7 @@ std::string
 loadBinaryCache(const std::string &path, const std::string &kind,
                 u64 &corrupt,
                 const std::function<bool(const std::string &key,
-                                         BinReader &body)> &onEntry)
+                                         BinIn &body)> &onEntry)
 {
     std::ifstream in(path, std::ios::binary);
     if (!in)
@@ -221,9 +221,10 @@ loadBinaryCache(const std::string &path, const std::string &kind,
             break;
         }
         pos += 8 + static_cast<std::size_t>(len);
-        BinReader rec(std::string_view(payload, len));
+        BinIn rec(std::string_view(payload, len));
         std::string key;
-        if (!rec.getString(key) || !onEntry(key, rec))
+        rec("", key);
+        if (!rec.ok() || !onEntry(key, rec))
             ++corrupt;
     }
     return {};
@@ -242,17 +243,17 @@ appendBinaryRecord(const std::string &dir, const std::string &path,
     const auto size = std::filesystem::file_size(path, ec);
     const bool fresh = ec || size == 0;
 
-    BinWriter payload;
-    payload.putString(key);
+    BinOut payload;
+    payload("", key);
     std::string record = payload.bytes() + body;
     const u32 len = static_cast<u32>(record.size());
     const u32 sum = fnv1a32(record.data(), record.size());
     std::string blob;
     if (fresh)
         blob = binaryHeaderLine(kind);
-    BinWriter preamble;
-    preamble.putU32(len);
-    preamble.putU32(sum);
+    BinOut preamble;
+    preamble("", len);
+    preamble("", sum);
     blob += preamble.bytes() + record;
 
     // One write() for header + frame keeps concurrent shard appends

@@ -32,29 +32,21 @@
  * direction produces a clear error naming the --cache-format value
  * to pass.
  *
- * Modes plug in through a Codec type:
+ * Modes plug in through a Codec type naming the mode namespace — the
+ * cache filename infix AND the content-key prefix, so equal
+ * descriptors from different modes can never collide in a shared
+ * --cache-dir:
  *
- *   struct Codec {
- *     // Mode namespace: cache filename infix AND content-key prefix,
- *     // so equal descriptors from different modes can never collide
- *     // in a shared --cache-dir.
- *     static constexpr const char *kKind = "...";
- *     // JSON fields of one outcome, starting with ',' (the engine
- *     // writes {"key":"...", then the body, then }\n).
- *     static std::string encodeBody(const Outcome &out);
- *     // Parse one entry object; false = corrupt line.
- *     static bool decode(const JsonValue &obj, Outcome &out);
- *     // Binary twins of the two above (field order is the schema).
- *     static void encodeBinary(const Outcome &out, BinWriter &w);
- *     static bool decodeBinary(BinReader &r, Outcome &out);
- *   };
+ *   struct Codec { static constexpr const char *kKind = "..."; };
+ *
+ * The outcome type encodes itself: its ADL-visible fields() visitor
+ * (common/codec.hh) drives both the JSONL body and the binary record,
+ * so the two encodings cannot drift apart.
  */
 
 #ifndef PLUTO_CAMPAIGN_CACHE_HH
 #define PLUTO_CAMPAIGN_CACHE_HH
 
-#include <bit>
-#include <cstring>
 #include <functional>
 #include <map>
 #include <mutex>
@@ -62,8 +54,7 @@
 #include <string>
 #include <string_view>
 
-#include "common/digest.hh"
-#include "common/emit.hh"
+#include "common/codec.hh"
 
 namespace pluto::campaign
 {
@@ -91,90 +82,6 @@ const char *cacheFormatName(CacheFormat f);
 
 /** Parse a --cache-format value; false = unrecognised. */
 bool parseCacheFormat(const std::string &s, CacheFormat &out);
-
-/**
- * Little-endian byte-buffer writer for binary cache bodies. Doubles
- * travel as raw IEEE-754 bits, so every value round-trips exactly.
- */
-class BinWriter
-{
-  public:
-    void putU32(u32 v) { putRaw(&v, sizeof(v)); }
-    void putU64(u64 v) { putRaw(&v, sizeof(v)); }
-    void putF64(double v) { putU64(std::bit_cast<u64>(v)); }
-    void putBool(bool v) { buf_.push_back(v ? '\1' : '\0'); }
-    void putString(const std::string &s)
-    {
-        putU32(static_cast<u32>(s.size()));
-        buf_.append(s);
-    }
-
-    const std::string &bytes() const { return buf_; }
-
-  private:
-    void putRaw(const void *p, std::size_t n)
-    {
-        static_assert(std::endian::native == std::endian::little,
-                      "binary cache assumes little-endian storage");
-        buf_.append(static_cast<const char *>(p), n);
-    }
-
-    std::string buf_;
-};
-
-/**
- * Bounds-checked reader over one binary record body. Every getter
- * returns false (and stops advancing) once the record is exhausted,
- * so codecs can chain reads and check once.
- */
-class BinReader
-{
-  public:
-    explicit BinReader(std::string_view data) : data_(data) {}
-
-    bool getU32(u32 &v) { return getRaw(&v, sizeof(v)); }
-    bool getU64(u64 &v) { return getRaw(&v, sizeof(v)); }
-    bool getF64(double &v)
-    {
-        u64 bits;
-        if (!getU64(bits))
-            return false;
-        v = std::bit_cast<double>(bits);
-        return true;
-    }
-    bool getBool(bool &v)
-    {
-        if (pos_ >= data_.size())
-            return false;
-        v = data_[pos_++] != '\0';
-        return true;
-    }
-    bool getString(std::string &s)
-    {
-        u32 len;
-        if (!getU32(len) || data_.size() - pos_ < len)
-            return false;
-        s.assign(data_.substr(pos_, len));
-        pos_ += len;
-        return true;
-    }
-
-    /** @return true when the whole record was consumed. */
-    bool atEnd() const { return pos_ == data_.size(); }
-
-  private:
-    bool getRaw(void *p, std::size_t n)
-    {
-        if (data_.size() - pos_ < n)
-            return false;
-        std::memcpy(p, data_.data() + pos_, n);
-        pos_ += n;
-        return true;
-    }
-
-    std::string_view data_;
-    std::size_t pos_ = 0;
-};
 
 namespace detail
 {
@@ -213,7 +120,7 @@ std::string
 loadBinaryCache(const std::string &path, const std::string &kind,
                 u64 &corrupt,
                 const std::function<bool(const std::string &key,
-                                         BinReader &body)> &onEntry);
+                                         BinIn &body)> &onEntry);
 
 /**
  * Append one [len][checksum][key][body] record, creating directory
@@ -273,9 +180,9 @@ class JsonlCache
         if (format_ == CacheFormat::Binary)
             return detail::loadBinaryCache(
                 path_, Codec::kKind, corrupt_,
-                [&](const std::string &key, BinReader &body) {
+                [&](const std::string &key, BinIn &body) {
                     Outcome out;
-                    if (!Codec::decodeBinary(body, out))
+                    if (!fromBinary(body, out))
                         return false;
                     entries_[key] = std::move(out); // last wins
                     return true;
@@ -284,7 +191,7 @@ class JsonlCache
             path_, corrupt_,
             [&](const std::string &key, const JsonValue &obj) {
                 Outcome out;
-                if (!Codec::decode(obj, out))
+                if (!fromJson(obj, out))
                     return false;
                 entries_[key] = std::move(out); // last line wins
                 return true;
@@ -313,18 +220,16 @@ class JsonlCache
     {
         std::string err;
         if (format_ == CacheFormat::Binary) {
-            BinWriter body;
-            Codec::encodeBinary(out, body);
+            const std::string body = toBinary(out);
             std::lock_guard<std::mutex> lock(mu_);
             err = detail::appendBinaryRecord(dir_, path_, Codec::kKind,
-                                             key, body.bytes());
+                                             key, body);
             if (err.empty())
                 entries_[key] = out;
             return err;
         }
         const std::string line =
-            "{\"key\":\"" + key + "\"" + Codec::encodeBody(out) +
-            "}\n";
+            "{\"key\":\"" + key + "\"" + jsonMembers(out) + "}\n";
         std::lock_guard<std::mutex> lock(mu_);
         err = detail::appendJsonlLine(dir_, path_, Codec::kKind, line);
         if (err.empty())

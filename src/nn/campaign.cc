@@ -81,74 +81,12 @@ NnReport::allVerified() const
 }
 
 std::string
-NnCacheCodec::encodeBody(const NnOutcome &out)
-{
-    std::string body = ",\"images\":" + std::to_string(out.images);
-    body += ",\"macs\":" + std::to_string(out.macs);
-    body += ",\"time_ns\":" + fmtDoubleExact(out.timeNs);
-    body += ",\"energy_pj\":" + fmtDoubleExact(out.energyPj);
-    body += ",\"accuracy\":" + fmtDoubleExact(out.accuracy);
-    body += std::string(",\"verified\":") +
-            (out.verified ? "true" : "false");
-    body += ",\"wall_ms\":" + fmtDoubleExact(out.wallMs);
-    return body;
-}
-
-bool
-NnCacheCodec::decode(const JsonValue &obj, NnOutcome &out)
-{
-    const JsonValue *images = obj.find("images");
-    const JsonValue *macs = obj.find("macs");
-    const JsonValue *timeNs = obj.find("time_ns");
-    const JsonValue *energyPj = obj.find("energy_pj");
-    const JsonValue *accuracy = obj.find("accuracy");
-    const JsonValue *verified = obj.find("verified");
-    const JsonValue *wallMs = obj.find("wall_ms");
-    if (!images || !images->isNumber() || !macs ||
-        !macs->isNumber() || !timeNs || !timeNs->isNumber() ||
-        !energyPj || !energyPj->isNumber() || !accuracy ||
-        !accuracy->isNumber() || !verified || !verified->isBool() ||
-        !wallMs || !wallMs->isNumber())
-        return false;
-    out.images = static_cast<u64>(images->asNumber());
-    out.macs = static_cast<u64>(macs->asNumber());
-    out.timeNs = timeNs->asNumber();
-    out.energyPj = energyPj->asNumber();
-    out.accuracy = accuracy->asNumber();
-    out.verified = verified->asBool();
-    out.wallMs = wallMs->asNumber();
-    return true;
-}
-
-void
-NnCacheCodec::encodeBinary(const NnOutcome &out,
-                           campaign::BinWriter &w)
-{
-    w.putU64(out.images);
-    w.putU64(out.macs);
-    w.putF64(out.timeNs);
-    w.putF64(out.energyPj);
-    w.putF64(out.accuracy);
-    w.putBool(out.verified);
-    w.putF64(out.wallMs);
-}
-
-bool
-NnCacheCodec::decodeBinary(campaign::BinReader &r, NnOutcome &out)
-{
-    return r.getU64(out.images) && r.getU64(out.macs) &&
-           r.getF64(out.timeNs) && r.getF64(out.energyPj) &&
-           r.getF64(out.accuracy) && r.getBool(out.verified) &&
-           r.getF64(out.wallMs) && r.atEnd();
-}
-
-std::string
 NnCache::key(const runtime::DeviceConfig &cfg,
              const sim::NnSpec &spec)
 {
     std::ostringstream d;
     d << 'v' << kNnSchema << '|' << deviceDescriptor(cfg) << '|'
-      << spec.bits << '|' << spec.images << '|' << spec.seed;
+      << sim::keyedFields(sim::nnFields(), spec, '|');
     return keyFor(d.str());
 }
 

@@ -90,15 +90,24 @@ struct NnReport
     bool allVerified() const;
 };
 
-/** Cache codec of nn outcomes (see campaign/cache.hh). */
+/** Codec fields of an NnOutcome (see common/codec.hh). */
+template <typename V, RecordOf<NnOutcome> O>
+void
+fields(V &v, O &out)
+{
+    v("images", out.images);
+    v("macs", out.macs);
+    v("time_ns", out.timeNs);
+    v("energy_pj", out.energyPj);
+    v("accuracy", out.accuracy);
+    v("verified", out.verified);
+    v("wall_ms", out.wallMs);
+}
+
+/** Cache mode of nn outcomes (see campaign/cache.hh). */
 struct NnCacheCodec
 {
     static constexpr const char *kKind = "nn";
-    static std::string encodeBody(const NnOutcome &out);
-    static bool decode(const JsonValue &obj, NnOutcome &out);
-    static void encodeBinary(const NnOutcome &out,
-                             campaign::BinWriter &w);
-    static bool decodeBinary(campaign::BinReader &r, NnOutcome &out);
 };
 
 /** Append-only JSONL outcome cache for one scenario's nn runs. */

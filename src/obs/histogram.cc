@@ -9,8 +9,6 @@
 #include <cmath>
 #include <cstring>
 
-#include "common/digest.hh"
-#include "common/emit.hh"
 
 namespace pluto::obs
 {
@@ -134,70 +132,31 @@ Histogram::rankBucket(double q) const
     return buckets_.rbegin()->first; // unreachable: counts sum to count_
 }
 
-void
-Histogram::restoreDigest(double sum, double mn, double mx)
+Histogram::Image
+Histogram::image() const
 {
-    sum_ = sum;
-    min_ = mn;
-    max_ = mx;
-}
-
-void
-Histogram::restoreBucket(i32 idx, u64 n)
-{
-    buckets_[idx] += n;
-    count_ += n;
-}
-
-std::string
-Histogram::encodeJson() const
-{
-    std::string out = "{\"count\":" + std::to_string(count_);
-    out += ",\"sum\":" + fmtDoubleExact(sum());
-    out += ",\"min\":" + fmtDoubleExact(min());
-    out += ",\"max\":" + fmtDoubleExact(max());
-    out += ",\"buckets\":[";
-    bool first = true;
-    for (const auto &[idx, n] : buckets_) {
-        if (!first)
-            out += ",";
-        first = false;
-        out += '[';
-        out += std::to_string(idx);
-        out += ',';
-        out += std::to_string(n);
-        out += ']';
-    }
-    out += "]}";
-    return out;
+    Image img{count_, sum(), min(), max(), {}};
+    img.buckets.reserve(buckets_.size());
+    for (const auto &[idx, n] : buckets_)
+        img.buckets.push_back({idx, n});
+    return img;
 }
 
 bool
-Histogram::decodeJson(const JsonValue &v)
+Histogram::restore(const Image &img)
 {
     clear();
-    const JsonValue *count = v.find("count");
-    const JsonValue *sum = v.find("sum");
-    const JsonValue *mn = v.find("min");
-    const JsonValue *mx = v.find("max");
-    const JsonValue *buckets = v.find("buckets");
-    if (!count || !count->isNumber() || !sum || !sum->isNumber() ||
-        !mn || !mn->isNumber() || !mx || !mx->isNumber() ||
-        !buckets || !buckets->isArray())
-        return false;
-    for (std::size_t i = 0; i < buckets->size(); ++i) {
-        const JsonValue &b = buckets->at(i);
-        if (!b.isArray() || b.size() != 2 || !b.at(0).isNumber() ||
-            !b.at(1).isNumber())
-            return false;
-        restoreBucket(static_cast<i32>(b.at(0).asNumber()),
-                      static_cast<u64>(b.at(1).asNumber()));
+    for (const Bucket &b : img.buckets) {
+        buckets_[b.idx] += b.n;
+        count_ += b.n;
     }
-    if (count_ != static_cast<u64>(count->asNumber()))
+    if (count_ != img.count)
         return false;
-    if (count_ > 0)
-        restoreDigest(sum->asNumber(), mn->asNumber(),
-                      mx->asNumber());
+    if (count_ > 0) {
+        sum_ = img.sum;
+        min_ = img.min;
+        max_ = img.max;
+    }
     return true;
 }
 

@@ -34,14 +34,9 @@
 #define PLUTO_OBS_HISTOGRAM_HH
 
 #include <map>
-#include <string>
+#include <vector>
 
-#include "common/types.hh"
-
-namespace pluto
-{
-class JsonValue;
-}
+#include "common/codec.hh"
 
 namespace pluto::obs
 {
@@ -116,24 +111,31 @@ class Histogram
     /** @return exclusive upper bound of a regular bucket. */
     static double bucketHi(i32 idx);
 
-    /**
-     * Compact single-line JSON encoding, byte-stable (doubles via
-     * fmtDoubleExact):
-     * {"count":N,"sum":S,"min":m,"max":M,"buckets":[[idx,n],...]}
-     */
-    std::string encodeJson() const;
+    /** One (bucket index, sample count) pair of an Image. */
+    struct Bucket
+    {
+        i32 idx = 0;
+        u64 n = 0;
+    };
 
-    /** Decode encodeJson() output (replaces contents). @return false
-     *  on schema mismatch. */
-    bool decodeJson(const JsonValue &v);
+    /** Plain-field image of a histogram: what the cache codecs store
+     *  (see the fields() visitors below). */
+    struct Image
+    {
+        u64 count = 0;
+        double sum = 0.0;
+        double min = 0.0;
+        double max = 0.0;
+        /** Index-ascending. */
+        std::vector<Bucket> buckets;
+    };
 
-    // ---- Codec hooks (binary cache encodings) ----
+    /** @return the image of this histogram. */
+    Image image() const;
 
-    /** Restore the scalar digest of a non-empty histogram. */
-    void restoreDigest(double sum, double mn, double mx);
-
-    /** Restore one bucket (adds `n` to the total count). */
-    void restoreBucket(i32 idx, u64 n);
+    /** Replace the contents with `img`. @return false when the bucket
+     *  counts do not sum to `img.count` (a corrupt image). */
+    bool restore(const Image &img);
 
   private:
     std::map<i32, u64> buckets_;
@@ -142,6 +144,34 @@ class Histogram
     double min_ = 0.0;
     double max_ = 0.0;
 };
+
+/** Codec fields of a histogram bucket: a positional [idx, n] pair. */
+template <typename V, RecordOf<Histogram::Bucket> B>
+void
+fields(V &v, B &b)
+{
+    v("idx", b.idx);
+    v("n", b.n);
+}
+
+/**
+ * Codec fields of a histogram (common/codec.hh): the scalar digest,
+ * then the sparse buckets as [idx, n] pairs. Decoding rebuilds the
+ * histogram and rejects an image whose buckets do not sum to count.
+ */
+template <typename V, RecordOf<Histogram> H>
+void
+fields(V &v, H &h)
+{
+    Histogram::Image img = h.image();
+    v("count", img.count);
+    v("sum", img.sum);
+    v("min", img.min);
+    v("max", img.max);
+    v.tuples("buckets", img.buckets);
+    if constexpr (!std::is_const_v<H>)
+        v.check(h.restore(img));
+}
 
 } // namespace pluto::obs
 

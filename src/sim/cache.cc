@@ -1,6 +1,6 @@
 /**
  * @file
- * Batch-run cache codec (see cache.hh).
+ * Batch-run cache content key (see cache.hh).
  */
 
 #include "sim/cache.hh"
@@ -17,65 +17,6 @@ namespace
 constexpr u32 kRunSchema = 2;
 
 } // namespace
-
-std::string
-RunCacheCodec::encodeBody(const CachedRun &run)
-{
-    // Hand-formatted so doubles are written with full (%.17g)
-    // precision regardless of the pretty-printer's style.
-    std::string body = ",\"elements\":" + std::to_string(run.elements);
-    body += ",\"time_ns\":" + fmtDoubleExact(run.timeNs);
-    body += ",\"energy_pj\":" + fmtDoubleExact(run.energyPj);
-    body += ",\"host_ns\":" + fmtDoubleExact(run.hostNs);
-    body += std::string(",\"verified\":") +
-            (run.verified ? "true" : "false");
-    body += ",\"wall_ms\":" + fmtDoubleExact(run.wallMs);
-    return body;
-}
-
-bool
-RunCacheCodec::decode(const JsonValue &obj, CachedRun &run)
-{
-    const JsonValue *elements = obj.find("elements");
-    const JsonValue *timeNs = obj.find("time_ns");
-    const JsonValue *energyPj = obj.find("energy_pj");
-    const JsonValue *hostNs = obj.find("host_ns");
-    const JsonValue *verified = obj.find("verified");
-    const JsonValue *wallMs = obj.find("wall_ms");
-    if (!elements || !elements->isNumber() || !timeNs ||
-        !timeNs->isNumber() || !energyPj || !energyPj->isNumber() ||
-        !hostNs || !hostNs->isNumber() || !verified ||
-        !verified->isBool() || !wallMs || !wallMs->isNumber())
-        return false;
-    run.elements = static_cast<u64>(elements->asNumber());
-    run.timeNs = timeNs->asNumber();
-    run.energyPj = energyPj->asNumber();
-    run.hostNs = hostNs->asNumber();
-    run.verified = verified->asBool();
-    run.wallMs = wallMs->asNumber();
-    return true;
-}
-
-void
-RunCacheCodec::encodeBinary(const CachedRun &run,
-                            campaign::BinWriter &w)
-{
-    w.putU64(run.elements);
-    w.putF64(run.timeNs);
-    w.putF64(run.energyPj);
-    w.putF64(run.hostNs);
-    w.putBool(run.verified);
-    w.putF64(run.wallMs);
-}
-
-bool
-RunCacheCodec::decodeBinary(campaign::BinReader &r, CachedRun &run)
-{
-    return r.getU64(run.elements) && r.getF64(run.timeNs) &&
-           r.getF64(run.energyPj) && r.getF64(run.hostNs) &&
-           r.getBool(run.verified) && r.getF64(run.wallMs) &&
-           r.atEnd();
-}
 
 std::string
 RunCache::key(const runtime::DeviceConfig &cfg,

@@ -32,15 +32,23 @@ struct CachedRun
     double wallMs = 0.0;
 };
 
-/** Cache codec of batch-run outcomes (see campaign/cache.hh). */
+/** Codec fields of a CachedRun (see common/codec.hh). */
+template <typename V, RecordOf<CachedRun> R>
+void
+fields(V &v, R &run)
+{
+    v("elements", run.elements);
+    v("time_ns", run.timeNs);
+    v("energy_pj", run.energyPj);
+    v("host_ns", run.hostNs);
+    v("verified", run.verified);
+    v("wall_ms", run.wallMs);
+}
+
+/** Cache mode of batch-run outcomes (see campaign/cache.hh). */
 struct RunCacheCodec
 {
     static constexpr const char *kKind = "sim";
-    static std::string encodeBody(const CachedRun &run);
-    static bool decode(const JsonValue &obj, CachedRun &run);
-    static void encodeBinary(const CachedRun &run,
-                             campaign::BinWriter &w);
-    static bool decodeBinary(campaign::BinReader &r, CachedRun &run);
 };
 
 /** Append-only JSONL result cache for one scenario's batch runs. */

@@ -1,17 +1,20 @@
 /**
  * @file
- * Scenario-file parser (see config.hh).
+ * Scenario-file parser (see config.hh): the field tables, one generic
+ * section draft and one generic grid expansion.
  */
 
 #include "sim/config.hh"
 
-#include <cctype>
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 
+#include "common/digest.hh"
 #include "workloads/workload.hh"
 
 namespace pluto::sim
@@ -35,8 +38,10 @@ cleanLine(const std::string &raw)
     return s.substr(b, e - b + 1);
 }
 
+// ---- Value parsers ----
+
 bool
-parseU64(const std::string &s, u64 &out)
+parseValue(const std::string &s, u64 &out)
 {
     // Digits only: strtoull would silently wrap "-1" to ULLONG_MAX.
     if (s.empty() ||
@@ -52,17 +57,17 @@ parseU64(const std::string &s, u64 &out)
 }
 
 bool
-parseU32(const std::string &s, u32 &out)
+parseValue(const std::string &s, u32 &out)
 {
     u64 v = 0;
-    if (!parseU64(s, v) || v > 0xffffffffull)
+    if (!parseValue(s, v) || v > 0xffffffffull)
         return false;
     out = static_cast<u32>(v);
     return true;
 }
 
 bool
-parseDouble(const std::string &s, double &out)
+parseValue(const std::string &s, double &out)
 {
     if (s.empty())
         return false;
@@ -77,251 +82,438 @@ parseDouble(const std::string &s, double &out)
     return true;
 }
 
-bool
-parseBool(const std::string &s, bool &out)
+// ---- Value ranges (`number` fields) ----
+
+bool anyValue(double) { return true; }
+bool atLeastOne(double v) { return v >= 1.0; }
+bool positive(double v) { return v > 0.0; }
+bool nonNegative(double v) { return v >= 0.0; }
+bool unitInterval(double v) { return v >= 0.0 && v <= 1.0; }
+bool openUnitInterval(double v) { return v > 0.0 && v < 1.0; }
+bool oneOrFour(double v) { return v == 1.0 || v == 4.0; }
+
+// ---- Field factories ----
+
+template <typename M>
+struct MemberOf;
+
+template <typename C, typename T>
+struct MemberOf<T C::*>
 {
-    if (s == "on" || s == "true" || s == "1") {
-        out = true;
-        return true;
-    }
-    if (s == "off" || s == "false" || s == "0") {
-        out = false;
-        return true;
-    }
-    return false;
+    using Class = C;
+    using Type = T;
+};
+
+template <auto M>
+using ClassOf = typename MemberOf<decltype(M)>::Class;
+
+template <auto M>
+using TypeOf = typename MemberOf<decltype(M)>::Type;
+
+/** One accepted spelling of a named-value field. */
+template <typename T>
+struct Word
+{
+    const char *text;
+    T value;
+};
+
+/** @return the first spelling of `value` ("?" when it has none). */
+template <typename T, std::size_t N>
+const char *
+spelling(const Word<T> (&words)[N], T value)
+{
+    for (const auto &w : words)
+        if (w.value == value)
+            return w.text;
+    return "?";
 }
 
-/** Apply one [device]/[variant] key. @return error text or empty. */
-std::string
-applyDeviceKey(runtime::DeviceConfig &cfg, const std::string &key,
-               const std::string &value)
+/** Append the canonical text of a numeric or boolean value. */
+template <typename T>
+void
+writeValue(const T &v, std::string &out)
 {
-    if (key == "memory") {
-        if (value == "ddr4")
-            cfg.memory = dram::MemoryKind::Ddr4;
-        else if (value == "3ds" || value == "hmc3ds")
-            cfg.memory = dram::MemoryKind::Hmc3ds;
-        else
-            return "bad memory '" + value + "' (ddr4 | 3ds)";
-    } else if (key == "design") {
-        if (value == "bsa")
-            cfg.design = core::Design::Bsa;
-        else if (value == "gsa")
-            cfg.design = core::Design::Gsa;
-        else if (value == "gmc")
-            cfg.design = core::Design::Gmc;
-        else
-            return "bad design '" + value + "' (bsa | gsa | gmc)";
-    } else if (key == "salp") {
-        if (!parseU32(value, cfg.salp))
-            return "bad salp '" + value + "' (unsigned integer)";
-    } else if (key == "faw") {
-        // The negated form also rejects NaN, which strtod accepts.
-        if (!parseDouble(value, cfg.fawScale) ||
-            !(cfg.fawScale >= 0.0 && cfg.fawScale <= 1.0))
-            return "bad faw '" + value + "' (0..1)";
-    } else if (key == "refresh") {
-        if (!parseBool(value, cfg.modelRefresh))
-            return "bad refresh '" + value + "' (on | off)";
-    } else if (key == "load_method") {
-        if (value == "generate")
-            cfg.loadMethod = core::LutLoadMethod::FirstTimeGeneration;
-        else if (value == "memory")
-            cfg.loadMethod = core::LutLoadMethod::FromMemory;
-        else if (value == "storage")
-            cfg.loadMethod = core::LutLoadMethod::FromStorage;
-        else
-            return "bad load_method '" + value +
-                   "' (generate | memory | storage)";
-    } else {
-        return "unknown device key '" + key + "'";
-    }
-    return {};
+    if constexpr (std::is_same_v<T, bool>)
+        out += v ? '1' : '0';
+    else if constexpr (std::is_integral_v<T>)
+        out += std::to_string(v);
+    else
+        out += fmtDoubleExact(v);
 }
 
-/** Apply one [service] key. @return error text or empty. */
-std::string
-applyServiceKey(ServiceSpec &svc, const std::string &key,
-                const std::string &value)
+/** A free-text field. */
+template <auto M>
+constexpr Field<ClassOf<M>>
+text(const char *key, const char *hint)
 {
-    if (key == "mode") {
-        if (value == "open")
-            svc.closedLoop = false;
-        else if (value == "closed")
-            svc.closedLoop = true;
-        else
-            return "bad mode '" + value + "' (open | closed)";
-    } else if (key == "arrivals") {
-        if (value == "poisson")
-            svc.uniformArrivals = false;
-        else if (value == "uniform")
-            svc.uniformArrivals = true;
-        else
-            return "bad arrivals '" + value +
-                   "' (poisson | uniform)";
-    } else if (key == "rate") {
-        if (!parseDouble(value, svc.ratePerSec) ||
-            !(svc.ratePerSec > 0.0))
-            return "bad rate '" + value + "' (requests/s > 0)";
-    } else if (key == "duration_ms") {
-        if (!parseDouble(value, svc.durationMs) ||
-            !(svc.durationMs > 0.0))
-            return "bad duration_ms '" + value + "' (ms > 0)";
-    } else if (key == "clients") {
-        if (!parseU32(value, svc.clients) || svc.clients == 0)
-            return "bad clients '" + value + "' (integer >= 1)";
-    } else if (key == "think_ms") {
-        if (!parseDouble(value, svc.thinkMs) || !(svc.thinkMs >= 0.0))
-            return "bad think_ms '" + value + "' (ms >= 0)";
-    } else if (key == "policy") {
-        if (value == "immediate")
-            svc.policy = BatchPolicyKind::Immediate;
-        else if (value == "fixed")
-            svc.policy = BatchPolicyKind::FixedSize;
-        else if (value == "window")
-            svc.policy = BatchPolicyKind::TimeWindow;
-        else if (value == "adaptive")
-            svc.policy = BatchPolicyKind::Adaptive;
-        else
-            return "bad policy '" + value +
-                   "' (immediate | fixed | window | adaptive)";
-    } else if (key == "batch") {
-        if (!parseU32(value, svc.batch) || svc.batch == 0)
-            return "bad batch '" + value + "' (integer >= 1)";
-    } else if (key == "window_ms") {
-        if (!parseDouble(value, svc.windowMs) ||
-            !(svc.windowMs >= 0.0))
-            return "bad window_ms '" + value + "' (ms >= 0)";
-    } else if (key == "devices") {
-        if (!parseU32(value, svc.devices) || svc.devices == 0)
-            return "bad devices '" + value + "' (integer >= 1)";
-    } else if (key == "lanes") {
-        if (!parseU32(value, svc.lanes) || svc.lanes == 0)
-            return "bad lanes '" + value + "' (integer >= 1)";
-    } else if (key == "seed") {
-        if (!parseU64(value, svc.seed))
-            return "bad seed '" + value + "' (unsigned integer)";
-    } else if (key == "slo_ms") {
-        if (!parseDouble(value, svc.sloMs) || !(svc.sloMs >= 0.0))
-            return "bad slo_ms '" + value + "' (ms >= 0; 0 = off)";
-    } else if (key == "slo_target") {
-        if (!parseDouble(value, svc.sloTarget) ||
-            !(svc.sloTarget > 0.0 && svc.sloTarget < 1.0))
-            return "bad slo_target '" + value + "' (0 < q < 1)";
-    } else if (key == "tail_quantile") {
-        if (!parseDouble(value, svc.tailQuantile) ||
-            !(svc.tailQuantile > 0.0 && svc.tailQuantile < 1.0))
-            return "bad tail_quantile '" + value + "' (0 < q < 1)";
-    } else if (key == "tenant_skew") {
-        if (!parseDouble(value, svc.tenantSkew) ||
-            !(svc.tenantSkew >= 0.0))
-            return "bad tenant_skew '" + value +
-                   "' (Zipf exponent >= 0; 0 = uniform)";
-    } else if (key == "timeseries_ms") {
-        if (!parseDouble(value, svc.timeseriesMs) ||
-            !(svc.timeseriesMs > 0.0))
-            return "bad timeseries_ms '" + value + "' (ms > 0)";
-    } else if (key == "memo") {
-        if (value == "on")
-            svc.memo = MemoMode::On;
-        else if (value == "off")
-            svc.memo = MemoMode::Off;
-        else if (value == "verify")
-            svc.memo = MemoMode::Verify;
-        else
-            return "bad memo '" + value + "' (on | off | verify)";
-    } else {
-        return "unknown service key '" + key + "'";
-    }
-    return {};
+    using S = ClassOf<M>;
+    return {key, hint, 0,
+            [](S &s, const std::string &t) {
+                s.*M = t;
+                return true;
+            },
+            [](const S &s, std::string &out) { out += s.*M; }};
 }
 
-/** Apply one [nn] key. @return error text or empty. */
-std::string
-applyNnKey(NnSpec &nn, const std::string &key,
-           const std::string &value)
+/** A number field accepting the values `Ok` admits. */
+template <auto M, bool (*Ok)(double) = anyValue>
+constexpr Field<ClassOf<M>>
+number(const char *key, const char *hint, unsigned flags)
 {
-    if (key == "bits") {
-        if (!parseU32(value, nn.bits) ||
-            (nn.bits != 1 && nn.bits != 4))
-            return "bad bits '" + value + "' (1 | 4)";
-    } else if (key == "images") {
-        if (!parseU32(value, nn.images) || nn.images == 0)
-            return "bad images '" + value + "' (integer >= 1)";
-    } else if (key == "seed") {
-        if (!parseU64(value, nn.seed))
-            return "bad seed '" + value + "' (unsigned integer)";
-    } else {
-        return "unknown nn key '" + key + "'";
-    }
-    return {};
+    using S = ClassOf<M>;
+    return {key, hint, flags,
+            [](S &s, const std::string &t) {
+                TypeOf<M> v{};
+                if (!parseValue(t, v) || !Ok(static_cast<double>(v)))
+                    return false;
+                s.*M = v;
+                return true;
+            },
+            [](const S &s, std::string &out) { writeValue(s.*M, out); }};
 }
+
+/** A named-value field accepting the spellings in `Words`. */
+template <auto M, const auto &Words>
+constexpr Field<ClassOf<M>>
+oneOf(const char *key, const char *hint, unsigned flags)
+{
+    using S = ClassOf<M>;
+    return {key, hint, flags,
+            [](S &s, const std::string &t) {
+                for (const auto &w : Words)
+                    if (t == w.text) {
+                        s.*M = w.value;
+                        return true;
+                    }
+                return false;
+            },
+            [](const S &s, std::string &out) {
+                if constexpr (std::is_same_v<TypeOf<M>, bool>)
+                    writeValue(s.*M, out);
+                else
+                    out += spelling(Words, s.*M);
+            }};
+}
+
+// ---- Spellings ----
+
+using dram::MemoryKind;
+using runtime::DeviceConfig;
+
+constexpr Word<MemoryKind> kMemories[] = {
+    {"ddr4", MemoryKind::Ddr4},
+    {"3ds", MemoryKind::Hmc3ds},
+    {"hmc3ds", MemoryKind::Hmc3ds},
+};
+
+constexpr Word<core::Design> kDesigns[] = {
+    {"bsa", core::Design::Bsa},
+    {"gsa", core::Design::Gsa},
+    {"gmc", core::Design::Gmc},
+};
+
+constexpr Word<bool> kSwitch[] = {
+    {"on", true},   {"true", true},   {"1", true},
+    {"off", false}, {"false", false}, {"0", false},
+};
+
+constexpr Word<core::LutLoadMethod> kLoadMethods[] = {
+    {"generate", core::LutLoadMethod::FirstTimeGeneration},
+    {"memory", core::LutLoadMethod::FromMemory},
+    {"storage", core::LutLoadMethod::FromStorage},
+};
+
+constexpr Word<bool> kLoops[] = {{"open", false}, {"closed", true}};
+
+constexpr Word<bool> kArrivals[] = {{"poisson", false},
+                                    {"uniform", true}};
+
+constexpr Word<BatchPolicyKind> kPolicies[] = {
+    {"immediate", BatchPolicyKind::Immediate},
+    {"fixed", BatchPolicyKind::FixedSize},
+    {"window", BatchPolicyKind::TimeWindow},
+    {"adaptive", BatchPolicyKind::Adaptive},
+};
+
+constexpr Word<MemoMode> kMemoModes[] = {
+    {"on", MemoMode::On},
+    {"off", MemoMode::Off},
+    {"verify", MemoMode::Verify},
+};
+
+// ---- Field tables ----
+
+constexpr unsigned kGrid = kSweepable | kKeyed;
+
+constexpr Field<SimConfig> kScenarioFields[] = {
+    text<&SimConfig::name>("name", "string"),
+    text<&SimConfig::outDir>("out_dir", "path"),
+    number<&SimConfig::repeats, atLeastOne>("repeats", "integer >= 1", 0),
+};
+
+// Every device field is keyed through deviceDescriptor().
+constexpr Field<DeviceConfig> kDeviceFields[] = {
+    oneOf<&DeviceConfig::memory, kMemories>("memory", "ddr4 | 3ds", kGrid),
+    oneOf<&DeviceConfig::design, kDesigns>("design", "bsa | gsa | gmc",
+                                           kGrid),
+    number<&DeviceConfig::salp>("salp", "unsigned integer", kGrid),
+    number<&DeviceConfig::fawScale, unitInterval>("faw", "0..1", kGrid),
+    oneOf<&DeviceConfig::modelRefresh, kSwitch>("refresh", "on | off",
+                                                kGrid),
+    oneOf<&DeviceConfig::loadMethod, kLoadMethods>(
+        "load_method", "generate | memory | storage", kGrid),
+};
+
+// Keyed order is the order of a request class in the serve key.
+constexpr Field<WorkloadSpec> kWorkloadFields[] = {
+    number<&WorkloadSpec::elements, atLeastOne>("elements",
+                                                "integer >= 1", kGrid),
+    number<&WorkloadSpec::seed>("seed", "unsigned integer", kGrid),
+    number<&WorkloadSpec::repeats, atLeastOne>("repeats", "integer >= 1",
+                                               0),
+    number<&WorkloadSpec::tenant>("tenant", "unsigned integer", kKeyed),
+    number<&WorkloadSpec::weight, positive>("weight", "> 0", kKeyed),
+    number<&WorkloadSpec::sloMs, nonNegative>(
+        "slo_ms", "ms >= 0; 0 = service SLO", kKeyed),
+};
+
+// Keyed order is the serve key's; outcomes do not depend on `memo`.
+constexpr Field<ServiceSpec> kServiceFields[] = {
+    oneOf<&ServiceSpec::closedLoop, kLoops>("mode", "open | closed",
+                                            kGrid),
+    oneOf<&ServiceSpec::uniformArrivals, kArrivals>(
+        "arrivals", "poisson | uniform", kGrid),
+    number<&ServiceSpec::ratePerSec, positive>("rate",
+                                               "requests/s > 0", kGrid),
+    number<&ServiceSpec::durationMs, positive>("duration_ms", "ms > 0",
+                                               kGrid),
+    number<&ServiceSpec::clients, atLeastOne>("clients", "integer >= 1",
+                                              kGrid),
+    number<&ServiceSpec::thinkMs, nonNegative>("think_ms", "ms >= 0",
+                                               kGrid),
+    oneOf<&ServiceSpec::policy, kPolicies>(
+        "policy", "immediate | fixed | window | adaptive", kGrid),
+    number<&ServiceSpec::batch, atLeastOne>("batch", "integer >= 1",
+                                            kGrid),
+    number<&ServiceSpec::windowMs, nonNegative>("window_ms", "ms >= 0",
+                                                kGrid),
+    number<&ServiceSpec::devices, atLeastOne>("devices", "integer >= 1",
+                                              kGrid),
+    number<&ServiceSpec::lanes, atLeastOne>("lanes", "integer >= 1",
+                                            kGrid),
+    number<&ServiceSpec::seed>("seed", "unsigned integer", kGrid),
+    number<&ServiceSpec::sloMs, nonNegative>(
+        "slo_ms", "ms >= 0; 0 = off", kGrid),
+    number<&ServiceSpec::sloTarget, openUnitInterval>(
+        "slo_target", "0 < q < 1", kGrid),
+    number<&ServiceSpec::tailQuantile, openUnitInterval>(
+        "tail_quantile", "0 < q < 1", kGrid),
+    number<&ServiceSpec::timeseriesMs, positive>("timeseries_ms",
+                                                 "ms > 0", kGrid),
+    number<&ServiceSpec::tenantSkew, nonNegative>(
+        "tenant_skew", "Zipf exponent >= 0; 0 = uniform", kGrid),
+    oneOf<&ServiceSpec::memo, kMemoModes>("memo", "on | off | verify",
+                                          kSweepable),
+};
+
+constexpr Field<NnSpec> kNnFields[] = {
+    number<&NnSpec::bits, oneOrFour>("bits", "1 | 4", kGrid),
+    number<&NnSpec::images, atLeastOne>("images", "integer >= 1", kGrid),
+    number<&NnSpec::seed>("seed", "unsigned integer", kGrid),
+};
+
+// ---- Generic section draft and grid expansion ----
+
+/** What a section kind needs besides its field table. */
+template <typename S>
+struct SectionKind
+{
+    std::span<const Field<S>> fields;
+    /** Noun of key diagnostics ("unknown device key 'x'"). */
+    const char *keyNoun;
+    /** Noun of cell diagnostics ("duplicate variant 'x'"). */
+    const char *cellNoun;
+    /** Cells are named base/key=value/... and must be unique
+     *  (workload names are registry names instead). */
+    bool uniqueNames;
+};
 
 /** One `sweep KEY = v1, v2, ...` line, kept until expansion. */
+template <typename S>
 struct Sweep
 {
-    std::string key;
+    const Field<S> *field = nullptr;
     std::vector<std::string> values;
-    int lineno = 0;
 };
 
-/** A [variant] (or the implicit default) before grid expansion. */
-struct VariantDraft
+/** A section before grid expansion. */
+template <typename S>
+struct Draft
 {
     std::string name;
-    runtime::DeviceConfig config;
-    /** Keys plainly assigned in this section (override inherited
-     *  device-level sweeps). */
+    S spec;
+    /** Keys plainly assigned here (they override inherited
+     *  [device]-level sweeps). */
     std::vector<std::string> assigned;
-    std::vector<Sweep> sweeps;
+    std::vector<Sweep<S>> sweeps;
     int lineno = 0;
 };
-
-/** A [workload] section before grid expansion. */
-struct WorkloadDraft
-{
-    WorkloadSpec spec;
-    /** Keys plainly assigned in this section. */
-    std::vector<std::string> assigned;
-    std::vector<Sweep> sweeps;
-    int lineno = 0;
-};
-
-/** A [service] section before grid expansion. */
-struct ServiceDraft
-{
-    ServiceSpec spec;
-    std::vector<std::string> assigned;
-    std::vector<Sweep> sweeps;
-    int lineno = 0;
-};
-
-/** An [nn] section before grid expansion. */
-struct NnDraft
-{
-    NnSpec spec;
-    std::vector<std::string> assigned;
-    std::vector<Sweep> sweeps;
-    int lineno = 0;
-};
-
 
 bool
 contains(const std::vector<std::string> &v, const std::string &s)
 {
-    for (const auto &x : v)
-        if (x == s)
-            return true;
-    return false;
+    return std::find(v.begin(), v.end(), s) != v.end();
 }
 
+template <typename S>
 bool
-sweepsKey(const std::vector<Sweep> &sweeps, const std::string &key)
+swept(const Draft<S> &d, const Field<S> *f)
 {
-    for (const auto &s : sweeps)
-        if (s.key == key)
-            return true;
-    return false;
+    return std::any_of(d.sweeps.begin(), d.sweeps.end(),
+                       [f](const Sweep<S> &s) { return s.field == f; });
+}
+
+/** @return why `key` cannot be swept in a `kind` section. */
+template <typename S>
+std::string
+sweepRefusal(const SectionKind<S> &kind, const std::string &key,
+             bool declared)
+{
+    std::string allowed;
+    bool every = true;
+    for (const Field<S> &f : kind.fields) {
+        every = every && f.sweepable();
+        if (f.sweepable())
+            allowed += (allowed.empty() ? "" : " | ") + std::string(f.key);
+    }
+    if (allowed.empty())
+        return "sweep is not allowed in [" + std::string(kind.keyNoun) +
+               "]";
+    if (every && !declared)
+        return "unknown " + std::string(kind.keyNoun) + " key '" + key +
+               "'";
+    return "cannot sweep " + std::string(kind.keyNoun) + " key '" + key +
+           "' (" + allowed + ")";
+}
+
+/**
+ * Apply one `key = value` line (`sweep` null) or `sweep key = ...`
+ * line to draft `d`. @return error text or empty.
+ */
+template <typename S>
+std::string
+applyLine(const SectionKind<S> &kind, Draft<S> &d, const std::string &key,
+          const std::string &value, const std::vector<std::string> *sweep)
+{
+    const auto f = std::find_if(
+        kind.fields.begin(), kind.fields.end(),
+        [&](const Field<S> &x) { return key == x.key; });
+    const bool declared = f != kind.fields.end();
+    const auto bad = [&](const std::string &v) {
+        return "bad " + key + " '" + v + "' (" + f->hint + ")";
+    };
+    const std::string both =
+        "'" + key + "' is both set and swept in this section";
+
+    if (!sweep) {
+        if (!declared)
+            return "unknown " + std::string(kind.keyNoun) + " key '" +
+                   key + "'";
+        if (swept(d, &*f))
+            return both;
+        if (!f->parse(d.spec, value))
+            return bad(value);
+        if (!contains(d.assigned, key))
+            d.assigned.push_back(key);
+        return {};
+    }
+    if (!declared || !f->sweepable())
+        return sweepRefusal(kind, key, declared);
+    if (swept(d, &*f))
+        return "duplicate sweep key '" + key + "'";
+    if (contains(d.assigned, key))
+        return both;
+    // Validate every grid value now, so a bad cell fails with this
+    // line's number.
+    for (const auto &v : *sweep) {
+        S scratch = d.spec;
+        if (!f->parse(scratch, v))
+            return bad(v);
+    }
+    d.sweeps.push_back({&*f, *sweep});
+    return {};
+}
+
+/** @return a "line N: msg" diagnostic. */
+std::string
+atLine(int lineno, const std::string &msg)
+{
+    return "line " + std::to_string(lineno) + ": " + msg;
+}
+
+/**
+ * Expand draft `d` over `grid` (first-declared key varies slowest)
+ * and hand every cell to `emit(name, spec)`; `names` collects the
+ * cell names of this section kind. @return error text or empty.
+ */
+template <typename S, typename Emit>
+std::string
+expandGrid(const SectionKind<S> &kind, const Draft<S> &d,
+           const std::vector<Sweep<S>> &grid,
+           std::vector<std::string> &names, Emit emit)
+{
+    u64 combos = 1;
+    for (const auto &s : grid) {
+        if (s.values.size() > 4096 / combos)
+            return atLine(d.lineno, "sweep grid of " +
+                                        std::string(kind.cellNoun) +
+                                        " '" + d.name +
+                                        "' exceeds 4096 combinations");
+        combos *= s.values.size();
+    }
+    for (u64 c = 0; c < combos; ++c) {
+        S spec = d.spec;
+        std::string name = d.name;
+        u64 span = combos;
+        for (const auto &s : grid) {
+            span /= s.values.size();
+            const std::string &v = s.values[(c / span) % s.values.size()];
+            s.field->parse(spec, v); // validated when the line was read
+            if (kind.uniqueNames)
+                name.append("/").append(s.field->key).append("=").append(v);
+        }
+        if (kind.uniqueNames) {
+            if (contains(names, name))
+                return atLine(d.lineno, "duplicate " +
+                                            std::string(kind.cellNoun) +
+                                            " '" + name +
+                                            "' after grid expansion");
+            names.push_back(name);
+        }
+        emit(std::move(name), std::move(spec));
+    }
+    return {};
+}
+
+/** Expand every draft of a kind whose spec carries its own name. */
+template <typename S>
+std::string
+expandAll(const SectionKind<S> &kind, const std::vector<Draft<S>> &drafts,
+          std::vector<S> &out)
+{
+    std::vector<std::string> names;
+    for (const auto &d : drafts) {
+        const std::string err =
+            expandGrid(kind, d, d.sweeps, names,
+                       [&](std::string name, S spec) {
+                           spec.name = std::move(name);
+                           out.push_back(std::move(spec));
+                       });
+        if (!err.empty())
+            return err;
+    }
+    return {};
 }
 
 /**
@@ -350,67 +542,63 @@ splitSweepValues(const std::string &text,
     }
 }
 
-/** Apply one swept workload key. @return error text or empty. */
+/** Open draft `name` of `kind`. @return error text or empty. */
+template <typename S>
 std::string
-applyWorkloadSweepKey(WorkloadSpec &w, const std::string &key,
-                      const std::string &value)
+openDraft(const SectionKind<S> &kind, std::vector<Draft<S>> &drafts,
+          const std::string &name, const S &spec, int lineno)
 {
-    if (key == "elements") {
-        if (!parseU64(value, w.elements) || w.elements == 0)
-            return "bad elements '" + value + "' (integer >= 1)";
-    } else if (key == "seed") {
-        if (!parseU64(value, w.seed))
-            return "bad seed '" + value + "' (unsigned integer)";
-    } else {
-        return "cannot sweep workload key '" + key +
-               "' (elements | seed)";
-    }
+    if (kind.uniqueNames)
+        for (const auto &d : drafts)
+            if (d.name == name)
+                return "duplicate " + std::string(kind.cellNoun) +
+                       " '" + name + "'";
+    drafts.push_back({name, spec, {}, {}, lineno});
     return {};
-}
-
-/** Total combination count of a sweep list (0 on overflow). */
-u64
-gridSize(const std::vector<Sweep> &sweeps)
-{
-    u64 n = 1;
-    for (const auto &s : sweeps) {
-        if (s.values.size() > 4096 / n)
-            return 0;
-        n *= s.values.size();
-    }
-    return n;
 }
 
 } // namespace
 
+std::span<const Field<SimConfig>>
+scenarioFields()
+{
+    return kScenarioFields;
+}
+
+std::span<const Field<DeviceConfig>>
+deviceFields()
+{
+    return kDeviceFields;
+}
+
+std::span<const Field<WorkloadSpec>>
+workloadFields()
+{
+    return kWorkloadFields;
+}
+
+std::span<const Field<ServiceSpec>>
+serviceFields()
+{
+    return kServiceFields;
+}
+
+std::span<const Field<NnSpec>>
+nnFields()
+{
+    return kNnFields;
+}
+
 const char *
 batchPolicyName(BatchPolicyKind kind)
 {
-    switch (kind) {
-      case BatchPolicyKind::Immediate:
-        return "immediate";
-      case BatchPolicyKind::FixedSize:
-        return "fixed";
-      case BatchPolicyKind::TimeWindow:
-        return "window";
-      case BatchPolicyKind::Adaptive:
-        return "adaptive";
-    }
-    return "?";
+    return spelling(kPolicies, kind);
 }
 
 const char *
 memoModeName(MemoMode mode)
 {
-    switch (mode) {
-      case MemoMode::On:
-        return "on";
-      case MemoMode::Off:
-        return "off";
-      case MemoMode::Verify:
-        return "verify";
-    }
-    return "?";
+    return spelling(kMemoModes, mode);
 }
 
 u64
@@ -437,6 +625,16 @@ SimConfig::totalNnRuns() const
 std::optional<SimConfig>
 SimConfig::parse(const std::string &text, std::string &error)
 {
+    const SectionKind<SimConfig> scenarioKind{kScenarioFields, "scenario",
+                                              "scenario", false};
+    const SectionKind<DeviceConfig> deviceKind{kDeviceFields, "device",
+                                               "variant", true};
+    const SectionKind<WorkloadSpec> workloadKind{
+        kWorkloadFields, "workload", "workload", false};
+    const SectionKind<ServiceSpec> serviceKind{kServiceFields, "service",
+                                               "service", true};
+    const SectionKind<NnSpec> nnKind{kNnFields, "nn", "nn cell", true};
+
     enum class Section
     {
         None,
@@ -448,19 +646,17 @@ SimConfig::parse(const std::string &text, std::string &error)
         Nn,
     };
 
-    SimConfig cfg;
-    runtime::DeviceConfig defaults;
-    std::vector<std::string> defaultsAssigned;
-    std::vector<Sweep> deviceSweeps;
-    std::vector<VariantDraft> variants;
-    std::vector<WorkloadDraft> workloads;
-    std::vector<ServiceDraft> services;
-    std::vector<NnDraft> nnCells;
+    Draft<SimConfig> scenario;
+    Draft<DeviceConfig> device;
+    std::vector<Draft<DeviceConfig>> variants;
+    std::vector<Draft<WorkloadSpec>> workloads;
+    std::vector<Draft<ServiceSpec>> services;
+    std::vector<Draft<NnSpec>> nnCells;
     Section section = Section::None;
     int lineno = 0;
 
     const auto fail = [&](const std::string &msg) {
-        error = "line " + std::to_string(lineno) + ": " + msg;
+        error = atLine(lineno, msg);
         return std::nullopt;
     };
 
@@ -485,6 +681,7 @@ SimConfig::parse(const std::string &text, std::string &error)
                 if (b != std::string::npos)
                     arg = inner.substr(b);
             }
+            std::string err;
             if (head == "scenario") {
                 if (!arg.empty())
                     return fail("[scenario] takes no argument");
@@ -499,14 +696,8 @@ SimConfig::parse(const std::string &text, std::string &error)
             } else if (head == "variant") {
                 if (arg.empty())
                     return fail("[variant] needs a name");
-                for (const auto &v : variants)
-                    if (v.name == arg)
-                        return fail("duplicate variant '" + arg + "'");
-                VariantDraft v;
-                v.name = arg;
-                v.config = defaults;
-                v.lineno = lineno;
-                variants.push_back(std::move(v));
+                err = openDraft(deviceKind, variants, arg, device.spec,
+                                lineno);
                 section = Section::Variant;
             } else if (head == "workload") {
                 if (arg.empty())
@@ -516,34 +707,23 @@ SimConfig::parse(const std::string &text, std::string &error)
                                 "' (available: " +
                                 workloads::workloadNamesJoined() +
                                 ")");
-                WorkloadDraft w;
-                w.spec.name = arg;
-                w.lineno = lineno;
-                workloads.push_back(std::move(w));
+                err = openDraft(workloadKind, workloads, arg,
+                                WorkloadSpec{}, lineno);
                 section = Section::Workload;
             } else if (head == "service") {
-                ServiceDraft s;
-                s.spec.name = arg.empty() ? "service" : arg;
-                for (const auto &other : services)
-                    if (other.spec.name == s.spec.name)
-                        return fail("duplicate service '" +
-                                    s.spec.name + "'");
-                s.lineno = lineno;
-                services.push_back(std::move(s));
+                err = openDraft(serviceKind, services,
+                                arg.empty() ? "service" : arg,
+                                ServiceSpec{}, lineno);
                 section = Section::Service;
             } else if (head == "nn") {
-                NnDraft n;
-                n.spec.name = arg.empty() ? "nn" : arg;
-                for (const auto &other : nnCells)
-                    if (other.spec.name == n.spec.name)
-                        return fail("duplicate nn cell '" +
-                                    n.spec.name + "'");
-                n.lineno = lineno;
-                nnCells.push_back(std::move(n));
+                err = openDraft(nnKind, nnCells, arg.empty() ? "nn" : arg,
+                                NnSpec{}, lineno);
                 section = Section::Nn;
             } else {
                 return fail("unknown section [" + head + "]");
             }
+            if (!err.empty())
+                return fail(err);
             continue;
         }
 
@@ -558,209 +738,50 @@ SimConfig::parse(const std::string &text, std::string &error)
             return fail("empty value for '" + key + "'");
 
         // Grid lines: `sweep KEY = v1, v2, ...`.
-        bool isSweep = false;
         if (key == "sweep")
             return fail("sweep needs a key (sweep KEY = v1, v2, ...)");
-        if (key.rfind("sweep", 0) == 0 &&
-            (key[5] == ' ' || key[5] == '\t')) {
-            isSweep = true;
+        std::vector<std::string> grid;
+        const bool isSweep = key.rfind("sweep", 0) == 0 &&
+                             (key[5] == ' ' || key[5] == '\t');
+        if (isSweep) {
             key = cleanLine(key.substr(6));
             if (key.empty())
                 return fail(
                     "sweep needs a key (sweep KEY = v1, v2, ...)");
-        }
-        Sweep sweep;
-        if (isSweep) {
-            sweep.key = key;
-            sweep.lineno = lineno;
-            const std::string err =
-                splitSweepValues(value, sweep.values);
+            const std::string err = splitSweepValues(value, grid);
             if (!err.empty())
                 return fail(err);
         }
+        const std::vector<std::string> *sweep = isSweep ? &grid : nullptr;
 
+        std::string err;
         switch (section) {
           case Section::None:
             return fail("'" + key + "' outside any section");
           case Section::Scenario:
-            if (isSweep)
-                return fail("sweep is not allowed in [scenario]");
-            if (key == "name") {
-                cfg.name = value;
-            } else if (key == "out_dir") {
-                cfg.outDir = value;
-            } else if (key == "repeats") {
-                if (!parseU32(value, cfg.repeats) || cfg.repeats == 0)
-                    return fail("bad repeats '" + value +
-                                "' (integer >= 1)");
-            } else {
-                return fail("unknown scenario key '" + key + "'");
-            }
+            err = applyLine(scenarioKind, scenario, key, value, sweep);
             break;
           case Section::Device:
-          case Section::Variant: {
-            runtime::DeviceConfig &target =
-                section == Section::Device ? defaults
-                                           : variants.back().config;
-            std::vector<std::string> &assigned =
-                section == Section::Device
-                    ? defaultsAssigned
-                    : variants.back().assigned;
-            std::vector<Sweep> &sweeps =
-                section == Section::Device ? deviceSweeps
-                                           : variants.back().sweeps;
-            if (isSweep) {
-                if (sweepsKey(sweeps, key))
-                    return fail("duplicate sweep key '" + key + "'");
-                if (contains(assigned, key))
-                    return fail("'" + key +
-                                "' is both set and swept in this "
-                                "section");
-                // Validate every grid value against a scratch config
-                // so bad grid cells fail here, with this line number.
-                for (const auto &v : sweep.values) {
-                    runtime::DeviceConfig scratch = target;
-                    const std::string err =
-                        applyDeviceKey(scratch, key, v);
-                    if (!err.empty())
-                        return fail(err);
-                }
-                sweeps.push_back(std::move(sweep));
-            } else {
-                if (sweepsKey(sweeps, key))
-                    return fail("'" + key +
-                                "' is both set and swept in this "
-                                "section");
-                const std::string err =
-                    applyDeviceKey(target, key, value);
-                if (!err.empty())
-                    return fail(err);
-                if (!contains(assigned, key))
-                    assigned.push_back(key);
-            }
+            err = applyLine(deviceKind, device, key, value, sweep);
             break;
-          }
-          case Section::Workload: {
-            WorkloadDraft &w = workloads.back();
-            if (isSweep) {
-                if (sweepsKey(w.sweeps, key))
-                    return fail("duplicate sweep key '" + key + "'");
-                if (contains(w.assigned, key))
-                    return fail("'" + key +
-                                "' is both set and swept in this "
-                                "section");
-                for (const auto &v : sweep.values) {
-                    WorkloadSpec scratch = w.spec;
-                    const std::string err =
-                        applyWorkloadSweepKey(scratch, key, v);
-                    if (!err.empty())
-                        return fail(err);
-                }
-                w.sweeps.push_back(std::move(sweep));
-            } else if (key == "elements") {
-                if (sweepsKey(w.sweeps, key))
-                    return fail("'elements' is both set and swept in "
-                                "this section");
-                if (!parseU64(value, w.spec.elements) ||
-                    w.spec.elements == 0)
-                    return fail("bad elements '" + value +
-                                "' (integer >= 1)");
-                w.assigned.push_back(key);
-            } else if (key == "seed") {
-                if (sweepsKey(w.sweeps, key))
-                    return fail("'seed' is both set and swept in "
-                                "this section");
-                if (!parseU64(value, w.spec.seed))
-                    return fail("bad seed '" + value +
-                                "' (unsigned integer)");
-                w.assigned.push_back(key);
-            } else if (key == "repeats") {
-                if (!parseU32(value, w.spec.repeats) ||
-                    w.spec.repeats == 0)
-                    return fail("bad repeats '" + value +
-                                "' (integer >= 1)");
-            } else if (key == "tenant") {
-                if (!parseU32(value, w.spec.tenant))
-                    return fail("bad tenant '" + value +
-                                "' (unsigned integer)");
-            } else if (key == "weight") {
-                if (!parseDouble(value, w.spec.weight) ||
-                    !(w.spec.weight > 0.0))
-                    return fail("bad weight '" + value +
-                                "' (> 0)");
-            } else if (key == "slo_ms") {
-                if (!parseDouble(value, w.spec.sloMs) ||
-                    !(w.spec.sloMs >= 0.0))
-                    return fail("bad slo_ms '" + value +
-                                "' (ms >= 0; 0 = service SLO)");
-            } else {
-                return fail("unknown workload key '" + key + "'");
-            }
+          case Section::Variant:
+            err = applyLine(deviceKind, variants.back(), key, value,
+                            sweep);
             break;
-          }
-          case Section::Service: {
-            ServiceDraft &s = services.back();
-            if (isSweep) {
-                if (sweepsKey(s.sweeps, key))
-                    return fail("duplicate sweep key '" + key + "'");
-                if (contains(s.assigned, key))
-                    return fail("'" + key +
-                                "' is both set and swept in this "
-                                "section");
-                for (const auto &v : sweep.values) {
-                    ServiceSpec scratch = s.spec;
-                    const std::string err =
-                        applyServiceKey(scratch, key, v);
-                    if (!err.empty())
-                        return fail(err);
-                }
-                s.sweeps.push_back(std::move(sweep));
-            } else {
-                if (sweepsKey(s.sweeps, key))
-                    return fail("'" + key +
-                                "' is both set and swept in this "
-                                "section");
-                const std::string err =
-                    applyServiceKey(s.spec, key, value);
-                if (!err.empty())
-                    return fail(err);
-                if (!contains(s.assigned, key))
-                    s.assigned.push_back(key);
-            }
+          case Section::Workload:
+            err = applyLine(workloadKind, workloads.back(), key, value,
+                            sweep);
             break;
-          }
-          case Section::Nn: {
-            NnDraft &n = nnCells.back();
-            if (isSweep) {
-                if (sweepsKey(n.sweeps, key))
-                    return fail("duplicate sweep key '" + key + "'");
-                if (contains(n.assigned, key))
-                    return fail("'" + key +
-                                "' is both set and swept in this "
-                                "section");
-                for (const auto &v : sweep.values) {
-                    NnSpec scratch = n.spec;
-                    const std::string err =
-                        applyNnKey(scratch, key, v);
-                    if (!err.empty())
-                        return fail(err);
-                }
-                n.sweeps.push_back(std::move(sweep));
-            } else {
-                if (sweepsKey(n.sweeps, key))
-                    return fail("'" + key +
-                                "' is both set and swept in this "
-                                "section");
-                const std::string err =
-                    applyNnKey(n.spec, key, value);
-                if (!err.empty())
-                    return fail(err);
-                if (!contains(n.assigned, key))
-                    n.assigned.push_back(key);
-            }
+          case Section::Service:
+            err = applyLine(serviceKind, services.back(), key, value,
+                            sweep);
             break;
-          }
+          case Section::Nn:
+            err = applyLine(nnKind, nnCells.back(), key, value, sweep);
+            break;
         }
+        if (!err.empty())
+            return fail(err);
     }
 
     // [workload] sections feed batch and service mode; an nn-only
@@ -769,162 +790,36 @@ SimConfig::parse(const std::string &text, std::string &error)
         error = "scenario declares no [workload] or [nn] sections";
         return std::nullopt;
     }
-    if (variants.empty()) {
-        VariantDraft v;
-        v.name = "default";
-        v.config = defaults;
-        v.lineno = lineno;
-        variants.push_back(std::move(v));
-    }
+    if (variants.empty())
+        variants.push_back({"default", device.spec, {}, {}, lineno});
 
     // ---- Grid expansion ----
 
-    const auto failAt = [&](int at, const std::string &msg) {
-        error = "line " + std::to_string(at) + ": " + msg;
+    SimConfig cfg = scenario.spec;
+    std::vector<std::string> variantNames;
+    for (const auto &v : variants) {
+        // [device]-level sweeps are inherited unless the variant set
+        // or swept the key itself; variant sweeps follow, in order.
+        std::vector<Sweep<DeviceConfig>> grid;
+        for (const auto &s : device.sweeps)
+            if (!contains(v.assigned, s.field->key) && !swept(v, s.field))
+                grid.push_back(s);
+        grid.insert(grid.end(), v.sweeps.begin(), v.sweeps.end());
+        error = expandGrid(deviceKind, v, grid, variantNames,
+                           [&](std::string name, DeviceConfig c) {
+                               cfg.devices.push_back(
+                                   {std::move(name), std::move(c)});
+                           });
+        if (!error.empty())
+            return std::nullopt;
+    }
+    error = expandAll(workloadKind, workloads, cfg.workloads);
+    if (error.empty())
+        error = expandAll(serviceKind, services, cfg.services);
+    if (error.empty())
+        error = expandAll(nnKind, nnCells, cfg.nnCells);
+    if (!error.empty())
         return std::nullopt;
-    };
-
-    for (const auto &draft : variants) {
-        // Device-level sweeps are inherited unless the variant set or
-        // swept the key itself; variant sweeps follow, in order.
-        std::vector<Sweep> sweeps;
-        for (const auto &s : deviceSweeps)
-            if (!contains(draft.assigned, s.key) &&
-                !sweepsKey(draft.sweeps, s.key))
-                sweeps.push_back(s);
-        for (const auto &s : draft.sweeps)
-            sweeps.push_back(s);
-
-        const u64 combos = gridSize(sweeps);
-        if (combos == 0)
-            return failAt(draft.lineno,
-                          "sweep grid of variant '" + draft.name +
-                              "' exceeds 4096 combinations");
-        for (u64 c = 0; c < combos; ++c) {
-            DeviceSpec spec;
-            spec.name = draft.name;
-            spec.config = draft.config;
-            // Odometer: first-declared key varies slowest.
-            u64 rest = c;
-            for (std::size_t k = 0; k < sweeps.size(); ++k) {
-                u64 span = 1;
-                for (std::size_t j = k + 1; j < sweeps.size(); ++j)
-                    span *= sweeps[j].values.size();
-                const std::string &v =
-                    sweeps[k].values[(rest / span) %
-                                     sweeps[k].values.size()];
-                rest %= span;
-                const std::string err =
-                    applyDeviceKey(spec.config, sweeps[k].key, v);
-                if (!err.empty()) // validated above; belt and braces
-                    return failAt(sweeps[k].lineno, err);
-                spec.name += "/" + sweeps[k].key + "=" + v;
-            }
-            for (const auto &d : cfg.devices)
-                if (d.name == spec.name)
-                    return failAt(draft.lineno,
-                                  "duplicate variant '" + spec.name +
-                                      "' after grid expansion");
-            cfg.devices.push_back(std::move(spec));
-        }
-    }
-
-    for (const auto &draft : workloads) {
-        const u64 combos = gridSize(draft.sweeps);
-        if (combos == 0)
-            return failAt(draft.lineno,
-                          "sweep grid of workload '" +
-                              draft.spec.name +
-                              "' exceeds 4096 combinations");
-        for (u64 c = 0; c < combos; ++c) {
-            WorkloadSpec spec = draft.spec;
-            u64 rest = c;
-            for (std::size_t k = 0; k < draft.sweeps.size(); ++k) {
-                u64 span = 1;
-                for (std::size_t j = k + 1; j < draft.sweeps.size();
-                     ++j)
-                    span *= draft.sweeps[j].values.size();
-                const Sweep &s = draft.sweeps[k];
-                const std::string &v =
-                    s.values[(rest / span) % s.values.size()];
-                rest %= span;
-                const std::string err =
-                    applyWorkloadSweepKey(spec, s.key, v);
-                if (!err.empty())
-                    return failAt(s.lineno, err);
-            }
-            cfg.workloads.push_back(std::move(spec));
-        }
-    }
-
-    for (const auto &draft : services) {
-        const u64 combos = gridSize(draft.sweeps);
-        if (combos == 0)
-            return failAt(draft.lineno,
-                          "sweep grid of service '" +
-                              draft.spec.name +
-                              "' exceeds 4096 combinations");
-        for (u64 c = 0; c < combos; ++c) {
-            ServiceSpec spec = draft.spec;
-            u64 rest = c;
-            for (std::size_t k = 0; k < draft.sweeps.size(); ++k) {
-                u64 span = 1;
-                for (std::size_t j = k + 1; j < draft.sweeps.size();
-                     ++j)
-                    span *= draft.sweeps[j].values.size();
-                const Sweep &s = draft.sweeps[k];
-                const std::string &v =
-                    s.values[(rest / span) % s.values.size()];
-                rest %= span;
-                const std::string err =
-                    applyServiceKey(spec, s.key, v);
-                if (!err.empty())
-                    return failAt(s.lineno, err);
-                spec.name += "/" + s.key + "=" + v;
-            }
-            for (const auto &other : cfg.services)
-                if (other.name == spec.name)
-                    return failAt(draft.lineno,
-                                  "duplicate service '" + spec.name +
-                                      "' after grid expansion");
-            cfg.services.push_back(std::move(spec));
-        }
-    }
-
-    for (const auto &draft : nnCells) {
-        const u64 combos = gridSize(draft.sweeps);
-        if (combos == 0)
-            return failAt(draft.lineno,
-                          "sweep grid of nn cell '" +
-                              draft.spec.name +
-                              "' exceeds 4096 combinations");
-        for (u64 c = 0; c < combos; ++c) {
-            NnSpec spec = draft.spec;
-            u64 rest = c;
-            for (std::size_t k = 0; k < draft.sweeps.size(); ++k) {
-                u64 span = 1;
-                for (std::size_t j = k + 1; j < draft.sweeps.size();
-                     ++j)
-                    span *= draft.sweeps[j].values.size();
-                const Sweep &s = draft.sweeps[k];
-                const std::string &v =
-                    s.values[(rest / span) % s.values.size()];
-                rest %= span;
-                const std::string err = applyNnKey(spec, s.key, v);
-                if (!err.empty())
-                    return failAt(s.lineno, err);
-                spec.name += "/" + s.key + "=" + v;
-            }
-            for (const auto &other : cfg.nnCells)
-                if (other.name == spec.name)
-                    return failAt(draft.lineno,
-                                  "duplicate nn cell '" + spec.name +
-                                      "' after grid expansion");
-            cfg.nnCells.push_back(std::move(spec));
-        }
-    }
-
-    error.clear();
     return cfg;
 }
 

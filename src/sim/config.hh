@@ -1,57 +1,43 @@
 /**
  * @file
- * SimConfig: the scenario-file model of the batch simulation engine.
+ * SimConfig: the scenario-file model shared by every campaign mode.
  *
  * A scenario file is a small INI document describing one experiment
- * campaign: global settings, one or more device *variants* (each a
- * full pLUTo configuration: memory kind, design, SALP width, tFAW
- * scale, refresh modeling, LUT load method), and a list of workloads
- * with input sizes and repeat counts. The engine runs the cross
- * product variants x workloads x repeats.
- *
- * Grammar (line oriented; '#' and ';' start comments):
+ * campaign (line oriented; '#' and ';' start comments):
  *
  *   [scenario]            global settings (name, out_dir, repeats)
  *   [device]              defaults inherited by every variant
  *   [variant NAME]        one device configuration (overrides [device])
- *   [workload NAME]       one workload entry (NAME is a registry name)
+ *   [workload NAME]       one workload (NAME is a registry name); in
+ *                         --service mode also one request class
+ *   [service NAME]        one serving experiment (--service mode)
+ *   [nn NAME]             one quantized LeNet-5 cell (--nn mode)
  *
- * v2 adds parameter grids: inside [device] / [variant] sections any
- * device key may be swept, and inside [workload] sections `elements`
- * and `seed` may be swept:
+ * Inside a section, `KEY = VALUE` sets a key and `sweep KEY = v1, v2`
+ * sweeps it. Each section expands into the cross product of its sweep
+ * lists (declaration order, first key slowest); expanded variants,
+ * services and nn cells are named `base/key=value/...`. [device]-level
+ * sweeps are inherited by every variant that neither sets nor sweeps
+ * the same key itself. [workload] sections are required only when a
+ * mode that consumes them (batch, service) will run.
  *
- *   sweep KEY = v1, v2, v3
- *
- * v3 adds the service layer: [service NAME] sections describe
- * request-level serving experiments (open/closed-loop load, batching
- * policy, device pool size) executed by src/serve/ in `pluto_sim
- * --service` mode. Every service key is sweepable, so one file
- * expresses a saturation curve (`sweep rate = ...`). Workload
- * sections double as the request mix in service mode, weighted by
- * `weight` and attributed to `tenant`.
- *
- * v4 adds the NN campaign: [nn NAME] sections describe quantized
- * LeNet-5 inference cells (`bits`, `images`, `seed` — all sweepable)
- * executed by src/nn/ in `pluto_sim --nn` mode. A scenario may be
- * nn-only: [workload] sections are required only when a mode that
- * consumes them (batch, service) will run.
- *
- * Each section expands into the cross product of its sweep lists (in
- * declaration order, first key slowest), so one file expresses a
- * Figure-13-style campaign. Expanded variants are named
- * `base/key=value/...`; [device]-level sweeps are inherited by every
- * variant that neither sets nor sweeps the same key itself.
+ * Every key is declared once, in the field tables below: its INI
+ * name, the spec member it sets, the values it accepts (with the hint
+ * its diagnostic quotes), whether it may be swept and whether it is
+ * part of the cache content key of the cells it shapes. The parser,
+ * the grid expansion and the serve/nn cache keys all walk these
+ * tables.
  *
  * Parsing is total and non-fatal: malformed input (including bad
  * grid syntax, empty sweep lists and duplicate sweep keys) yields an
- * error message with a line number, never an exit, so config
- * mistakes in batch campaigns surface as clean diagnostics.
+ * error message with a line number, never an exit.
  */
 
 #ifndef PLUTO_SIM_CONFIG_HH
 #define PLUTO_SIM_CONFIG_HH
 
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -229,6 +215,67 @@ struct SimConfig
     static std::optional<SimConfig> load(const std::string &path,
                                          std::string &error);
 };
+
+// ---- Field tables: one declaration per INI key ----
+
+/** Flags of a declared field. */
+enum FieldFlags : unsigned
+{
+    /** Accepted in `sweep KEY = ...` lines. */
+    kSweepable = 1,
+    /** Part of the cache content key of the cells it shapes. */
+    kKeyed = 2,
+};
+
+/** One INI key of a section whose values land in spec type S. */
+template <typename S>
+struct Field
+{
+    /** INI key. */
+    const char *key;
+    /** Accepted values, as quoted by "bad KEY 'VALUE' (hint)". */
+    const char *hint;
+    /** FieldFlags. */
+    unsigned flags;
+    /** Parse `text` into the field of `spec`. @return false when
+     *  `text` is not an accepted value (`spec` is then unchanged). */
+    bool (*parse)(S &spec, const std::string &text);
+    /** Append the field's canonical text to `out`: bools as 0/1,
+     *  numbers exactly, named values by their first spelling. */
+    void (*write)(const S &spec, std::string &out);
+
+    bool sweepable() const { return flags & kSweepable; }
+    bool keyed() const { return flags & kKeyed; }
+};
+
+/** The field table of each section kind. */
+std::span<const Field<SimConfig>> scenarioFields();
+std::span<const Field<runtime::DeviceConfig>> deviceFields();
+std::span<const Field<WorkloadSpec>> workloadFields();
+std::span<const Field<ServiceSpec>> serviceFields();
+std::span<const Field<NnSpec>> nnFields();
+
+/**
+ * @return the canonical text of every keyed field of `spec`, in
+ * table order, joined by `sep`: the spec part of a cache content
+ * key, so a keyed field cannot be left out of it.
+ */
+template <typename S>
+std::string
+keyedFields(std::span<const Field<S>> table, const S &spec, char sep)
+{
+    std::string out;
+    bool first = true;
+    for (const Field<S> &f : table) {
+        if (!f.keyed())
+            continue;
+        if (!first)
+            out += sep;
+        first = false;
+        f.write(spec, out);
+    }
+    return out;
+}
 
 } // namespace pluto::sim
 

@@ -169,35 +169,22 @@ TEST(RunCampaign, CountsHitsAndZerosWallUnderDeterminism)
 
 // ---- JsonlCache format versioning ----
 
-/** Minimal outcome + codec for format tests. */
+/** Minimal outcome + cache mode for format tests. */
 struct TinyOutcome
 {
     double value = 0.0;
 };
 
+template <typename V, RecordOf<TinyOutcome> T>
+void
+fields(V &v, T &out)
+{
+    v("value", out.value);
+}
+
 struct TinyCodec
 {
     static constexpr const char *kKind = "tiny";
-    static std::string encodeBody(const TinyOutcome &out)
-    {
-        return ",\"value\":" + fmtDoubleExact(out.value);
-    }
-    static bool decode(const JsonValue &obj, TinyOutcome &out)
-    {
-        const JsonValue *v = obj.find("value");
-        if (!v || !v->isNumber())
-            return false;
-        out.value = v->asNumber();
-        return true;
-    }
-    static void encodeBinary(const TinyOutcome &out, BinWriter &w)
-    {
-        w.putF64(out.value);
-    }
-    static bool decodeBinary(BinReader &r, TinyOutcome &out)
-    {
-        return r.getF64(out.value) && r.atEnd();
-    }
 };
 
 using TinyCache = JsonlCache<TinyOutcome, TinyCodec>;

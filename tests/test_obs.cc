@@ -415,13 +415,16 @@ TEST(Histogram, JsonEncodingRoundTripsByteStably)
     h.addCount(1.0 / 3.0, 3);
     h.add(250.0);
     h.add(1e-4);
-    const std::string one = h.encodeJson();
+    // The members with the leading ',' turned into an object.
+    std::string one = jsonMembers(h);
+    one.front() = '{';
+    one += '}';
     std::string err;
     const auto doc = JsonValue::parse(one, err);
     ASSERT_TRUE(doc) << err << "\n" << one;
     Histogram back;
-    ASSERT_TRUE(back.decodeJson(*doc));
-    EXPECT_EQ(back.encodeJson(), one);
+    ASSERT_TRUE(fromJson(*doc, back));
+    EXPECT_EQ(jsonMembers(back), jsonMembers(h));
     EXPECT_EQ(back.buckets(), h.buckets());
     EXPECT_EQ(back.quantile(0.5), h.quantile(0.5));
 }

@@ -530,7 +530,7 @@ expectSameOutcome(const ServiceOutcome &a, const ServiceOutcome &b)
     EXPECT_EQ(a.tailThresholdMs, b.tailThresholdMs);
     EXPECT_EQ(a.tailRequests, b.tailRequests);
     EXPECT_EQ(a.seriesIntervalMs, b.seriesIntervalMs);
-    EXPECT_EQ(a.latHist.encodeJson(), b.latHist.encodeJson());
+    EXPECT_EQ(jsonMembers(a.latHist), jsonMembers(b.latHist));
     ASSERT_EQ(a.tail.size(), b.tail.size());
     for (std::size_t i = 0; i < a.tail.size(); ++i) {
         EXPECT_EQ(a.tail[i].tenant, b.tail[i].tenant);
@@ -630,7 +630,7 @@ constexpr sim::MemoMode kMemoModes[] = {
 std::string
 outcomeDigest(const ServiceOutcome &out)
 {
-    return fnv1aHex(ServiceCacheCodec::encodeBody(out));
+    return fnv1aHex(jsonMembers(out));
 }
 
 TEST(ServeSimulator, RerunsAreBitIdentical)
