@@ -32,16 +32,11 @@
  * direction produces a clear error naming the --cache-format value
  * to pass.
  *
- * Modes plug in through a Codec type naming the mode namespace — the
+ * Modes plug in through a Codec type whose `kKind` names the mode: the
  * cache filename infix AND the content-key prefix, so equal
- * descriptors from different modes can never collide in a shared
- * --cache-dir:
- *
- *   struct Codec { static constexpr const char *kKind = "..."; };
- *
- * The outcome type encodes itself: its ADL-visible fields() visitor
- * (common/codec.hh) drives both the JSONL body and the binary record,
- * so the two encodings cannot drift apart.
+ * descriptors from different modes never collide in a shared
+ * --cache-dir. The outcome's fields() visitor (common/codec.hh)
+ * drives both the JSONL body and the binary record.
  */
 
 #ifndef PLUTO_CAMPAIGN_CACHE_HH
@@ -52,7 +47,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <string_view>
 
 #include "common/codec.hh"
 

@@ -91,40 +91,14 @@ class JsonOut
     void operator()(const char *name, const T &x)
     {
         key(name);
-        if constexpr (std::is_same_v<T, bool>) {
-            out_ += x ? "true" : "false";
-        } else if constexpr (std::is_integral_v<T>) {
-            out_ += std::to_string(x);
-        } else if constexpr (std::is_floating_point_v<T>) {
-            out_ += fmtDoubleExact(x);
-        } else if constexpr (std::is_same_v<T, std::string>) {
-            out_ += '"';
-            for (const char c : x) {
-                if (c == '"' || c == '\\')
-                    out_ += '\\';
-                out_ += c;
-            }
-            out_ += '"';
-        } else if constexpr (std::is_array_v<T> || detail::kIsVector<T>) {
-            group(false, [&](JsonOut &s) {
-                for (const auto &e : x)
-                    s("", e);
-            });
-        } else {
-            group(true, [&](JsonOut &s) { fields(s, x); });
-        }
+        write(x, true);
     }
 
     template <typename R>
     void tuples(const char *name, const std::vector<R> &xs)
     {
         key(name);
-        group(false, [&](JsonOut &s) {
-            for (const R &r : xs) {
-                s.key("");
-                s.group(false, [&](JsonOut &t) { fields(t, r); });
-            }
-        });
+        write(xs, false);
     }
 
   private:
@@ -140,13 +114,32 @@ class JsonOut
         }
     }
 
-    template <typename F>
-    void group(bool named, F body)
+    /** Write `x`; records as objects (`named`) or as arrays. */
+    template <typename T>
+    void write(const T &x, bool named)
     {
-        out_ += named ? '{' : '[';
-        JsonOut sub(out_, true, named);
-        body(sub);
-        out_ += named ? '}' : ']';
+        if constexpr (std::is_same_v<T, bool>) {
+            out_ += x ? "true" : "false";
+        } else if constexpr (std::is_integral_v<T>) {
+            out_ += std::to_string(x);
+        } else if constexpr (std::is_floating_point_v<T>) {
+            out_ += fmtDoubleExact(x);
+        } else if constexpr (std::is_same_v<T, std::string>) {
+            out_ += '"' + jsonEscape(x) + '"';
+        } else {
+            const bool list = std::is_array_v<T> || detail::kIsVector<T>;
+            out_ += list || !named ? '[' : '{';
+            JsonOut sub(out_, true, !list && named);
+            if constexpr (std::is_array_v<T> || detail::kIsVector<T>) {
+                for (const auto &e : x) {
+                    sub.key("");
+                    sub.write(e, named);
+                }
+            } else {
+                fields(sub, x);
+            }
+            out_ += list || !named ? ']' : '}';
+        }
     }
 
     std::string &out_;
@@ -169,7 +162,29 @@ class JsonIn
     template <typename T>
     void operator()(const char *name, T &x)
     {
-        const JsonValue *j = next(name);
+        read(next(name), x, true);
+    }
+
+    template <typename R>
+    void tuples(const char *name, std::vector<R> &xs)
+    {
+        read(next(name), xs, false);
+    }
+
+  private:
+    const JsonValue *next(const char *name)
+    {
+        if (named_)
+            return v_.find(name);
+        return pos_ < v_.size() ? &v_.at(pos_++) : nullptr;
+    }
+
+    /** Read `j` into `x`; records from objects (`named`) or from
+     *  arrays whose elements they consume exactly. */
+    template <typename T>
+    void read(const JsonValue *j, T &x, bool named)
+    {
+        check(j != nullptr);
         if (!ok_)
             return;
         if constexpr (std::is_same_v<T, bool>) {
@@ -183,61 +198,27 @@ class JsonIn
         } else if constexpr (std::is_same_v<T, std::string>) {
             check(j->isString());
             x = j->asString();
-        } else if constexpr (std::is_array_v<T>) {
-            group(*j, false, std::extent_v<T>, [&](JsonIn &s) {
-                for (auto &e : x)
-                    s("", e);
-            });
-        } else if constexpr (detail::kIsVector<T>) {
-            group(*j, false, j->size(), [&](JsonIn &s) {
-                x.resize(j->size());
-                for (auto &r : x)
-                    s("", r);
-            });
         } else {
-            group(*j, true, 0, [&](JsonIn &s) { fields(s, x); });
-        }
-    }
-
-    template <typename R>
-    void tuples(const char *name, std::vector<R> &xs)
-    {
-        const JsonValue *j = next(name);
-        if (!ok_)
-            return;
-        group(*j, false, j->size(), [&](JsonIn &s) {
-            xs.resize(j->size());
-            for (R &r : xs) {
-                const JsonValue *e = s.next("");
-                if (s.ok_)
-                    s.group(*e, false, e->size(),
-                            [&](JsonIn &t) { fields(t, r); });
+            constexpr bool list = std::is_array_v<T> || detail::kIsVector<T>;
+            if constexpr (detail::kIsVector<T>)
+                x.resize(j->size());
+            std::size_t size = j->size();
+            if constexpr (std::is_array_v<T>)
+                size = std::extent_v<T>;
+            const bool object = !list && named;
+            check(object ? j->isObject()
+                         : j->isArray() && j->size() == size);
+            if (!ok_)
+                return;
+            JsonIn sub(*j, object);
+            if constexpr (list) {
+                for (auto &e : x)
+                    sub.read(sub.next(""), e, named);
+            } else {
+                fields(sub, x);
             }
-        });
-    }
-
-  private:
-    /** @return the next field's value; fails the decode when absent. */
-    const JsonValue *next(const char *name)
-    {
-        const JsonValue *j = named_                ? v_.find(name)
-                             : pos_ < v_.size() ? &v_.at(pos_++)
-                                                : nullptr;
-        check(j != nullptr);
-        return j;
-    }
-
-    /** Read `j` as an object (`named`) or as an array of exactly
-     *  `size` elements that `body` consumes completely. */
-    template <typename F>
-    void group(const JsonValue &j, bool named, std::size_t size, F body)
-    {
-        check(named ? j.isObject() : j.isArray() && j.size() == size);
-        if (!ok_)
-            return;
-        JsonIn sub(j, named);
-        body(sub);
-        check(sub.ok_ && (named || sub.pos_ == size));
+            check(sub.ok_ && (object || sub.pos_ == size));
+        }
     }
 
     const JsonValue &v_;
@@ -260,13 +241,11 @@ class BinOut
         } else if constexpr (std::is_same_v<T, std::string>) {
             (*this)("", static_cast<u32>(x.size()));
             bytes_ += x;
-        } else if constexpr (std::is_array_v<T>) {
+        } else if constexpr (std::is_array_v<T> || detail::kIsVector<T>) {
+            if constexpr (detail::kIsVector<T>)
+                (*this)("", static_cast<u32>(x.size()));
             for (const auto &e : x)
                 (*this)("", e);
-        } else if constexpr (detail::kIsVector<T>) {
-            (*this)("", static_cast<u32>(x.size()));
-            for (const auto &r : x)
-                fields(*this, r);
         } else {
             fields(*this, x);
         }

@@ -49,6 +49,19 @@ fmtDoubleExact(double v)
 }
 
 std::string
+jsonEscape(const std::string &s)
+{
+    std::string out;
+    out.reserve(s.size() + 2);
+    for (const char c : s) {
+        if (c == '"' || c == '\\')
+            out += '\\';
+        out += c;
+    }
+    return out;
+}
+
+std::string
 deviceDescriptor(const runtime::DeviceConfig &cfg)
 {
     std::ostringstream d;

@@ -29,6 +29,10 @@ std::string fnv1aHex(const std::string &descriptor);
 /** @return `v` formatted so it round-trips exactly (%.17g). */
 std::string fmtDoubleExact(double v);
 
+/** @return `s` with '"' and '\\' backslash-escaped: a JSON string
+ *  body for plain names and paths. */
+std::string jsonEscape(const std::string &s);
+
 /**
  * @return the canonical descriptor string of a device configuration:
  * every field that can change a simulated result, in a fixed order.

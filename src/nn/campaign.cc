@@ -86,7 +86,7 @@ NnCache::key(const runtime::DeviceConfig &cfg,
 {
     std::ostringstream d;
     d << 'v' << kNnSchema << '|' << deviceDescriptor(cfg) << '|'
-      << sim::keyedFields(sim::nnFields(), spec, '|');
+      << sim::keyedFields(sim::kNnFields, spec, '|');
     return keyFor(d.str());
 }
 

@@ -132,32 +132,4 @@ Histogram::rankBucket(double q) const
     return buckets_.rbegin()->first; // unreachable: counts sum to count_
 }
 
-Histogram::Image
-Histogram::image() const
-{
-    Image img{count_, sum(), min(), max(), {}};
-    img.buckets.reserve(buckets_.size());
-    for (const auto &[idx, n] : buckets_)
-        img.buckets.push_back({idx, n});
-    return img;
-}
-
-bool
-Histogram::restore(const Image &img)
-{
-    clear();
-    for (const Bucket &b : img.buckets) {
-        buckets_[b.idx] += b.n;
-        count_ += b.n;
-    }
-    if (count_ != img.count)
-        return false;
-    if (count_ > 0) {
-        sum_ = img.sum;
-        min_ = img.min;
-        max_ = img.max;
-    }
-    return true;
-}
-
 } // namespace pluto::obs

@@ -111,67 +111,62 @@ class Histogram
     /** @return exclusive upper bound of a regular bucket. */
     static double bucketHi(i32 idx);
 
-    /** One (bucket index, sample count) pair of an Image. */
+    /**
+     * Codec fields (common/codec.hh): the scalar digest, then the
+     * sparse buckets as positional [idx, n] pairs. Decoding rebuilds
+     * the histogram and rejects buckets that do not sum to count.
+     */
+    template <typename V, RecordOf<Histogram> H>
+    friend void
+    fields(V &v, H &h)
+    {
+        std::vector<Bucket> buckets;
+        for (const auto &[idx, n] : h.buckets_)
+            buckets.push_back({idx, n});
+        u64 count = h.count_;
+        double sum = h.sum(), mn = h.min(), mx = h.max();
+        v("count", count);
+        v("sum", sum);
+        v("min", mn);
+        v("max", mx);
+        v.tuples("buckets", buckets);
+        if constexpr (!std::is_const_v<H>) {
+            h.clear();
+            for (const Bucket &b : buckets) {
+                h.buckets_[b.idx] += b.n;
+                h.count_ += b.n;
+            }
+            v.check(h.count_ == count);
+            if (count > 0) {
+                h.sum_ = sum;
+                h.min_ = mn;
+                h.max_ = mx;
+            }
+        }
+    }
+
+  private:
+    /** One (bucket index, sample count) pair of the encoding. */
     struct Bucket
     {
         i32 idx = 0;
         u64 n = 0;
+
+        template <typename V, RecordOf<Bucket> B>
+        friend void
+        fields(V &v, B &b)
+        {
+            v("idx", b.idx);
+            v("n", b.n);
+        }
     };
 
-    /** Plain-field image of a histogram: what the cache codecs store
-     *  (see the fields() visitors below). */
-    struct Image
-    {
-        u64 count = 0;
-        double sum = 0.0;
-        double min = 0.0;
-        double max = 0.0;
-        /** Index-ascending. */
-        std::vector<Bucket> buckets;
-    };
-
-    /** @return the image of this histogram. */
-    Image image() const;
-
-    /** Replace the contents with `img`. @return false when the bucket
-     *  counts do not sum to `img.count` (a corrupt image). */
-    bool restore(const Image &img);
-
-  private:
     std::map<i32, u64> buckets_;
     u64 count_ = 0;
     double sum_ = 0.0;
     double min_ = 0.0;
     double max_ = 0.0;
 };
-
-/** Codec fields of a histogram bucket: a positional [idx, n] pair. */
-template <typename V, RecordOf<Histogram::Bucket> B>
-void
-fields(V &v, B &b)
-{
-    v("idx", b.idx);
-    v("n", b.n);
-}
-
-/**
- * Codec fields of a histogram (common/codec.hh): the scalar digest,
- * then the sparse buckets as [idx, n] pairs. Decoding rebuilds the
- * histogram and rejects an image whose buckets do not sum to count.
- */
-template <typename V, RecordOf<Histogram> H>
-void
-fields(V &v, H &h)
-{
-    Histogram::Image img = h.image();
-    v("count", img.count);
-    v("sum", img.sum);
-    v("min", img.min);
-    v("max", img.max);
-    v.tuples("buckets", img.buckets);
-    if constexpr (!std::is_const_v<H>)
-        v.check(h.restore(img));
-}
 
 } // namespace pluto::obs
 

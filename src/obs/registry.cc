@@ -34,20 +34,6 @@ pathify(const std::string &prefix, const std::string &name)
     return out;
 }
 
-/** JSON string escape (paths are plain, but stay correct anyway). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (const char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
-}
-
 /** One node of the rendered hierarchy. */
 struct Node
 {

@@ -33,7 +33,7 @@ ServiceCache::key(const runtime::DeviceConfig &cfg,
 {
     std::ostringstream d;
     d << 'v' << kServeSchema << '|' << deviceDescriptor(cfg) << '|'
-      << sim::keyedFields(sim::serviceFields(), svc, ',');
+      << sim::keyedFields(sim::kServiceFields, svc, ',');
     for (const auto &c : mix) {
         sim::WorkloadSpec w;
         w.elements = c.elements;
@@ -42,7 +42,7 @@ ServiceCache::key(const runtime::DeviceConfig &cfg,
         w.weight = c.weight;
         w.sloMs = c.sloMs;
         d << '|' << c.workload << ','
-          << sim::keyedFields(sim::workloadFields(), w, ',');
+          << sim::keyedFields(sim::kWorkloadFields, w, ',');
     }
     return keyFor(d.str());
 }

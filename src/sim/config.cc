@@ -11,6 +11,8 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
+#include <limits>
 #include <sstream>
 #include <type_traits>
 
@@ -38,51 +40,54 @@ cleanLine(const std::string &raw)
     return s.substr(b, e - b + 1);
 }
 
-// ---- Value parsers ----
-
+/** Parse a whole value: text verbatim, an unsigned decimal or a
+ *  finite double. */
+template <typename T>
 bool
-parseValue(const std::string &s, u64 &out)
+parseValue(const std::string &s, T &out)
 {
-    // Digits only: strtoull would silently wrap "-1" to ULLONG_MAX.
-    if (s.empty() ||
-        s.find_first_not_of("0123456789") != std::string::npos)
-        return false;
+    char *end = nullptr;
     errno = 0;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (end != s.c_str() + s.size() || errno == ERANGE)
-        return false;
-    out = v;
+    if constexpr (std::is_same_v<T, std::string>) {
+        out = s;
+    } else if constexpr (std::is_floating_point_v<T>) {
+        const double v = std::strtod(s.c_str(), &end);
+        // Non-finite values (strtod accepts "inf"/"nan") are never
+        // valid config inputs: an infinite rate or weight hangs the
+        // serving simulation instead of failing with a diagnostic.
+        if (s.empty() || end != s.c_str() + s.size() || !std::isfinite(v))
+            return false;
+        out = v;
+    } else {
+        // Digits only: strtoull would silently wrap "-1" to ULLONG_MAX.
+        if (s.empty() ||
+            s.find_first_not_of("0123456789") != std::string::npos)
+            return false;
+        const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
+        if (errno == ERANGE || v > std::numeric_limits<T>::max())
+            return false;
+        out = static_cast<T>(v);
+    }
     return true;
 }
 
-bool
-parseValue(const std::string &s, u32 &out)
+/** Append the canonical text of a value: bools as 0/1, integers in
+ *  decimal, doubles exactly, text verbatim. */
+template <typename T>
+void
+writeValue(const T &v, std::string &out)
 {
-    u64 v = 0;
-    if (!parseValue(s, v) || v > 0xffffffffull)
-        return false;
-    out = static_cast<u32>(v);
-    return true;
+    if constexpr (std::is_same_v<T, bool>)
+        out += v ? '1' : '0';
+    else if constexpr (std::is_integral_v<T>)
+        out += std::to_string(v);
+    else if constexpr (std::is_floating_point_v<T>)
+        out += fmtDoubleExact(v);
+    else
+        out += v;
 }
 
-bool
-parseValue(const std::string &s, double &out)
-{
-    if (s.empty())
-        return false;
-    char *end = nullptr;
-    const double v = std::strtod(s.c_str(), &end);
-    // Non-finite values (strtod accepts "inf"/"nan") are never valid
-    // config inputs: an infinite rate or weight hangs the serving
-    // simulation instead of failing with a diagnostic.
-    if (end != s.c_str() + s.size() || !std::isfinite(v))
-        return false;
-    out = v;
-    return true;
-}
-
-// ---- Value ranges (`number` fields) ----
+// ---- Number ranges (`value` fields) ----
 
 bool anyValue(double) { return true; }
 bool atLeastOne(double v) { return v >= 1.0; }
@@ -94,21 +99,17 @@ bool oneOrFour(double v) { return v == 1.0 || v == 4.0; }
 
 // ---- Field factories ----
 
-template <typename M>
-struct MemberOf;
+template <typename C, typename T>
+C classOf(T C::*);
 
 template <typename C, typename T>
-struct MemberOf<T C::*>
-{
-    using Class = C;
-    using Type = T;
-};
+T typeOf(T C::*);
 
 template <auto M>
-using ClassOf = typename MemberOf<decltype(M)>::Class;
+using ClassOf = decltype(classOf(M));
 
 template <auto M>
-using TypeOf = typename MemberOf<decltype(M)>::Type;
+using TypeOf = decltype(typeOf(M));
 
 /** One accepted spelling of a named-value field. */
 template <typename T>
@@ -129,45 +130,21 @@ spelling(const Word<T> (&words)[N], T value)
     return "?";
 }
 
-/** Append the canonical text of a numeric or boolean value. */
-template <typename T>
-void
-writeValue(const T &v, std::string &out)
-{
-    if constexpr (std::is_same_v<T, bool>)
-        out += v ? '1' : '0';
-    else if constexpr (std::is_integral_v<T>)
-        out += std::to_string(v);
-    else
-        out += fmtDoubleExact(v);
-}
-
-/** A free-text field. */
-template <auto M>
-constexpr Field<ClassOf<M>>
-text(const char *key, const char *hint)
-{
-    using S = ClassOf<M>;
-    return {key, hint, 0,
-            [](S &s, const std::string &t) {
-                s.*M = t;
-                return true;
-            },
-            [](const S &s, std::string &out) { out += s.*M; }};
-}
-
-/** A number field accepting the values `Ok` admits. */
+/** A text or number field; numbers must satisfy `Ok`. */
 template <auto M, bool (*Ok)(double) = anyValue>
 constexpr Field<ClassOf<M>>
-number(const char *key, const char *hint, unsigned flags)
+value(const char *key, const char *hint, unsigned flags)
 {
     using S = ClassOf<M>;
     return {key, hint, flags,
             [](S &s, const std::string &t) {
                 TypeOf<M> v{};
-                if (!parseValue(t, v) || !Ok(static_cast<double>(v)))
+                if (!parseValue(t, v))
                     return false;
-                s.*M = v;
+                if constexpr (std::is_arithmetic_v<TypeOf<M>>)
+                    if (!Ok(static_cast<double>(v)))
+                        return false;
+                s.*M = std::move(v);
                 return true;
             },
             [](const S &s, std::string &out) { writeValue(s.*M, out); }};
@@ -245,105 +222,78 @@ constexpr Word<MemoMode> kMemoModes[] = {
 // ---- Field tables ----
 
 constexpr unsigned kGrid = kSweepable | kKeyed;
+using Dev = DeviceConfig;
+using Work = WorkloadSpec;
+using Svc = ServiceSpec;
 
-constexpr Field<SimConfig> kScenarioFields[] = {
-    text<&SimConfig::name>("name", "string"),
-    text<&SimConfig::outDir>("out_dir", "path"),
-    number<&SimConfig::repeats, atLeastOne>("repeats", "integer >= 1", 0),
+constexpr Field<SimConfig> kScenarioTable[] = {
+    value<&SimConfig::name>("name", "string", 0),
+    value<&SimConfig::outDir>("out_dir", "path", 0),
+    value<&SimConfig::repeats, atLeastOne>("repeats", "integer >= 1", 0),
 };
 
 // Every device field is keyed through deviceDescriptor().
-constexpr Field<DeviceConfig> kDeviceFields[] = {
-    oneOf<&DeviceConfig::memory, kMemories>("memory", "ddr4 | 3ds", kGrid),
-    oneOf<&DeviceConfig::design, kDesigns>("design", "bsa | gsa | gmc",
-                                           kGrid),
-    number<&DeviceConfig::salp>("salp", "unsigned integer", kGrid),
-    number<&DeviceConfig::fawScale, unitInterval>("faw", "0..1", kGrid),
-    oneOf<&DeviceConfig::modelRefresh, kSwitch>("refresh", "on | off",
-                                                kGrid),
-    oneOf<&DeviceConfig::loadMethod, kLoadMethods>(
+constexpr Field<Dev> kDeviceTable[] = {
+    oneOf<&Dev::memory, kMemories>("memory", "ddr4 | 3ds", kGrid),
+    oneOf<&Dev::design, kDesigns>("design", "bsa | gsa | gmc", kGrid),
+    value<&Dev::salp>("salp", "unsigned integer", kGrid),
+    value<&Dev::fawScale, unitInterval>("faw", "0..1", kGrid),
+    oneOf<&Dev::modelRefresh, kSwitch>("refresh", "on | off", kGrid),
+    oneOf<&Dev::loadMethod, kLoadMethods>(
         "load_method", "generate | memory | storage", kGrid),
 };
 
 // Keyed order is the order of a request class in the serve key.
-constexpr Field<WorkloadSpec> kWorkloadFields[] = {
-    number<&WorkloadSpec::elements, atLeastOne>("elements",
-                                                "integer >= 1", kGrid),
-    number<&WorkloadSpec::seed>("seed", "unsigned integer", kGrid),
-    number<&WorkloadSpec::repeats, atLeastOne>("repeats", "integer >= 1",
-                                               0),
-    number<&WorkloadSpec::tenant>("tenant", "unsigned integer", kKeyed),
-    number<&WorkloadSpec::weight, positive>("weight", "> 0", kKeyed),
-    number<&WorkloadSpec::sloMs, nonNegative>(
-        "slo_ms", "ms >= 0; 0 = service SLO", kKeyed),
+constexpr Field<Work> kWorkloadTable[] = {
+    value<&Work::elements, atLeastOne>("elements", "integer >= 1", kGrid),
+    value<&Work::seed>("seed", "unsigned integer", kGrid),
+    value<&Work::repeats, atLeastOne>("repeats", "integer >= 1", 0),
+    value<&Work::tenant>("tenant", "unsigned integer", kKeyed),
+    value<&Work::weight, positive>("weight", "> 0", kKeyed),
+    value<&Work::sloMs, nonNegative>("slo_ms", "ms >= 0; 0 = service SLO",
+                                     kKeyed),
 };
 
 // Keyed order is the serve key's; outcomes do not depend on `memo`.
-constexpr Field<ServiceSpec> kServiceFields[] = {
-    oneOf<&ServiceSpec::closedLoop, kLoops>("mode", "open | closed",
-                                            kGrid),
-    oneOf<&ServiceSpec::uniformArrivals, kArrivals>(
-        "arrivals", "poisson | uniform", kGrid),
-    number<&ServiceSpec::ratePerSec, positive>("rate",
-                                               "requests/s > 0", kGrid),
-    number<&ServiceSpec::durationMs, positive>("duration_ms", "ms > 0",
-                                               kGrid),
-    number<&ServiceSpec::clients, atLeastOne>("clients", "integer >= 1",
-                                              kGrid),
-    number<&ServiceSpec::thinkMs, nonNegative>("think_ms", "ms >= 0",
-                                               kGrid),
-    oneOf<&ServiceSpec::policy, kPolicies>(
+constexpr Field<Svc> kServiceTable[] = {
+    oneOf<&Svc::closedLoop, kLoops>("mode", "open | closed", kGrid),
+    oneOf<&Svc::uniformArrivals, kArrivals>("arrivals",
+                                            "poisson | uniform", kGrid),
+    value<&Svc::ratePerSec, positive>("rate", "requests/s > 0", kGrid),
+    value<&Svc::durationMs, positive>("duration_ms", "ms > 0", kGrid),
+    value<&Svc::clients, atLeastOne>("clients", "integer >= 1", kGrid),
+    value<&Svc::thinkMs, nonNegative>("think_ms", "ms >= 0", kGrid),
+    oneOf<&Svc::policy, kPolicies>(
         "policy", "immediate | fixed | window | adaptive", kGrid),
-    number<&ServiceSpec::batch, atLeastOne>("batch", "integer >= 1",
-                                            kGrid),
-    number<&ServiceSpec::windowMs, nonNegative>("window_ms", "ms >= 0",
-                                                kGrid),
-    number<&ServiceSpec::devices, atLeastOne>("devices", "integer >= 1",
-                                              kGrid),
-    number<&ServiceSpec::lanes, atLeastOne>("lanes", "integer >= 1",
-                                            kGrid),
-    number<&ServiceSpec::seed>("seed", "unsigned integer", kGrid),
-    number<&ServiceSpec::sloMs, nonNegative>(
-        "slo_ms", "ms >= 0; 0 = off", kGrid),
-    number<&ServiceSpec::sloTarget, openUnitInterval>(
-        "slo_target", "0 < q < 1", kGrid),
-    number<&ServiceSpec::tailQuantile, openUnitInterval>(
-        "tail_quantile", "0 < q < 1", kGrid),
-    number<&ServiceSpec::timeseriesMs, positive>("timeseries_ms",
-                                                 "ms > 0", kGrid),
-    number<&ServiceSpec::tenantSkew, nonNegative>(
+    value<&Svc::batch, atLeastOne>("batch", "integer >= 1", kGrid),
+    value<&Svc::windowMs, nonNegative>("window_ms", "ms >= 0", kGrid),
+    value<&Svc::devices, atLeastOne>("devices", "integer >= 1", kGrid),
+    value<&Svc::lanes, atLeastOne>("lanes", "integer >= 1", kGrid),
+    value<&Svc::seed>("seed", "unsigned integer", kGrid),
+    value<&Svc::sloMs, nonNegative>("slo_ms", "ms >= 0; 0 = off", kGrid),
+    value<&Svc::sloTarget, openUnitInterval>("slo_target", "0 < q < 1",
+                                             kGrid),
+    value<&Svc::tailQuantile, openUnitInterval>("tail_quantile",
+                                                "0 < q < 1", kGrid),
+    value<&Svc::timeseriesMs, positive>("timeseries_ms", "ms > 0", kGrid),
+    value<&Svc::tenantSkew, nonNegative>(
         "tenant_skew", "Zipf exponent >= 0; 0 = uniform", kGrid),
-    oneOf<&ServiceSpec::memo, kMemoModes>("memo", "on | off | verify",
-                                          kSweepable),
+    oneOf<&Svc::memo, kMemoModes>("memo", "on | off | verify", kSweepable),
 };
 
-constexpr Field<NnSpec> kNnFields[] = {
-    number<&NnSpec::bits, oneOrFour>("bits", "1 | 4", kGrid),
-    number<&NnSpec::images, atLeastOne>("images", "integer >= 1", kGrid),
-    number<&NnSpec::seed>("seed", "unsigned integer", kGrid),
+constexpr Field<NnSpec> kNnTable[] = {
+    value<&NnSpec::bits, oneOrFour>("bits", "1 | 4", kGrid),
+    value<&NnSpec::images, atLeastOne>("images", "integer >= 1", kGrid),
+    value<&NnSpec::seed>("seed", "unsigned integer", kGrid),
 };
 
 // ---- Generic section draft and grid expansion ----
-
-/** What a section kind needs besides its field table. */
-template <typename S>
-struct SectionKind
-{
-    std::span<const Field<S>> fields;
-    /** Noun of key diagnostics ("unknown device key 'x'"). */
-    const char *keyNoun;
-    /** Noun of cell diagnostics ("duplicate variant 'x'"). */
-    const char *cellNoun;
-    /** Cells are named base/key=value/... and must be unique
-     *  (workload names are registry names instead). */
-    bool uniqueNames;
-};
 
 /** One `sweep KEY = v1, v2, ...` line, kept until expansion. */
 template <typename S>
 struct Sweep
 {
-    const Field<S> *field = nullptr;
+    const Field<S> *field;
     std::vector<std::string> values;
 };
 
@@ -360,6 +310,21 @@ struct Draft
     int lineno = 0;
 };
 
+/** A section kind: its field table, diagnostic nouns and drafts. */
+template <typename S>
+struct Section
+{
+    std::span<const Field<S>> fields;
+    /** Noun of key diagnostics ("unknown device key 'x'"). */
+    const char *keyNoun;
+    /** Noun of cell diagnostics ("duplicate variant 'x'"). */
+    const char *cellNoun;
+    /** Cells are named base/key=value/... and must be unique
+     *  (workload names are registry names instead). */
+    bool uniqueNames;
+    std::vector<Draft<S>> drafts = {};
+};
+
 bool
 contains(const std::vector<std::string> &v, const std::string &s)
 {
@@ -374,52 +339,42 @@ swept(const Draft<S> &d, const Field<S> *f)
                        [f](const Sweep<S> &s) { return s.field == f; });
 }
 
-/** @return why `key` cannot be swept in a `kind` section. */
+/** Open draft `name` of `sec`. @return error text or empty. */
 template <typename S>
 std::string
-sweepRefusal(const SectionKind<S> &kind, const std::string &key,
-             bool declared)
+openDraft(Section<S> &sec, const std::string &name, const S &spec,
+          int lineno)
 {
-    std::string allowed;
-    bool every = true;
-    for (const Field<S> &f : kind.fields) {
-        every = every && f.sweepable();
-        if (f.sweepable())
-            allowed += (allowed.empty() ? "" : " | ") + std::string(f.key);
-    }
-    if (allowed.empty())
-        return "sweep is not allowed in [" + std::string(kind.keyNoun) +
-               "]";
-    if (every && !declared)
-        return "unknown " + std::string(kind.keyNoun) + " key '" + key +
-               "'";
-    return "cannot sweep " + std::string(kind.keyNoun) + " key '" + key +
-           "' (" + allowed + ")";
+    for (const auto &d : sec.drafts)
+        if (sec.uniqueNames && d.name == name)
+            return "duplicate " + std::string(sec.cellNoun) + " '" +
+                   name + "'";
+    sec.drafts.push_back({name, spec, {}, {}, lineno});
+    return {};
 }
 
 /**
  * Apply one `key = value` line (`sweep` null) or `sweep key = ...`
- * line to draft `d`. @return error text or empty.
+ * line to draft `d` of `sec`. @return error text or empty.
  */
 template <typename S>
 std::string
-applyLine(const SectionKind<S> &kind, Draft<S> &d, const std::string &key,
+applyLine(const Section<S> &sec, Draft<S> &d, const std::string &key,
           const std::string &value, const std::vector<std::string> *sweep)
 {
-    const auto f = std::find_if(
-        kind.fields.begin(), kind.fields.end(),
-        [&](const Field<S> &x) { return key == x.key; });
-    const bool declared = f != kind.fields.end();
+    const std::string noun = sec.keyNoun;
+    const auto f =
+        std::find_if(sec.fields.begin(), sec.fields.end(),
+                     [&](const Field<S> &x) { return key == x.key; });
+    const bool declared = f != sec.fields.end();
     const auto bad = [&](const std::string &v) {
         return "bad " + key + " '" + v + "' (" + f->hint + ")";
     };
     const std::string both =
         "'" + key + "' is both set and swept in this section";
-
     if (!sweep) {
         if (!declared)
-            return "unknown " + std::string(kind.keyNoun) + " key '" +
-                   key + "'";
+            return "unknown " + noun + " key '" + key + "'";
         if (swept(d, &*f))
             return both;
         if (!f->parse(d.spec, value))
@@ -428,8 +383,21 @@ applyLine(const SectionKind<S> &kind, Draft<S> &d, const std::string &key,
             d.assigned.push_back(key);
         return {};
     }
-    if (!declared || !f->sweepable())
-        return sweepRefusal(kind, key, declared);
+    if (!declared || !f->sweepable()) {
+        std::string allowed;
+        for (const Field<S> &x : sec.fields)
+            if (x.sweepable())
+                allowed += (allowed.empty() ? "" : " | ") + std::string(x.key);
+        if (allowed.empty())
+            return "sweep is not allowed in [" + noun + "]";
+        const bool every = std::all_of(
+            sec.fields.begin(), sec.fields.end(),
+            [](const Field<S> &x) { return x.sweepable(); });
+        if (every)
+            return "unknown " + noun + " key '" + key + "'";
+        return "cannot sweep " + noun + " key '" + key + "' (" +
+               allowed + ")";
+    }
     if (swept(d, &*f))
         return "duplicate sweep key '" + key + "'";
     if (contains(d.assigned, key))
@@ -453,22 +421,22 @@ atLine(int lineno, const std::string &msg)
 }
 
 /**
- * Expand draft `d` over `grid` (first-declared key varies slowest)
- * and hand every cell to `emit(name, spec)`; `names` collects the
- * cell names of this section kind. @return error text or empty.
+ * Expand draft `d` of `sec` over `grid` (first-declared key varies
+ * slowest) and hand every cell to `emit(name, spec)`; `names`
+ * collects the cell names of the section kind. @return a "line N:"
+ * error or empty.
  */
 template <typename S, typename Emit>
 std::string
-expandGrid(const SectionKind<S> &kind, const Draft<S> &d,
+expandGrid(const Section<S> &sec, const Draft<S> &d,
            const std::vector<Sweep<S>> &grid,
            std::vector<std::string> &names, Emit emit)
 {
+    const std::string cell = std::string(sec.cellNoun) + " '";
     u64 combos = 1;
     for (const auto &s : grid) {
         if (s.values.size() > 4096 / combos)
-            return atLine(d.lineno, "sweep grid of " +
-                                        std::string(kind.cellNoun) +
-                                        " '" + d.name +
+            return atLine(d.lineno, "sweep grid of " + cell + d.name +
                                         "' exceeds 4096 combinations");
         combos *= s.values.size();
     }
@@ -480,40 +448,33 @@ expandGrid(const SectionKind<S> &kind, const Draft<S> &d,
             span /= s.values.size();
             const std::string &v = s.values[(c / span) % s.values.size()];
             s.field->parse(spec, v); // validated when the line was read
-            if (kind.uniqueNames)
+            if (sec.uniqueNames)
                 name.append("/").append(s.field->key).append("=").append(v);
         }
-        if (kind.uniqueNames) {
-            if (contains(names, name))
-                return atLine(d.lineno, "duplicate " +
-                                            std::string(kind.cellNoun) +
-                                            " '" + name +
-                                            "' after grid expansion");
-            names.push_back(name);
-        }
+        if (sec.uniqueNames && contains(names, name))
+            return atLine(d.lineno, "duplicate " + cell + name +
+                                        "' after grid expansion");
+        names.push_back(name);
         emit(std::move(name), std::move(spec));
     }
     return {};
 }
 
-/** Expand every draft of a kind whose spec carries its own name. */
+/** Expand every draft of a section whose spec carries its name. */
 template <typename S>
 std::string
-expandAll(const SectionKind<S> &kind, const std::vector<Draft<S>> &drafts,
-          std::vector<S> &out)
+expandAll(const Section<S> &sec, std::vector<S> &out)
 {
     std::vector<std::string> names;
-    for (const auto &d : drafts) {
-        const std::string err =
-            expandGrid(kind, d, d.sweeps, names,
-                       [&](std::string name, S spec) {
-                           spec.name = std::move(name);
-                           out.push_back(std::move(spec));
-                       });
-        if (!err.empty())
-            return err;
-    }
-    return {};
+    std::string err;
+    for (const auto &d : sec.drafts)
+        if (err.empty())
+            err = expandGrid(sec, d, d.sweeps, names,
+                             [&](std::string name, S spec) {
+                                 spec.name = std::move(name);
+                                 out.push_back(std::move(spec));
+                             });
+    return err;
 }
 
 /**
@@ -527,67 +488,24 @@ splitSweepValues(const std::string &text,
     std::size_t start = 0;
     while (true) {
         const auto comma = text.find(',', start);
-        const std::string raw =
-            text.substr(start, comma == std::string::npos
-                                   ? std::string::npos
-                                   : comma - start);
+        const std::string raw = text.substr(start, comma - start);
         const auto b = raw.find_first_not_of(" \t");
         if (b == std::string::npos)
             return "empty value in sweep list";
-        const auto e = raw.find_last_not_of(" \t");
-        out.push_back(raw.substr(b, e - b + 1));
+        out.push_back(raw.substr(b, raw.find_last_not_of(" \t") - b + 1));
         if (comma == std::string::npos)
             return {};
         start = comma + 1;
     }
 }
 
-/** Open draft `name` of `kind`. @return error text or empty. */
-template <typename S>
-std::string
-openDraft(const SectionKind<S> &kind, std::vector<Draft<S>> &drafts,
-          const std::string &name, const S &spec, int lineno)
-{
-    if (kind.uniqueNames)
-        for (const auto &d : drafts)
-            if (d.name == name)
-                return "duplicate " + std::string(kind.cellNoun) +
-                       " '" + name + "'";
-    drafts.push_back({name, spec, {}, {}, lineno});
-    return {};
-}
-
 } // namespace
 
-std::span<const Field<SimConfig>>
-scenarioFields()
-{
-    return kScenarioFields;
-}
-
-std::span<const Field<DeviceConfig>>
-deviceFields()
-{
-    return kDeviceFields;
-}
-
-std::span<const Field<WorkloadSpec>>
-workloadFields()
-{
-    return kWorkloadFields;
-}
-
-std::span<const Field<ServiceSpec>>
-serviceFields()
-{
-    return kServiceFields;
-}
-
-std::span<const Field<NnSpec>>
-nnFields()
-{
-    return kNnFields;
-}
+const std::span<const Field<SimConfig>> kScenarioFields = kScenarioTable;
+const std::span<const Field<Dev>> kDeviceFields = kDeviceTable;
+const std::span<const Field<Work>> kWorkloadFields = kWorkloadTable;
+const std::span<const Field<Svc>> kServiceFields = kServiceTable;
+const std::span<const Field<NnSpec>> kNnFields = kNnTable;
 
 const char *
 batchPolicyName(BatchPolicyKind kind)
@@ -625,36 +543,26 @@ SimConfig::totalNnRuns() const
 std::optional<SimConfig>
 SimConfig::parse(const std::string &text, std::string &error)
 {
-    const SectionKind<SimConfig> scenarioKind{kScenarioFields, "scenario",
-                                              "scenario", false};
-    const SectionKind<DeviceConfig> deviceKind{kDeviceFields, "device",
-                                               "variant", true};
-    const SectionKind<WorkloadSpec> workloadKind{
-        kWorkloadFields, "workload", "workload", false};
-    const SectionKind<ServiceSpec> serviceKind{kServiceFields, "service",
-                                               "service", true};
-    const SectionKind<NnSpec> nnKind{kNnFields, "nn", "nn cell", true};
+    Section<SimConfig> scenario{kScenarioFields, "scenario", "", false};
+    Section<Dev> device{kDeviceFields, "device", "variant", true};
+    Section<Dev> variants = device;
+    Section<Work> workloads{kWorkloadFields, "workload", "workload", false};
+    Section<Svc> services{kServiceFields, "service", "service", true};
+    Section<NnSpec> nnCells{kNnFields, "nn", "nn cell", true};
+    // [scenario] and [device] are single drafts, however often opened.
+    scenario.drafts.emplace_back();
+    device.drafts.emplace_back();
 
-    enum class Section
-    {
-        None,
-        Scenario,
-        Device,
-        Variant,
-        Workload,
-        Service,
-        Nn,
+    // Applies one line to the current section's newest draft.
+    std::function<std::string(const std::string &, const std::string &,
+                              const std::vector<std::string> *)>
+        apply;
+    const auto into = [&apply](auto &sec) {
+        apply = [&sec](const auto &...line) {
+            return applyLine(sec, sec.drafts.back(), line...);
+        };
     };
-
-    Draft<SimConfig> scenario;
-    Draft<DeviceConfig> device;
-    std::vector<Draft<DeviceConfig>> variants;
-    std::vector<Draft<WorkloadSpec>> workloads;
-    std::vector<Draft<ServiceSpec>> services;
-    std::vector<Draft<NnSpec>> nnCells;
-    Section section = Section::None;
     int lineno = 0;
-
     const auto fail = [&](const std::string &msg) {
         error = atLine(lineno, msg);
         return std::nullopt;
@@ -673,52 +581,42 @@ SimConfig::parse(const std::string &text, std::string &error)
                 return fail("unterminated section header");
             const std::string inner = line.substr(1, line.size() - 2);
             const auto sp = inner.find_first_of(" \t");
-            const std::string head =
-                sp == std::string::npos ? inner : inner.substr(0, sp);
-            std::string arg;
-            if (sp != std::string::npos) {
-                const auto b = inner.find_first_not_of(" \t", sp);
-                if (b != std::string::npos)
-                    arg = inner.substr(b);
-            }
+            const std::string head = inner.substr(0, sp);
+            const auto b = inner.find_first_not_of(" \t", sp);
+            const std::string arg =
+                b == std::string::npos ? "" : inner.substr(b);
             std::string err;
+            if ((head == "scenario" || head == "device") && !arg.empty())
+                return fail("[" + head + "] takes no argument");
+            if ((head == "variant" || head == "workload") && arg.empty())
+                return fail("[" + head + "] needs a name");
             if (head == "scenario") {
-                if (!arg.empty())
-                    return fail("[scenario] takes no argument");
-                section = Section::Scenario;
+                into(scenario);
             } else if (head == "device") {
-                if (!arg.empty())
-                    return fail("[device] takes no argument");
-                if (!variants.empty())
+                if (!variants.drafts.empty())
                     return fail(
                         "[device] must precede [variant] sections");
-                section = Section::Device;
+                into(device);
             } else if (head == "variant") {
-                if (arg.empty())
-                    return fail("[variant] needs a name");
-                err = openDraft(deviceKind, variants, arg, device.spec,
+                err = openDraft(variants, arg, device.drafts[0].spec,
                                 lineno);
-                section = Section::Variant;
+                into(variants);
             } else if (head == "workload") {
-                if (arg.empty())
-                    return fail("[workload] needs a name");
                 if (!workloads::createWorkload(arg))
                     return fail("unknown workload '" + arg +
                                 "' (available: " +
                                 workloads::workloadNamesJoined() +
                                 ")");
-                err = openDraft(workloadKind, workloads, arg,
-                                WorkloadSpec{}, lineno);
-                section = Section::Workload;
+                err = openDraft(workloads, arg, {}, lineno);
+                into(workloads);
             } else if (head == "service") {
-                err = openDraft(serviceKind, services,
-                                arg.empty() ? "service" : arg,
-                                ServiceSpec{}, lineno);
-                section = Section::Service;
+                err = openDraft(services, arg.empty() ? "service" : arg,
+                                {}, lineno);
+                into(services);
             } else if (head == "nn") {
-                err = openDraft(nnKind, nnCells, arg.empty() ? "nn" : arg,
-                                NnSpec{}, lineno);
-                section = Section::Nn;
+                err = openDraft(nnCells, arg.empty() ? "nn" : arg, {},
+                                lineno);
+                into(nnCells);
             } else {
                 return fail("unknown section [" + head + "]");
             }
@@ -743,69 +641,41 @@ SimConfig::parse(const std::string &text, std::string &error)
         std::vector<std::string> grid;
         const bool isSweep = key.rfind("sweep", 0) == 0 &&
                              (key[5] == ' ' || key[5] == '\t');
-        if (isSweep) {
+        // `key` is trimmed, so a sweep line names a non-empty key.
+        if (isSweep)
             key = cleanLine(key.substr(6));
-            if (key.empty())
-                return fail(
-                    "sweep needs a key (sweep KEY = v1, v2, ...)");
-            const std::string err = splitSweepValues(value, grid);
-            if (!err.empty())
-                return fail(err);
-        }
-        const std::vector<std::string> *sweep = isSweep ? &grid : nullptr;
-
-        std::string err;
-        switch (section) {
-          case Section::None:
-            return fail("'" + key + "' outside any section");
-          case Section::Scenario:
-            err = applyLine(scenarioKind, scenario, key, value, sweep);
-            break;
-          case Section::Device:
-            err = applyLine(deviceKind, device, key, value, sweep);
-            break;
-          case Section::Variant:
-            err = applyLine(deviceKind, variants.back(), key, value,
-                            sweep);
-            break;
-          case Section::Workload:
-            err = applyLine(workloadKind, workloads.back(), key, value,
-                            sweep);
-            break;
-          case Section::Service:
-            err = applyLine(serviceKind, services.back(), key, value,
-                            sweep);
-            break;
-          case Section::Nn:
-            err = applyLine(nnKind, nnCells.back(), key, value, sweep);
-            break;
-        }
+        std::string err = isSweep ? splitSweepValues(value, grid) : "";
+        if (err.empty() && !apply)
+            err = "'" + key + "' outside any section";
+        if (err.empty())
+            err = apply(key, value, isSweep ? &grid : nullptr);
         if (!err.empty())
             return fail(err);
     }
 
     // [workload] sections feed batch and service mode; an nn-only
     // scenario legitimately has none.
-    if (workloads.empty() && nnCells.empty()) {
+    if (workloads.drafts.empty() && nnCells.drafts.empty()) {
         error = "scenario declares no [workload] or [nn] sections";
         return std::nullopt;
     }
-    if (variants.empty())
-        variants.push_back({"default", device.spec, {}, {}, lineno});
+    const Draft<DeviceConfig> &defaults = device.drafts[0];
+    if (variants.drafts.empty())
+        openDraft(variants, "default", defaults.spec, lineno);
 
     // ---- Grid expansion ----
 
-    SimConfig cfg = scenario.spec;
-    std::vector<std::string> variantNames;
-    for (const auto &v : variants) {
+    SimConfig cfg = scenario.drafts[0].spec;
+    std::vector<std::string> names;
+    for (const auto &v : variants.drafts) {
         // [device]-level sweeps are inherited unless the variant set
         // or swept the key itself; variant sweeps follow, in order.
         std::vector<Sweep<DeviceConfig>> grid;
-        for (const auto &s : device.sweeps)
+        for (const auto &s : defaults.sweeps)
             if (!contains(v.assigned, s.field->key) && !swept(v, s.field))
                 grid.push_back(s);
         grid.insert(grid.end(), v.sweeps.begin(), v.sweeps.end());
-        error = expandGrid(deviceKind, v, grid, variantNames,
+        error = expandGrid(variants, v, grid, names,
                            [&](std::string name, DeviceConfig c) {
                                cfg.devices.push_back(
                                    {std::move(name), std::move(c)});
@@ -813,11 +683,11 @@ SimConfig::parse(const std::string &text, std::string &error)
         if (!error.empty())
             return std::nullopt;
     }
-    error = expandAll(workloadKind, workloads, cfg.workloads);
+    error = expandAll(workloads, cfg.workloads);
     if (error.empty())
-        error = expandAll(serviceKind, services, cfg.services);
+        error = expandAll(services, cfg.services);
     if (error.empty())
-        error = expandAll(nnKind, nnCells, cfg.nnCells);
+        error = expandAll(nnCells, cfg.nnCells);
     if (!error.empty())
         return std::nullopt;
     return cfg;

@@ -21,12 +21,12 @@
  * the same key itself. [workload] sections are required only when a
  * mode that consumes them (batch, service) will run.
  *
- * Every key is declared once, in the field tables below: its INI
- * name, the spec member it sets, the values it accepts (with the hint
- * its diagnostic quotes), whether it may be swept and whether it is
- * part of the cache content key of the cells it shapes. The parser,
- * the grid expansion and the serve/nn cache keys all walk these
- * tables.
+ * Every key is declared once, in one Field table per section kind
+ * (config.cc; see Field below): its INI name, the spec member it
+ * sets, the values it accepts (with the hint its diagnostic quotes),
+ * whether it may be swept and whether it is part of the cache content
+ * key of the cells it shapes. The parser, the grid expansion and the
+ * serve/nn cache keys all walk these tables.
  *
  * Parsing is total and non-fatal: malformed input (including bad
  * grid syntax, empty sweep lists and duplicate sweep keys) yields an
@@ -249,11 +249,11 @@ struct Field
 };
 
 /** The field table of each section kind. */
-std::span<const Field<SimConfig>> scenarioFields();
-std::span<const Field<runtime::DeviceConfig>> deviceFields();
-std::span<const Field<WorkloadSpec>> workloadFields();
-std::span<const Field<ServiceSpec>> serviceFields();
-std::span<const Field<NnSpec>> nnFields();
+extern const std::span<const Field<SimConfig>> kScenarioFields;
+extern const std::span<const Field<runtime::DeviceConfig>> kDeviceFields;
+extern const std::span<const Field<WorkloadSpec>> kWorkloadFields;
+extern const std::span<const Field<ServiceSpec>> kServiceFields;
+extern const std::span<const Field<NnSpec>> kNnFields;
 
 /**
  * @return the canonical text of every keyed field of `spec`, in

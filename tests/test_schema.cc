@@ -15,9 +15,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
+#include <random>
+#include <set>
 #include <sstream>
 
 #include "golden.hh"
@@ -426,6 +431,331 @@ TEST(SchemaGoldens, ScenarioCells)
 {
     test::expectGolden("scenario_cells", renderCells(),
                        "expanded scenario cells");
+}
+
+
+// ---- Checked integer decoding ----
+
+using Loaded = std::pair<std::size_t, u64>; // entries, corrupt lines
+
+/** Load a JSONL cache of kind `kind` holding `lines`. */
+template <typename Cache>
+Loaded
+loadLines(const std::string &kind, const std::vector<std::string> &lines)
+{
+    const auto dir = scratchDir("pluto_schema_lines_" + kind);
+    fs::create_directories(dir);
+    {
+        std::ofstream out(dir + "/s." + kind + ".cache.jsonl");
+        out << "{\"cacheFormat\":2,\"kind\":\"" << kind << "\"}\n";
+        for (const auto &l : lines)
+            out << l;
+    }
+    Cache cache(dir, "s");
+    EXPECT_EQ(cache.load(), "");
+    const Loaded got{cache.entries(), cache.corruptLines()};
+    fs::remove_all(dir);
+    return got;
+}
+
+/** @return `line` with the value of its first `"name":` replaced. */
+std::string
+withValue(std::string line, const std::string &name,
+          const std::string &value)
+{
+    const std::string tag = "\"" + name + "\":";
+    const auto at = line.find(tag);
+    EXPECT_NE(at, std::string::npos) << name;
+    const auto b = at + tag.size();
+    return line.replace(b, line.find_first_of(",]}", b) - b, value);
+}
+
+TEST(CacheDecode, RejectsIntegersThatDoNotFitTheirField)
+{
+    const std::string run =
+        encodeBoth<sim::RunCache>("int_sim", fixedRun()).line;
+    const std::string nnLine =
+        encodeBoth<nn::NnCache>("int_nn", fixedNn()).line;
+    const std::string svc =
+        encodeBoth<serve::ServiceCache>("int_serve", fixedService()).line;
+    // Controls: the untouched lines replay.
+    EXPECT_EQ(loadLines<sim::RunCache>("sim", {run}), Loaded(1, 0));
+    EXPECT_EQ(loadLines<nn::NnCache>("nn", {nnLine}), Loaded(1, 0));
+    EXPECT_EQ(loadLines<serve::ServiceCache>("serve", {svc}),
+              Loaded(1, 0));
+
+    // Negative, fractional, huge and just-out-of-range integers
+    // used to replay through an undefined cast; now each line counts
+    // as corrupt and its cell is recomputed.
+    for (const char *bad : {"-1", "2.5e30", "1.5", "-0.5",
+                            "18446744073709551616", "1e20"})
+        EXPECT_EQ(loadLines<sim::RunCache>(
+                      "sim", {withValue(run, "elements", bad)}),
+                  Loaded(0, 1))
+            << bad;
+    for (const char *name : {"images", "macs"})
+        EXPECT_EQ(loadLines<nn::NnCache>("nn",
+                                         {withValue(nnLine, name, "-3")}),
+                  Loaded(0, 1))
+            << name;
+    const std::pair<const char *, const char *> serveCases[] = {
+        {"requests", "-1"},    {"batches", "0.25"},
+        {"slo_good", "1e300"}, {"tail_requests", "-7"},
+        {"count", "-6"},       {"count", "6.5"},
+        {"tenant", "4294967296"}, {"class", "-1"},
+        {"buckets", "[[2147483648,6]]"},
+        {"buckets", "[[-2147483649,6]]"},
+    };
+    for (const auto &[name, bad] : serveCases)
+        EXPECT_EQ(loadLines<serve::ServiceCache>(
+                      "serve", {withValue(svc, name, bad)}),
+                  Loaded(0, 1))
+            << name << "=" << bad;
+    // Series windows are positional: corrupt the first arrivals.
+    const auto series = svc.find("\"series\":[[") + 11;
+    std::string neg = svc;
+    neg.insert(series, "-");
+    EXPECT_EQ(loadLines<serve::ServiceCache>("serve", {neg}),
+              Loaded(0, 1));
+    // A bucket count that no longer sums to the histogram count.
+    EXPECT_EQ(loadLines<serve::ServiceCache>(
+                  "serve", {withValue(svc, "count", "7")}),
+              Loaded(0, 1));
+}
+
+// ---- Key completeness ----
+
+/** Candidate INI values: numbers of several shapes plus every
+ *  spelling the field's hint lists. */
+std::vector<std::string>
+candidates(const std::string &hint)
+{
+    std::vector<std::string> c = {"0",   "1",    "2",    "4",
+                                  "7",   "16",   "0.25", "0.5",
+                                  "0.75", "1.5", "ddr4", "on"};
+    for (std::size_t start = 0;;) {
+        const auto bar = hint.find(" | ", start);
+        c.push_back(hint.substr(start, bar - start));
+        if (bar == std::string::npos)
+            return c;
+        start = bar + 3;
+    }
+}
+
+/**
+ * Walk `table` from `base`: every keyed field must map each distinct
+ * valid value to a distinct `keyOf` key; every other field must leave
+ * the key unchanged.
+ */
+template <typename S, typename KeyOf>
+void
+expectKeyComplete(std::span<const sim::Field<S>> table, const S &base,
+                  KeyOf keyOf)
+{
+    for (const auto &f : table) {
+        std::map<std::string, std::string> keyByValue;
+        for (const auto &c : candidates(f.hint)) {
+            S s = base;
+            if (!f.parse(s, c))
+                continue;
+            std::string canonical;
+            f.write(s, canonical);
+            keyByValue.emplace(canonical, keyOf(s));
+        }
+        std::set<std::string> keys;
+        for (const auto &[value, key] : keyByValue) {
+            keys.insert(key);
+            if (!f.keyed()) {
+                EXPECT_EQ(key, keyOf(base))
+                    << f.key << " = " << value
+                    << " is not keyed but changes the key";
+            }
+        }
+        if (f.keyed()) {
+            EXPECT_GE(keyByValue.size(), 2u) << f.key;
+            EXPECT_EQ(keys.size(), keyByValue.size())
+                << f.key << " is keyed but does not reach the key";
+        }
+    }
+}
+
+TEST(CacheKeys, EveryKeyedFieldReachesTheKeyAndNoOtherDoes)
+{
+    const runtime::DeviceConfig dev;
+    sim::ServiceSpec svc;
+    const sim::NnSpec nnSpec;
+    const auto mix = defaultMix();
+
+    expectKeyComplete(sim::kDeviceFields, dev, [](const auto &d) {
+        return sim::RunCache::key(d, "ADD4", 1024, 0, 0);
+    });
+    expectKeyComplete(sim::kDeviceFields, dev, [&](const auto &d) {
+        return serve::ServiceCache::key(d, svc, mix);
+    });
+    expectKeyComplete(sim::kDeviceFields, dev, [&](const auto &d) {
+        return nn::NnCache::key(d, nnSpec);
+    });
+    expectKeyComplete(sim::kServiceFields, svc, [&](const auto &s) {
+        return serve::ServiceCache::key(dev, s, mix);
+    });
+    expectKeyComplete(sim::kNnFields, nnSpec, [&](const auto &n) {
+        return nn::NnCache::key(dev, n);
+    });
+    sim::WorkloadSpec work;
+    work.name = "ADD4";
+    work.elements = 1024;
+    expectKeyComplete(sim::kWorkloadFields, work, [&](const auto &w) {
+        sim::SimConfig cfg;
+        cfg.workloads = {w};
+        return serve::ServiceCache::key(dev, svc,
+                                        serve::buildMix(cfg, dev));
+    });
+
+    // Names label cells; they never key them.
+    const std::string svcKey = serve::ServiceCache::key(dev, svc, mix);
+    svc.name = "renamed";
+    EXPECT_EQ(serve::ServiceCache::key(dev, svc, mix), svcKey);
+    sim::NnSpec renamed = nnSpec;
+    renamed.name = "renamed";
+    EXPECT_EQ(nn::NnCache::key(dev, renamed), nn::NnCache::key(dev, nnSpec));
+}
+
+// ---- Seeded mutation ----
+
+constexpr int kMutants = 2000;
+
+/** One fixed-seed mutant of `text`: a bit flip, a truncation, a digit
+ *  edit or a dropped line (INI) / member (JSON). */
+std::string
+mutate(const std::string &text, std::mt19937_64 &rng, bool json)
+{
+    std::string m = text;
+    if (m.empty())
+        return m;
+    switch (rng() % 4) {
+      case 0:
+        m[rng() % m.size()] ^= static_cast<char>(1u << (rng() % 8));
+        break;
+      case 1:
+        m.resize(rng() % m.size());
+        break;
+      case 2: {
+        std::vector<std::size_t> digits;
+        for (std::size_t i = 0; i < m.size(); ++i)
+            if (std::isdigit(static_cast<unsigned char>(m[i])))
+                digits.push_back(i);
+        if (!digits.empty())
+            m[digits[rng() % digits.size()]] = "0123456789-.e"[rng() % 13];
+        break;
+      }
+      default: {
+        const char *open = json ? ",\"" : "\n";
+        const auto at = m.find(open, rng() % m.size());
+        if (at == std::string::npos)
+            break;
+        const auto end = json ? m.find_first_of(",}", at + 1)
+                              : m.find('\n', at + 1);
+        m.erase(at, end == std::string::npos ? end : end - at);
+      }
+    }
+    return m;
+}
+
+TEST(Mutation, ScenarioMutantsParseOrFailWithALineDiagnostic)
+{
+    std::mt19937_64 rng(20221001);
+    for (const auto &path : exampleScenarios()) {
+        const std::string text = readFile(path);
+        u64 parsed = 0;
+        for (int i = 0; i < kMutants; ++i) {
+            const std::string m = mutate(text, rng, false);
+            std::string err;
+            if (sim::SimConfig::parse(m, err)) {
+                ++parsed;
+                continue;
+            }
+            // The one file-level diagnostic has no line to point at.
+            const bool located =
+                err.rfind("line ", 0) == 0 ||
+                err == "scenario declares no [workload] or [nn] sections";
+            EXPECT_TRUE(located) << path << " mutant " << i << ": " << err;
+        }
+        EXPECT_GT(parsed, 0u) << path;
+    }
+}
+
+/** FNV-1a 32, the binary cache's record checksum. */
+u32
+fnv1a32(const std::string &s)
+{
+    u32 h = 2166136261u;
+    for (const char c : s) {
+        h ^= static_cast<u8>(c);
+        h *= 16777619u;
+    }
+    return h;
+}
+
+/**
+ * Mutate one outcome's JSONL line and binary record payload kMutants
+ * times each (re-framing binary records with a valid checksum, so the
+ * mutants reach the decoder): every mutant must load as an entry or
+ * count as corrupt.
+ */
+template <typename Cache, typename Outcome>
+void
+expectMutantsDecodeOrCountCorrupt(const std::string &kind,
+                                  const Outcome &out)
+{
+    const Encoded e = encodeBoth<Cache>("mut_" + kind, out);
+    const auto dir = scratchDir("pluto_schema_mut_" + kind);
+    fs::create_directories(dir);
+    std::mt19937_64 rng(7 + kind.size());
+    u64 decoded = 0;
+    for (int i = 0; i < kMutants; ++i) {
+        const std::string line = mutate(e.line, rng, true);
+        {
+            std::ofstream f(dir + "/j." + kind + ".cache.jsonl");
+            f << "{\"cacheFormat\":2,\"kind\":\"" << kind << "\"}\n"
+              << line;
+        }
+        Cache jsonl(dir, "j");
+        ASSERT_EQ(jsonl.load(), "");
+        // Only a mutant with no line left (all of it cut) loads nothing.
+        if (line.find_first_not_of('\n') != std::string::npos) {
+            EXPECT_GE(jsonl.entries() + jsonl.corruptLines(), 1u) << i;
+        }
+        decoded += jsonl.entries();
+
+        const std::string payload = mutate(e.record.substr(8), rng, false);
+        std::string frame(8, '\0');
+        const u32 len = static_cast<u32>(payload.size());
+        const u32 sum = fnv1a32(payload);
+        std::memcpy(frame.data(), &len, 4);
+        std::memcpy(frame.data() + 4, &sum, 4);
+        {
+            std::ofstream f(dir + "/b." + kind + ".cache.jsonl",
+                            std::ios::binary);
+            f << "{\"cacheFormat\":3,\"kind\":\"" << kind
+              << "\",\"encoding\":\"binary\"}\n"
+              << frame << payload;
+        }
+        Cache bin(dir, "b", campaign::CacheFormat::Binary);
+        ASSERT_EQ(bin.load(), "");
+        EXPECT_EQ(bin.entries() + bin.corruptLines(), 1u) << i;
+        decoded += bin.entries();
+    }
+    // Some mutants (e.g. a flipped digit in a double) stay valid.
+    EXPECT_GT(decoded, 0u);
+    fs::remove_all(dir);
+}
+
+TEST(Mutation, CacheMutantsDecodeOrCountCorrupt)
+{
+    expectMutantsDecodeOrCountCorrupt<sim::RunCache>("sim", fixedRun());
+    expectMutantsDecodeOrCountCorrupt<nn::NnCache>("nn", fixedNn());
+    expectMutantsDecodeOrCountCorrupt<serve::ServiceCache>(
+        "serve", fixedService());
 }
 
 } // namespace

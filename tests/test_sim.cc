@@ -9,12 +9,19 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 
 #include "common/emit.hh"
 #include "sim/metrics.hh"
 #include "sim/runner.hh"
 #include "workloads/workload.hh"
+
+#ifndef PLUTO_SOURCE_DIR
+#define PLUTO_SOURCE_DIR "."
+#endif
 
 namespace pluto::sim
 {
@@ -363,6 +370,80 @@ TEST(SimConfig, GridErrorsCarryLineNumbers)
         "[variant a]\nsweep faw = 0.1, oops\n[workload ADD4]\n",
         err));
     EXPECT_EQ(err.rfind("line 2:", 0), 0u) << err;
+}
+
+/** @return the text inside a `backticked` table cell, else "". */
+std::string
+backticked(const std::string &cell)
+{
+    if (cell.size() < 2 || cell.front() != '`' || cell.back() != '`')
+        return {};
+    return cell.substr(1, cell.size() - 2);
+}
+
+/** @return every declared key as "section.key". */
+template <typename S>
+void
+addDeclared(std::set<std::string> &out, const std::string &section,
+            std::span<const Field<S>> table)
+{
+    for (const auto &f : table)
+        out.insert(section + "." + f.key);
+}
+
+TEST(SimConfig, ReadmeKeyTablesMatchTheFieldTables)
+{
+    std::ifstream in(std::string(PLUTO_SOURCE_DIR) + "/README.md");
+    ASSERT_TRUE(in) << "README.md not found under " << PLUTO_SOURCE_DIR;
+    // Main key table rows start with one of these section cells; the
+    // [service] table lists its keys in its first column.
+    const std::map<std::string, std::string> sectionOf = {
+        {"`[scenario]`", "scenario"},
+        {"device/variant", "device"},
+        {"`[workload X]`", "workload"},
+        {"`[nn X]`", "nn"},
+    };
+    std::set<std::string> documented;
+    bool serviceTable = false;
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("|", 0) != 0) {
+            serviceTable = false;
+            continue;
+        }
+        std::vector<std::string> cells;
+        std::istringstream row(line.substr(1));
+        for (std::string cell; cells.size() < 2 &&
+                               std::getline(row, cell, '|');) {
+            const auto b = cell.find_first_not_of(' ');
+            const auto e = cell.find_last_not_of(' ');
+            cells.push_back(b == std::string::npos
+                                ? ""
+                                : cell.substr(b, e - b + 1));
+        }
+        if (cells.size() < 2)
+            continue;
+        if (cells[0] == "`[service]` key")
+            serviceTable = true;
+        else if (serviceTable && !backticked(cells[0]).empty())
+            documented.insert("service." + backticked(cells[0]));
+        else if (sectionOf.count(cells[0]) && !backticked(cells[1]).empty())
+            documented.insert(sectionOf.at(cells[0]) + "." +
+                              backticked(cells[1]));
+    }
+
+    std::set<std::string> declared;
+    addDeclared(declared, "scenario", kScenarioFields);
+    addDeclared(declared, "device", kDeviceFields);
+    addDeclared(declared, "workload", kWorkloadFields);
+    addDeclared(declared, "service", kServiceFields);
+    addDeclared(declared, "nn", kNnFields);
+    for (const auto &k : declared)
+        EXPECT_TRUE(documented.count(k))
+            << k << " is declared but has no README table row";
+    for (const auto &k : documented)
+        EXPECT_TRUE(declared.count(k))
+            << k << " has a README table row but is not declared";
 }
 
 TEST(RunOptions, ValidatesShardRange)
