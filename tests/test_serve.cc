@@ -613,6 +613,45 @@ goldenService(sim::BatchPolicyKind policy, bool closed, u32 devices,
     return svc;
 }
 
+/** The fleet campaign's mix (examples/scenarios/service_fleet.ini):
+ *  four tenants, the cold one running the heavy CRC-8 kernel. */
+std::vector<RequestClass>
+fleetMix()
+{
+    const std::pair<const char *, double> classes[] = {
+        {"ColorGrade", 1.0},
+        {"ImgBin", 0.8},
+        {"Bitwise-XOR", 0.6},
+        {"CRC-8", 0.4},
+    };
+    std::vector<RequestClass> mix;
+    for (const auto &[workload, weight] : classes) {
+        RequestClass c;
+        c.workload = workload;
+        c.elements = 1024;
+        c.tenant = static_cast<u32>(mix.size());
+        c.weight = weight;
+        mix.push_back(c);
+    }
+    return mix;
+}
+
+/** A fleet-shape cell: Zipf-skewed tenants at the fleet's offered
+ *  load per device (~95% utilization), on a short arrival window. */
+sim::ServiceSpec
+fleetService(u32 devices)
+{
+    sim::ServiceSpec svc =
+        testService(sim::BatchPolicyKind::Adaptive, 34375.0 * devices);
+    svc.durationMs = 3.0;
+    svc.batch = 64;
+    svc.devices = devices;
+    svc.tenantSkew = 2.0;
+    svc.sloMs = 2.0;
+    svc.memo = sim::MemoMode::On;
+    return svc;
+}
+
 constexpr sim::BatchPolicyKind kPolicies[] = {
     sim::BatchPolicyKind::Immediate,
     sim::BatchPolicyKind::FixedSize,
@@ -937,6 +976,21 @@ TEST(ServeSimulator, OutcomesMatchPinnedGoldens)
                     }
                     got += line;
                 }
+    }
+    // Fleet-shape pools around a power of two: the dispatch index
+    // at 255 and 257 devices is padded, at 256 it is not.
+    const auto fleet = goldenVariants().front();
+    const auto mix4 = fleetMix();
+    const auto cal4 = ServeSimulator::calibrateAll(fleet.config, mix4);
+    for (const u32 devices : {255u, 256u, 257u}) {
+        const auto out =
+            ServeSimulator(fleet, fleetService(devices), mix4)
+                .run(&cal4);
+        EXPECT_GT(out.requests, 0u);
+        got += "fleet/" + fleet.name + "/adaptive/open/" +
+               std::to_string(devices) +
+               " requests=" + std::to_string(out.requests) + " " +
+               outcomeDigest(out) + "\n";
     }
     test::expectGolden("serve_outcomes", got, "serving outcomes");
 }
