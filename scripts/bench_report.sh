@@ -16,10 +16,13 @@
 #   serve_memo:   per-pool-size memo on/off loop times and the memo's
 #                 sim-throughput speedup over the oracle
 #
-# Every run is also APPENDED to BENCH_history.jsonl as one JSON line
-# keyed by git SHA + UTC date (same-SHA reruns replace their line),
-# so the per-PR perf trajectory accumulates instead of being
-# overwritten. The recorded series is what the gate learns from:
+# Every run from a clean tree is also APPENDED to BENCH_history.jsonl
+# as one JSON line keyed by git SHA + UTC date (same-SHA reruns
+# replace their line), so the per-PR perf trajectory accumulates
+# instead of being overwritten. A run from a dirty tree measures code
+# that HEAD's SHA does not name: it still writes the report and gates
+# against the history, but leaves the history untouched. The recorded
+# series is what the gate learns from:
 #
 # With --check, enforce per-kernel floors derived from history: each
 # bulk kernel must reach at least max(1.0, 0.5 * min recorded
@@ -309,7 +312,8 @@ def speedups(entry_kernels):
     return ratios
 
 
-# History: replace any line of the same SHA (CI reruns), else append.
+# History: replace any line of the same SHA (CI reruns), else append;
+# never from a dirty tree, whose numbers HEAD's SHA would misname.
 prior = []
 if history:
     if os.path.exists(history):
@@ -318,10 +322,14 @@ if history:
                 line = line.strip()
                 if line:
                     prior.append(json.loads(line))
+if history and dirty == "1":
+    print("not appending to %s: the tree has uncommitted changes"
+          % history, file=sys.stderr)
+elif history:
     entry = {
         "sha": sha,
         "date": date,
-        "dirty": dirty == "1",
+        "dirty": False,
         "kernels": {k: v["ns_per_elem"] for k, v in kernels.items()},
         "campaigns": {k: v["wall_s"] for k, v in campaigns.items()},
     }

@@ -13,16 +13,19 @@
  * per-tick polling scan bit for bit and are independent of insertion
  * order (see tests/test_serve.cc and tests/golden/serve_*.golden).
  *
- * Both index structures use lazy deletion: superseded entries stay in
+ * Only the event heap uses lazy deletion: superseded events stay in
  * the heap and are discarded when they surface, validated against the
- * current device state. This keeps updates to a single O(log P) push
- * with no decrease-key machinery.
+ * current device state; a device has at most one live event (busy:
+ * its completion; idle with a queue: its policy wake-up). Dispatch is
+ * an exact tournament tree of fixed size, updated in place.
  */
 
 #ifndef PLUTO_SERVE_ENGINE_HH
 #define PLUTO_SERVE_ENGINE_HH
 
 #include <algorithm>
+#include <bit>
+#include <limits>
 #include <type_traits>
 #include <vector>
 
@@ -104,68 +107,69 @@ class EventQueue
 };
 
 /**
- * Least-loaded device index: a lazy-deletion min-heap over
- * (load, device index) mirroring a linear scan of the pool, which
- * picks the minimum queue+inFlight load and breaks ties on the
- * lowest device index. Callers push a fresh entry on every load
- * change; stale entries are purged when they reach the top.
+ * Least-loaded device index: a tournament tree over the pool that
+ * picks what a linear scan would — the minimum queue+inFlight load,
+ * ties to the lowest device index.
+ *
+ * The tree has L = next_pow2(P) leaves; node i's children are 2i and
+ * 2i+1, the root is node 1 and leaf d is node L + d. Each node holds
+ * the winning device of its subtree: the lower load, or on equal load
+ * the left child, whose devices all precede the right child's. The
+ * root is thus the (load, index) minimum over the pool. Padding
+ * leaves d >= P carry the maximum load and sit right of every real
+ * device, so they never win. An update replays the log2(L) matches on
+ * the device's path to the root; memory is O(P) however many updates
+ * arrive.
  */
 class LoadIndex
 {
   public:
-    explicit LoadIndex(u32 devices) : load_(devices, 0)
+    explicit LoadIndex(u32 devices)
+        : leaves_(std::bit_ceil(devices)),
+          load_(leaves_, std::numeric_limits<u64>::max()),
+          tree_(2 * static_cast<std::size_t>(leaves_))
     {
-        // (0, 0), (0, 1), ... is already heap-ordered.
-        heap_.reserve(devices);
-        for (u32 d = 0; d < devices; ++d)
-            heap_.push_back(Entry{0, d});
+        PLUTO_ASSERT(devices > 0);
+        std::fill_n(load_.begin(), devices, u64{0});
+        for (u32 d = 0; d < leaves_; ++d)
+            tree_[leaves_ + d] = d;
+        for (u32 i = leaves_ - 1; i > 0; --i)
+            tree_[i] = match(i);
     }
 
     /** Record `dev`'s new queue+inFlight load. */
     void update(u32 dev, u64 load)
     {
         load_[dev] = load;
-        heap_.push_back(Entry{load, dev});
-        std::push_heap(heap_.begin(), heap_.end(), Heavier{});
+        for (u32 i = leaves_ + dev; i > 1;) {
+            i /= 2;
+            tree_[i] = match(i);
+        }
     }
 
     /**
      * @return the device the linear scan would pick: minimum load,
-     * ties to the lowest index. Purges stale heap entries.
+     * ties to the lowest index.
      */
-    u32 leastLoaded()
-    {
-        for (;;) {
-            PLUTO_ASSERT(!heap_.empty());
-            const Entry top = heap_.front();
-            if (top.load == load_[top.dev])
-                return top.dev;
-            std::pop_heap(heap_.begin(), heap_.end(), Heavier{});
-            heap_.pop_back();
-        }
-    }
+    u32 leastLoaded() const { return tree_[1]; }
+
+    /** @return the last load recorded for `dev`. */
+    u64 load(u32 dev) const { return load_[dev]; }
 
   private:
-    struct Entry
+    /** Winner of node `i`'s two children; ties go left. */
+    u32 match(u32 i) const
     {
-        u64 load = 0;
-        u32 dev = 0;
-    };
+        const u32 l = tree_[2 * i];
+        const u32 r = tree_[2 * i + 1];
+        return load_[r] < load_[l] ? r : l;
+    }
 
-    /** Strict-weak "dispatches later" order for the min-heap. */
-    struct Heavier
-    {
-        bool operator()(const Entry &a, const Entry &b) const
-        {
-            if (a.load != b.load)
-                return a.load > b.load;
-            return a.dev > b.dev;
-        }
-    };
-
-    std::vector<Entry> heap_;
-    /** Authoritative current load per device. */
+    u32 leaves_;
+    /** Current load per leaf; padding leaves hold the maximum. */
     std::vector<u64> load_;
+    /** Winning device per node; [1, L) internal, [L, 2L) leaves. */
+    std::vector<u32> tree_;
 };
 
 /**

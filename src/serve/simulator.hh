@@ -38,7 +38,7 @@
  *    completions and policy wake-ups flow through a timestamped
  *    binary heap ordered by (time, event kind, device index),
  *    arrivals stream from LoadGen, dispatch picks the least-loaded
- *    device through an indexed min-heap, and only devices whose
+ *    device through a tournament tree, and only devices whose
  *    queue state changed are re-offered to the batching policy —
  *    O((R + E) log P) total.
  *

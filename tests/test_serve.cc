@@ -22,6 +22,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <map>
 
 #include "golden.hh"
@@ -393,32 +394,66 @@ TEST(EventQueue, PopOrderIsInsertionOrderIndependent)
 
 TEST(LoadIndex, MatchesTheLinearScanOracle)
 {
-    // The heap-indexed dispatcher must pick exactly the device the
-    // polling loop's linear scan picked (min load, ties to the
-    // lowest index) across randomized arrival/completion traces.
-    for (const u32 devices : {1u, 3u, 8u, 64u}) {
+    // The tournament tree must pick exactly the device the polling
+    // loop's linear scan picked (min load, ties to the lowest index)
+    // across randomized traces: pools on both sides of powers of two
+    // (padded and unpadded trees), arbitrary load jumps up and down
+    // including to 0 and to huge values, and runs of updates to the
+    // same device between picks.
+    for (const u32 devices :
+         {1u, 2u, 3u, 5u, 8u, 64u, 255u, 256u, 257u, 512u}) {
+        SCOPED_TRACE(devices);
         Rng rng(1000 + devices);
         LoadIndex index(devices);
         std::vector<u64> load(devices, 0);
+        const auto oracle = [&] {
+            u32 best = 0;
+            for (u32 d = 1; d < devices; ++d)
+                if (load[d] < load[best])
+                    best = d;
+            return best;
+        };
+        const auto tracked = [&] {
+            std::vector<u64> t(devices);
+            for (u32 d = 0; d < devices; ++d)
+                t[d] = index.load(d);
+            return t;
+        };
+        ASSERT_EQ(index.leastLoaded(), 0u) << "fresh index";
+        ASSERT_EQ(tracked(), load) << "fresh index";
         for (int op = 0; op < 4000; ++op) {
-            if (rng.below(3) != 0) {
-                // Arrival: dispatch least-loaded, then load += 1.
-                u32 oracle = 0;
-                for (u32 d = 1; d < devices; ++d)
-                    if (load[d] < load[oracle])
-                        oracle = d;
+            const u32 d = static_cast<u32>(rng.below(devices));
+            switch (rng.below(6)) {
+            case 0:
+            case 1: {
+                // Arrival: dispatch least-loaded (checked against the
+                // oracle after the previous op), then load += 1.
                 const u32 picked = index.leastLoaded();
-                ASSERT_EQ(picked, oracle) << "op " << op;
-                ++load[picked];
-                index.update(picked, load[picked]);
-            } else {
-                // Completion: some device sheds a batch.
-                const u32 d = static_cast<u32>(rng.below(devices));
-                const u64 shed = std::min<u64>(
-                    load[d], 1 + rng.below(4));
-                load[d] -= shed;
-                index.update(d, load[d]);
+                index.update(picked, ++load[picked]);
+                break;
             }
+            case 2: // Completion: a device sheds a batch.
+                load[d] -= std::min<u64>(load[d], 1 + rng.below(4));
+                index.update(d, load[d]);
+                break;
+            case 3: // Jump to an arbitrary load, up or down.
+                load[d] = rng.below(3) == 0 ? 0 : rng.below(1000);
+                index.update(d, load[d]);
+                break;
+            case 4: // Jump to a huge load.
+                load[d] = std::numeric_limits<u64>::max() -
+                          rng.below(2);
+                index.update(d, load[d]);
+                break;
+            default: // Several updates of one device between picks.
+                for (int k = 0; k < 3; ++k) {
+                    load[d] = rng.below(8);
+                    index.update(d, load[d]);
+                }
+                break;
+            }
+            ASSERT_EQ(tracked(), load) << "op " << op;
+            ASSERT_EQ(index.leastLoaded(), oracle()) << "op " << op;
         }
     }
 }
