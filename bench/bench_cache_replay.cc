@@ -1,13 +1,12 @@
 /**
  * @file
  * Campaign cache replay: wall-clock of JsonlCache::load() over a
- * populated cache in both encodings (--cache-format jsonl vs
- * binary), plus round-trip identity. Example scenarios hold a
- * handful of cells, far too few to time parsing, so this bench
- * synthesizes a campaign-sized cache (50k outcomes) per format,
- * reloads each, and requires every entry to round-trip exactly —
- * doubles included — before reporting the speedup. Machine-readable
- * lines (`cache_replay,<format>,<entries>,<load_ms>,<bytes>`) feed
+ * populated cache, plus round-trip identity. Example scenarios hold
+ * a handful of cells, far too few to time parsing, so this bench
+ * synthesizes a campaign-sized cache (50k outcomes), reloads it, and
+ * requires every entry to round-trip exactly — doubles included —
+ * before reporting. The machine-readable line
+ * (`cache_replay,jsonl,<entries>,<load_ms>,<bytes>`) feeds
  * scripts/bench_report.sh.
  */
 
@@ -61,19 +60,19 @@ sameRun(const sim::CachedRun &a, const sim::CachedRun &b)
            a.verified == b.verified && a.wallMs == b.wallMs;
 }
 
-struct FormatResult
+struct ReplayResult
 {
     double loadMs = 0.0;
     u64 bytes = 0;
     bool ok = false;
 };
 
-FormatResult
-runFormat(const std::string &dir, campaign::CacheFormat fmt)
+ReplayResult
+runReplay(const std::string &dir)
 {
-    FormatResult res;
+    ReplayResult res;
     {
-        Cache writer(dir, "replay", fmt);
+        Cache writer(dir, "replay");
         for (u64 i = 0; i < kEntries; ++i) {
             const std::string err =
                 writer.append(Cache::keyFor(std::to_string(i)),
@@ -85,7 +84,7 @@ runFormat(const std::string &dir, campaign::CacheFormat fmt)
         }
     }
 
-    Cache reader(dir, "replay", fmt);
+    Cache reader(dir, "replay");
     const auto t0 = std::chrono::steady_clock::now();
     const std::string err = reader.load();
     res.loadMs = msSince(t0);
@@ -98,8 +97,7 @@ runFormat(const std::string &dir, campaign::CacheFormat fmt)
 
     if (reader.entries() != kEntries ||
         reader.corruptLines() != 0) {
-        std::fprintf(stderr, "%s: %zu/%llu entries, %llu corrupt\n",
-                     campaign::cacheFormatName(fmt),
+        std::fprintf(stderr, "%zu/%llu entries, %llu corrupt\n",
                      reader.entries(),
                      static_cast<unsigned long long>(kEntries),
                      static_cast<unsigned long long>(
@@ -110,9 +108,7 @@ runFormat(const std::string &dir, campaign::CacheFormat fmt)
         const auto hit =
             reader.lookup(Cache::keyFor(std::to_string(i)));
         if (!hit || !sameRun(*hit, makeRun(i))) {
-            std::fprintf(stderr,
-                         "%s: entry %llu failed round-trip\n",
-                         campaign::cacheFormatName(fmt),
+            std::fprintf(stderr, "entry %llu failed round-trip\n",
                          static_cast<unsigned long long>(i));
             return res;
         }
@@ -126,43 +122,26 @@ runFormat(const std::string &dir, campaign::CacheFormat fmt)
 int
 main()
 {
-    section("Campaign cache replay: load() wall-clock, jsonl vs "
-            "binary encoding");
+    section("Campaign cache replay: JSONL load() wall-clock");
 
-    const auto base =
+    const auto dir =
         std::filesystem::temp_directory_path() /
         ("pluto_bench_cache_replay_" +
          std::to_string(static_cast<unsigned long>(getpid())));
-    bool ok = true;
-    AsciiTable t({"format", "entries", "file MB", "load ms"});
-    double jsonlMs = 0.0, binaryMs = 0.0;
-    for (const auto fmt : {campaign::CacheFormat::Jsonl,
-                           campaign::CacheFormat::Binary}) {
-        const std::string dir =
-            (base / campaign::cacheFormatName(fmt)).string();
-        const FormatResult res = runFormat(dir, fmt);
-        ok = ok && res.ok;
-        (fmt == campaign::CacheFormat::Jsonl ? jsonlMs : binaryMs) =
-            res.loadMs;
-        t.addRow({campaign::cacheFormatName(fmt),
-                  std::to_string(kEntries),
-                  fmtSig(static_cast<double>(res.bytes) / 1e6),
-                  fmtSig(res.loadMs)});
-        std::printf("cache_replay,%s,%llu,%.3f,%llu\n",
-                    campaign::cacheFormatName(fmt),
-                    static_cast<unsigned long long>(kEntries),
-                    res.loadMs,
-                    static_cast<unsigned long long>(res.bytes));
-    }
+    const ReplayResult res = runReplay(dir.string());
+    AsciiTable t({"entries", "file MB", "load ms"});
+    t.addRow({std::to_string(kEntries),
+              fmtSig(static_cast<double>(res.bytes) / 1e6),
+              fmtSig(res.loadMs)});
+    std::printf("cache_replay,jsonl,%llu,%.3f,%llu\n",
+                static_cast<unsigned long long>(kEntries), res.loadMs,
+                static_cast<unsigned long long>(res.bytes));
     std::printf("%s", t.render().c_str());
-    if (binaryMs > 0.0)
-        std::printf("\nbinary replay speedup over jsonl: %s\n",
-                    fmtX(jsonlMs / binaryMs).c_str());
 
     std::error_code ec;
-    std::filesystem::remove_all(base, ec);
+    std::filesystem::remove_all(dir, ec);
 
-    if (!ok) {
+    if (!res.ok) {
         std::fprintf(stderr, "FAIL: cache replay round-trip\n");
         return 1;
     }

@@ -21,7 +21,6 @@ BIN=""
 OUT_DIR=""
 DETERMINISTIC=0
 MODE="batch"
-CACHE_FORMAT=""
 
 usage() {
   cat <<'EOF'
@@ -35,13 +34,11 @@ Options:
   --threads N       Worker threads per shard (default: pluto_sim's default)
   --pluto-sim PATH  pluto_sim binary (default: auto-detect in build/)
   --out-dir DIR     Output root (default: shard-runs-<timestamp>)
-  --cache-format F  Cache encoding: jsonl or binary (default: pluto_sim's)
   --deterministic   Zero wall-clock fields (byte-comparable outputs)
   -h, --help        Show this help
 
 Layout under --out-dir:
-  cache/<name>.<mode>.cache.jsonl   shared result cache (encoding
-                                    per --cache-format)
+  cache/<name>.<mode>.cache.jsonl   shared result cache
   shards/                    per-shard outputs (suffixed .shardIofN)
   merged/                    merge-pass outputs (the campaign result)
 EOF
@@ -57,7 +54,6 @@ while [[ $# -gt 0 ]]; do
     --threads) THREADS="${2:?--threads needs a value}"; shift 2 ;;
     --pluto-sim) BIN="${2:?--pluto-sim needs a path}"; shift 2 ;;
     --out-dir) OUT_DIR="${2:?--out-dir needs a path}"; shift 2 ;;
-    --cache-format) CACHE_FORMAT="${2:?--cache-format needs a value}"; shift 2 ;;
     --deterministic) DETERMINISTIC=1; shift ;;
     -h|--help) usage; exit 0 ;;
     *) echo "Error: unknown argument: $1" >&2; usage; exit 2 ;;
@@ -73,10 +69,6 @@ fi
 case "$MODE" in
   batch|service|nn) ;;
   *) echo "Error: --mode must be batch, service, or nn (got '$MODE')" >&2; exit 2 ;;
-esac
-case "$CACHE_FORMAT" in
-  ""|jsonl|binary) ;;
-  *) echo "Error: --cache-format must be jsonl or binary (got '$CACHE_FORMAT')" >&2; exit 2 ;;
 esac
 
 if [[ -z "$BIN" ]]; then
@@ -94,7 +86,6 @@ COMMON=(--cache-dir "$OUT_DIR/cache" --quiet)
 [[ "$MODE" == "service" ]] && COMMON+=(--service)
 [[ "$MODE" == "nn" ]] && COMMON+=(--nn)
 [[ -n "$THREADS" ]] && COMMON+=(--threads "$THREADS")
-[[ -n "$CACHE_FORMAT" ]] && COMMON+=(--cache-format "$CACHE_FORMAT")
 [[ "$DETERMINISTIC" -eq 1 ]] && COMMON+=(--deterministic)
 
 # Phase 1: shards in parallel, all appending to the shared cache.

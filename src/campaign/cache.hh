@@ -19,24 +19,16 @@
  * written by a future format with a clear error instead of silently
  * skipping every line as corrupt.
  *
- * Format v3 is the optional binary encoding (--cache-format binary):
- * the same file path, but after an ASCII JSON header line that also
- * carries `"encoding":"binary"`, entries are length-prefixed
- * checksummed records ([u32 len][u32 fnv1a32][key string][codec
- * body]) instead of JSON lines. Records are still append-only whole
- * writes (shard-merge compatible), doubles travel as raw bits (so
- * replay is exactly as bit-identical as JSONL's %.17g), and because
- * the header is a JSON line at the same path, a JSONL-only or older
- * build that opens a binary cache hits the versioned-format error
- * above instead of silently recomputing. Mixing formats in either
- * direction produces a clear error naming the --cache-format value
- * to pass.
+ * Earlier builds could also write a binary encoding at the same path,
+ * under a `{"cacheFormat":3,...,"encoding":"binary"}` header. That
+ * encoding is retired: such a file fails to load with an error asking
+ * for it to be deleted, never with a silent recompute.
  *
  * Modes plug in through a Codec type whose `kKind` names the mode: the
  * cache filename infix AND the content-key prefix, so equal
  * descriptors from different modes never collide in a shared
  * --cache-dir. The outcome's fields() visitor (common/codec.hh)
- * drives both the JSONL body and the binary record.
+ * drives the JSONL body.
  */
 
 #ifndef PLUTO_CAMPAIGN_CACHE_HH
@@ -56,36 +48,16 @@ namespace pluto::campaign
 /** On-disk JSONL cache format this build reads and writes. */
 constexpr u32 kCacheFormat = 2;
 
-/**
- * On-disk format of the binary encoding. Deliberately above
- * kCacheFormat: a build that predates the binary cache rejects such
- * a file through its ordinary future-format check instead of
- * skipping every record as corrupt and silently recomputing.
- */
-constexpr u32 kBinaryCacheFormat = 3;
-
-/** Cache file encoding selected per campaign (--cache-format). */
-enum class CacheFormat : u8
-{
-    Jsonl = 0,
-    Binary = 1,
-};
-
-/** @return "jsonl" or "binary". */
-const char *cacheFormatName(CacheFormat f);
-
-/** Parse a --cache-format value; false = unrecognised. */
-bool parseCacheFormat(const std::string &s, CacheFormat &out);
-
 namespace detail
 {
 
 /**
  * Load one JSONL cache file: handle the version header (legacy
- * unversioned files load as pure entry streams; future formats
- * @return a non-empty error), call `onEntry(key, obj)` per entry
- * line, and count lines that are corrupt or whose `onEntry` returns
- * false in `corrupt`. A missing file is an empty cache.
+ * unversioned files load as pure entry streams; future formats and
+ * retired binary files @return a non-empty error), call
+ * `onEntry(key, obj)` per entry line, and count lines that are
+ * corrupt or whose `onEntry` returns false in `corrupt`. A missing
+ * file is an empty cache.
  */
 std::string
 loadJsonlCache(const std::string &path, u64 &corrupt,
@@ -102,32 +74,6 @@ std::string appendJsonlLine(const std::string &dir,
                             const std::string &kind,
                             const std::string &line);
 
-/**
- * Load one binary (v3) cache file: verify the header, then call
- * `onEntry(key, body)` per checksummed record, counting bad records
- * in `corrupt` (framing damage ends the scan at that point — with
- * whole-record appends that only happens at a torn tail). A missing
- * file is an empty cache; a JSONL or future-format file @return a
- * non-empty error naming the fix.
- */
-std::string
-loadBinaryCache(const std::string &path, const std::string &kind,
-                u64 &corrupt,
-                const std::function<bool(const std::string &key,
-                                         BinIn &body)> &onEntry);
-
-/**
- * Append one [len][checksum][key][body] record, creating directory
- * and binary header like appendJsonlLine. One whole write per
- * record, so concurrent shard appends do not interleave.
- * @return empty string or an error description.
- */
-std::string appendBinaryRecord(const std::string &dir,
-                               const std::string &path,
-                               const std::string &kind,
-                               const std::string &key,
-                               const std::string &body);
-
 } // namespace detail
 
 /** Append-only JSONL outcome cache for one scenario and mode. */
@@ -137,17 +83,12 @@ class JsonlCache
   public:
     /**
      * Cache for scenario `scenario` under directory `dir` (created
-     * if missing on first append), stored in `format`. Both formats
-     * share one path per scenario/kind: a cache directory holds one
-     * encoding per cell, and opening it with the other --cache-format
-     * fails loudly instead of recomputing.
+     * if missing on first append).
      */
-    JsonlCache(std::string dir, const std::string &scenario,
-               CacheFormat format = CacheFormat::Jsonl)
+    JsonlCache(std::string dir, const std::string &scenario)
         : dir_(std::move(dir)),
           path_(dir_ + "/" + scenario + "." + Codec::kKind +
-                ".cache.jsonl"),
-          format_(format)
+                ".cache.jsonl")
     {
     }
 
@@ -164,23 +105,13 @@ class JsonlCache
     /**
      * Load the cache file (missing file = empty cache). @return
      * empty string, or a clear error when the file was written by a
-     * future cache format.
+     * future cache format or in the retired binary encoding.
      */
     std::string load()
     {
         std::lock_guard<std::mutex> lock(mu_);
         entries_.clear();
         corrupt_ = 0;
-        if (format_ == CacheFormat::Binary)
-            return detail::loadBinaryCache(
-                path_, Codec::kKind, corrupt_,
-                [&](const std::string &key, BinIn &body) {
-                    Outcome out;
-                    if (!fromBinary(body, out))
-                        return false;
-                    entries_[key] = std::move(out); // last wins
-                    return true;
-                });
         return detail::loadJsonlCache(
             path_, corrupt_,
             [&](const std::string &key, const JsonValue &obj) {
@@ -212,20 +143,11 @@ class JsonlCache
      */
     std::string append(const std::string &key, const Outcome &out)
     {
-        std::string err;
-        if (format_ == CacheFormat::Binary) {
-            const std::string body = toBinary(out);
-            std::lock_guard<std::mutex> lock(mu_);
-            err = detail::appendBinaryRecord(dir_, path_, Codec::kKind,
-                                             key, body);
-            if (err.empty())
-                entries_[key] = out;
-            return err;
-        }
         const std::string line =
             "{\"key\":\"" + key + "\"" + jsonMembers(out) + "}\n";
         std::lock_guard<std::mutex> lock(mu_);
-        err = detail::appendJsonlLine(dir_, path_, Codec::kKind, line);
+        std::string err =
+            detail::appendJsonlLine(dir_, path_, Codec::kKind, line);
         if (err.empty())
             entries_[key] = out;
         return err;
@@ -241,16 +163,12 @@ class JsonlCache
     /** @return lines skipped as corrupt during load(). */
     u64 corruptLines() const { return corrupt_; }
 
-    /** @return the backing cache file path (shared by formats). */
+    /** @return the backing cache file path. */
     const std::string &path() const { return path_; }
-
-    /** @return the encoding this cache reads and writes. */
-    CacheFormat format() const { return format_; }
 
   private:
     std::string dir_;
     std::string path_;
-    CacheFormat format_ = CacheFormat::Jsonl;
     /** Guards entries_ (lookup from worker threads vs append). */
     mutable std::mutex mu_;
     std::map<std::string, Outcome> entries_;

@@ -38,11 +38,9 @@ printHelp(const std::vector<Mode> &modes)
         "  --shard I/N     run only shard I of N (0-based; outputs\n"
         "                  suffixed .shardIofN; combine shards via\n"
         "                  --cache-dir and a final unsharded pass)\n"
-        "  --cache-dir DIR replay/append a result cache\n"
-        "  --cache-format F  cache file encoding: jsonl (default,\n"
-        "                  readable, merge-friendly) or binary\n"
-        "                  (length-prefixed records, faster replay);\n"
-        "                  a cache dir holds one encoding per cell\n"
+        "  --cache-dir DIR replay/append a result cache (one JSONL\n"
+        "                  file per scenario and mode; shards merge\n"
+        "                  by appending to the same files)\n"
         "  --deterministic zero wall-clock fields in outputs\n"
         "  --quiet         suppress per-cell progress lines\n"
         "  --trace FILE    write a Chrome trace-event JSON (host +\n"
@@ -196,14 +194,6 @@ cliMain(int argc, char **argv, const std::vector<Mode> &modes)
             inv.sharded = true;
         } else if (arg == "--cache-dir") {
             inv.opt.cacheDir = next();
-        } else if (arg == "--cache-format") {
-            const std::string fmt = next();
-            if (!parseCacheFormat(fmt, inv.opt.cacheFormat)) {
-                usageError("pluto_sim: --cache-format wants jsonl or "
-                           "binary, got '%s'\n",
-                           fmt);
-                return 1;
-            }
         } else if (arg == "--simd-tier") {
             std::printf("%s\n", simd::tierName(simd::tier()));
             return 0;

@@ -37,7 +37,6 @@
 #include <string>
 #include <vector>
 
-#include "campaign/cache.hh"
 #include "common/arena.hh"
 #include "common/types.hh"
 #include "obs/registry.hh"
@@ -57,8 +56,6 @@ struct RunOptions
     u32 shardCount = 1;
     /** Result-cache directory; empty disables caching. */
     std::string cacheDir;
-    /** Cache file encoding under cacheDir (--cache-format). */
-    CacheFormat cacheFormat = CacheFormat::Jsonl;
     /** Zero all host wall-clock fields in the report. */
     bool deterministic = false;
 

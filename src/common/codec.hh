@@ -1,38 +1,31 @@
 /**
  * @file
- * Record codecs from one field declaration. A record type R lists its
- * fields once, in an ADL-visible visitor
+ * JSON record codecs from one field declaration. A record type R lists
+ * its fields once, in an ADL-visible visitor
  *
  *   template <typename V, RecordOf<R> T>   // T = R or const R
  *   void fields(V &v, T &r) { v("name", r.member); ... }
  *
- * whose call order is both the JSON member order and the binary wire
- * order; four visitors derive the encodings from it. JsonOut and
- * BinOut write (they visit a const record), JsonIn and BinIn read.
- * Member types: bool, u32, u64, i32, double, std::string, double[N],
- * nested records (JSON objects) and std::vector of records (JSON
- * arrays of objects); `v.tuples(name, vec)` stores a vector's records
- * positionally ([a,b,...]) in JSON instead. A record whose decoded
- * fields must agree with each other reports through `v.check(ok)`.
+ * whose call order is the JSON member order; JsonOut writes (it
+ * visits a const record) and JsonIn reads. Member types: bool, u32,
+ * u64, i32, double, std::string, double[N], nested records (JSON
+ * objects) and std::vector of records (JSON arrays of objects);
+ * `v.tuples(name, vec)` stores a vector's records positionally
+ * ([a,b,...]) instead. Doubles are written with %.17g, so they
+ * round-trip exactly. A record whose decoded fields must agree with
+ * each other reports through `v.check(ok)`.
  *
- * Binary layout: numbers little-endian at their own width (doubles as
- * raw IEEE-754 bits, so they round-trip exactly), bools as one byte,
- * strings and vectors as a u32 count plus payload, fixed arrays bare.
- *
- * Readers never trust their input: JSON integers must convert exactly
- * (jsonInteger), binary reads are bounds-checked, and any bad field
- * makes the whole decode false — never undefined behaviour.
+ * The reader never trusts its input: integers must convert exactly
+ * (jsonInteger), and any bad field makes the whole decode false —
+ * never undefined behaviour.
  */
 
 #ifndef PLUTO_COMMON_CODEC_HH
 #define PLUTO_COMMON_CODEC_HH
 
-#include <bit>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <string>
-#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -227,104 +220,6 @@ class JsonIn
     std::size_t pos_ = 0;
 };
 
-/** Writes fields in binary wire order into a byte buffer. */
-class BinOut
-{
-  public:
-    template <typename T>
-    void operator()(const char *, const T &x)
-    {
-        if constexpr (std::is_arithmetic_v<T>) {
-            static_assert(std::endian::native == std::endian::little,
-                          "binary records are little-endian");
-            bytes_.append(reinterpret_cast<const char *>(&x), sizeof(T));
-        } else if constexpr (std::is_same_v<T, std::string>) {
-            (*this)("", static_cast<u32>(x.size()));
-            bytes_ += x;
-        } else if constexpr (std::is_array_v<T> || detail::kIsVector<T>) {
-            if constexpr (detail::kIsVector<T>)
-                (*this)("", static_cast<u32>(x.size()));
-            for (const auto &e : x)
-                (*this)("", e);
-        } else {
-            fields(*this, x);
-        }
-    }
-
-    template <typename R>
-    void tuples(const char *name, const std::vector<R> &xs)
-    {
-        (*this)(name, xs);
-    }
-
-    const std::string &bytes() const { return bytes_; }
-
-  private:
-    std::string bytes_;
-};
-
-/** Reads fields in binary wire order from one bounded record. */
-class BinIn
-{
-  public:
-    explicit BinIn(std::string_view data) : data_(data) {}
-
-    /** @return true while every field read so far was valid. */
-    bool ok() const { return ok_; }
-
-    /** Fail the decode unless `good`. */
-    void check(bool good) { ok_ = ok_ && good; }
-
-    /** @return true when the whole record was consumed. */
-    bool atEnd() const { return pos_ == data_.size(); }
-
-    template <typename T>
-    void operator()(const char *, T &x)
-    {
-        if constexpr (std::is_arithmetic_v<T>) {
-            check(data_.size() - pos_ >= sizeof(T));
-            if (!ok_)
-                return;
-            if constexpr (std::is_same_v<T, bool>)
-                x = data_[pos_] != '\0'; // any other byte is no bool
-            else
-                std::memcpy(&x, data_.data() + pos_, sizeof(T));
-            pos_ += sizeof(T);
-        } else if constexpr (std::is_same_v<T, std::string>) {
-            u32 n = 0;
-            (*this)("", n);
-            check(data_.size() - pos_ >= n);
-            if (!ok_)
-                return;
-            x.assign(data_.substr(pos_, n));
-            pos_ += n;
-        } else if constexpr (std::is_array_v<T>) {
-            for (auto &e : x)
-                (*this)("", e);
-        } else if constexpr (detail::kIsVector<T>) {
-            u32 n = 0;
-            (*this)("", n);
-            // No reserve: a corrupt count fails at the first short
-            // read instead of allocating up front.
-            for (u32 i = 0; ok_ && i < n; ++i)
-                fields(*this, x.emplace_back());
-        } else {
-            fields(*this, x);
-        }
-    }
-
-    template <typename R>
-    void tuples(const char *name, std::vector<R> &xs)
-    {
-        (*this)(name, xs);
-    }
-
-  private:
-    std::string_view data_;
-    std::size_t pos_ = 0;
-    bool ok_ = true;
-};
-
 /** @return the JSON members of `r`, each led by ',' (an object body
  *  that follows a caller-written first member). */
 template <typename R>
@@ -345,26 +240,6 @@ fromJson(const JsonValue &obj, R &r)
     JsonIn in(obj, true);
     fields(in, r);
     return in.ok();
-}
-
-/** @return the binary encoding of `r`. */
-template <typename R>
-std::string
-toBinary(const R &r)
-{
-    BinOut out;
-    fields(out, r);
-    return out.bytes();
-}
-
-/** Decode `r` from the rest of record `in`. @return false on a short,
- *  long or invalid record. */
-template <typename R>
-bool
-fromBinary(BinIn &in, R &r)
-{
-    fields(in, r);
-    return in.ok() && in.atEnd();
 }
 
 } // namespace pluto

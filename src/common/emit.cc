@@ -97,10 +97,10 @@ JsonValue::push(JsonValue v)
 }
 
 JsonValue &
-JsonValue::set(const std::string &k, JsonValue v)
+JsonValue::set(std::string k, JsonValue v)
 {
     PLUTO_ASSERT(kind_ == Kind::Object);
-    members_.emplace_back(k, std::move(v));
+    members_.emplace_back(std::move(k), std::move(v));
     return members_.back().second;
 }
 
@@ -413,10 +413,10 @@ class JsonReader
                 return true;
             }
             while (true) {
-                JsonValue item;
-                if (!value(item, depth + 1))
+                // Parse in place: only this element grows from here
+                // on, so the reference push hands back stays valid.
+                if (!value(out.push(JsonValue()), depth + 1))
                     return false;
-                out.push(std::move(item));
                 skipWs();
                 if (pos_ >= text_.size())
                     return fail("unterminated array");
@@ -450,10 +450,8 @@ class JsonReader
                 if (pos_ >= text_.size() || text_[pos_] != ':')
                     return fail("expected ':'");
                 ++pos_;
-                JsonValue v;
-                if (!value(v, depth + 1))
+                if (!value(out.set(std::move(k), JsonValue()), depth + 1))
                     return false;
-                out.set(k, std::move(v));
                 skipWs();
                 if (pos_ >= text_.size())
                     return fail("unterminated object");

@@ -9,7 +9,6 @@
 #ifndef PLUTO_COMMON_EMIT_HH
 #define PLUTO_COMMON_EMIT_HH
 
-#include <deque>
 #include <optional>
 #include <string>
 #include <utility>
@@ -79,17 +78,17 @@ class JsonValue
 
     /**
      * Append `v` to an array value. @return the appended element;
-     * the reference stays valid across later push/set calls (deque
-     * storage).
+     * the reference is valid until the next push/set on this same
+     * value (contiguous storage may move its elements).
      */
     JsonValue &push(JsonValue v);
 
     /**
      * Set object key `k` to `v` (appends; keys are not
-     * deduplicated). @return the inserted value; the reference stays
-     * valid across later push/set calls (deque storage).
+     * deduplicated). @return the inserted value; the reference is
+     * valid until the next push/set on this same value.
      */
-    JsonValue &set(const std::string &k, JsonValue v);
+    JsonValue &set(std::string k, JsonValue v);
 
     /** Render with 2-space indentation and a trailing newline. */
     std::string dump() const;
@@ -149,9 +148,10 @@ class JsonValue
     bool bool_ = false;
     double num_ = 0.0;
     std::string str_;
-    // Deques: push/set hand out references that must survive growth.
-    std::deque<JsonValue> items_;
-    std::deque<std::pair<std::string, JsonValue>> members_;
+    // Vectors: an empty one allocates nothing, so the leaf nodes of a
+    // parsed cache line (every number and string) cost no heap.
+    std::vector<JsonValue> items_;
+    std::vector<std::pair<std::string, JsonValue>> members_;
 };
 
 /**

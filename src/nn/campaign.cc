@@ -114,7 +114,7 @@ NnRunner::run(const campaign::RunOptions &opt,
 
     std::optional<NnCache> cache;
     if (!opt.cacheDir.empty()) {
-        cache.emplace(opt.cacheDir, cfg_.name, opt.cacheFormat);
+        cache.emplace(opt.cacheDir, cfg_.name);
         const std::string cerr = cache->load();
         if (!cerr.empty())
             fatal("nn cache: %s", cerr.c_str());

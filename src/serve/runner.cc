@@ -71,7 +71,7 @@ ServiceRunner::run(const sim::RunOptions &opt,
 
     std::optional<ServiceCache> cache;
     if (!opt.cacheDir.empty()) {
-        cache.emplace(opt.cacheDir, cfg_.name, opt.cacheFormat);
+        cache.emplace(opt.cacheDir, cfg_.name);
         const std::string cerr = cache->load();
         if (!cerr.empty())
             fatal("service cache: %s", cerr.c_str());

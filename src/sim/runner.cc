@@ -74,7 +74,7 @@ ScenarioRunner::run(const RunOptions &opt,
 
     std::optional<RunCache> cache;
     if (!opt.cacheDir.empty()) {
-        cache.emplace(opt.cacheDir, cfg_.name, opt.cacheFormat);
+        cache.emplace(opt.cacheDir, cfg_.name);
         const std::string cerr = cache->load();
         if (!cerr.empty())
             fatal("run cache: %s", cerr.c_str());

@@ -3,9 +3,9 @@
  * Campaign-core tests: forEachTask edge cases (zero tasks, more
  * threads than tasks, worker-index stability/uniqueness, exception
  * propagation, task-order telemetry folds), the JsonlCache version
- * header (legacy files load, future formats are rejected with a
- * clear error), per-mode key
- * namespacing (equal descriptors cannot collide across modes in a
+ * header (legacy files load, future formats and retired binary files
+ * are rejected with a clear error), exact codec round trips, per-mode
+ * key namespacing (equal descriptors cannot collide across modes in a
  * shared --cache-dir), and the NN campaign mode's sharded+cached
  * byte-identity — the properties every mode inherits from the core.
  */
@@ -267,124 +267,39 @@ TEST(JsonlCacheFormat, DuplicateHeadersFromRacingCreatorsAreSkipped)
     fs::remove_all(dir);
 }
 
-// ---- Binary (v3) cache format ----
-
-TEST(BinaryCacheFormat, RoundTripsAndLeadsWithJsonVersionHeader)
+TEST(JsonlCacheFormat, RejectsRetiredBinaryFilesWithClearError)
 {
-    const auto dir = scratchDir("pluto_campaign_bin_test");
-    TinyCache cache(dir, "bin", CacheFormat::Binary);
-    // 1/3 has no finite decimal expansion; raw-bits storage must
-    // still round-trip it exactly.
-    ASSERT_TRUE(cache.append("aaaa", {1.0 / 3.0}).empty());
-    ASSERT_TRUE(cache.append("bbbb", {-0.0}).empty());
-
-    // The header stays an ASCII JSON line even though the records
-    // are binary: that line is what makes a JSONL-only (or older)
-    // build fail loudly instead of recomputing.
-    std::ifstream in(cache.path(), std::ios::binary);
-    std::string first;
-    ASSERT_TRUE(std::getline(in, first));
-    EXPECT_EQ(first, "{\"cacheFormat\":3,\"kind\":\"tiny\","
-                     "\"encoding\":\"binary\"}");
-    static_assert(kBinaryCacheFormat > kCacheFormat,
-                  "binary format must look like the future to "
-                  "builds that predate it");
-
-    TinyCache reader(dir, "bin", CacheFormat::Binary);
-    EXPECT_TRUE(reader.load().empty());
-    EXPECT_EQ(reader.entries(), 2u);
-    EXPECT_EQ(reader.corruptLines(), 0u);
-    EXPECT_EQ(reader.lookup("aaaa")->value, 1.0 / 3.0);
-    EXPECT_TRUE(std::signbit(reader.lookup("bbbb")->value));
-    fs::remove_all(dir);
-}
-
-TEST(BinaryCacheFormat, JsonlReaderFailsLoudlyOnBinaryFile)
-{
-    const auto dir = scratchDir("pluto_campaign_bin_mixed_test");
-    TinyCache writer(dir, "mix", CacheFormat::Binary);
-    ASSERT_TRUE(writer.append("aaaa", {1.0}).empty());
-
-    // The same path opened in (default) jsonl mode must error with
-    // the fix by name — never silently recompute.
-    TinyCache reader(dir, "mix");
-    const std::string err = reader.load();
-    EXPECT_NE(err.find("--cache-format binary"), std::string::npos)
-        << err;
-    EXPECT_EQ(reader.entries(), 0u);
-    fs::remove_all(dir);
-}
-
-TEST(BinaryCacheFormat, BinaryReaderFailsLoudlyOnJsonlFile)
-{
-    const auto dir = scratchDir("pluto_campaign_jsonl_mixed_test");
-    TinyCache writer(dir, "mix");
-    ASSERT_TRUE(writer.append("aaaa", {1.0}).empty());
-
-    TinyCache reader(dir, "mix", CacheFormat::Binary);
-    const std::string err = reader.load();
-    EXPECT_NE(err.find("--cache-format jsonl"), std::string::npos)
-        << err;
-    EXPECT_EQ(reader.entries(), 0u);
-
-    // Future formats stay future even to the binary reader.
+    // Earlier builds wrote a binary encoding at the same path: a JSON
+    // header line, then [u32 len][u32 fnv1a32][u32 4]["aaaa"][double
+    // 1.0] little-endian records. Such a file must fail loudly with
+    // the fix by name — never silently recompute, and never point at
+    // an upgrade or a flag that no longer exists.
+    const auto dir = scratchDir("pluto_campaign_retired_bin_test");
+    fs::create_directories(dir);
+    const char record[] = "\x10\x00\x00\x00\xf8\x68\xe1\x6d"
+                          "\x04\x00\x00\x00" "aaaa"
+                          "\x00\x00\x00\x00\x00\x00\xf0\x3f";
     {
-        std::ofstream out(writer.path(), std::ios::binary);
-        out << "{\"cacheFormat\":99,\"kind\":\"tiny\","
-               "\"encoding\":\"binary2\"}\n";
-    }
-    const std::string ferr = reader.load();
-    EXPECT_NE(ferr.find("cacheFormat 99"), std::string::npos) << ferr;
-    fs::remove_all(dir);
-}
-
-TEST(BinaryCacheFormat, TornTailRecordIsCountedCorrupt)
-{
-    const auto dir = scratchDir("pluto_campaign_bin_torn_test");
-    TinyCache writer(dir, "torn", CacheFormat::Binary);
-    ASSERT_TRUE(writer.append("aaaa", {1.0}).empty());
-    ASSERT_TRUE(writer.append("bbbb", {2.0}).empty());
-
-    // Chop a few bytes off the last record, as an interrupted shard
-    // append would: the intact prefix loads, the tail counts.
-    const auto size = fs::file_size(writer.path());
-    fs::resize_file(writer.path(), size - 3);
-
-    TinyCache reader(dir, "torn", CacheFormat::Binary);
-    EXPECT_TRUE(reader.load().empty());
-    EXPECT_EQ(reader.entries(), 1u);
-    EXPECT_EQ(reader.corruptLines(), 1u);
-    EXPECT_EQ(reader.lookup("aaaa")->value, 1.0);
-    EXPECT_FALSE(reader.lookup("bbbb"));
-    fs::remove_all(dir);
-}
-
-TEST(BinaryCacheFormat, DuplicateHeadersFromRacingCreatorsAreSkipped)
-{
-    // Same race as the JSONL variant: a second creator's header may
-    // land between records; the loader must skip it mid-stream.
-    const auto dir = scratchDir("pluto_campaign_bin_race_test");
-    TinyCache writer(dir, "race", CacheFormat::Binary);
-    ASSERT_TRUE(writer.append("aaaa", {1.0}).empty());
-    {
-        std::ofstream out(writer.path(),
-                          std::ios::binary | std::ios::app);
+        std::ofstream out(dir + "/old.tiny.cache.jsonl",
+                          std::ios::binary);
         out << "{\"cacheFormat\":3,\"kind\":\"tiny\","
                "\"encoding\":\"binary\"}\n";
+        out.write(record, sizeof(record) - 1);
     }
-    ASSERT_TRUE(writer.append("bbbb", {2.0}).empty());
-
-    TinyCache reader(dir, "race", CacheFormat::Binary);
-    EXPECT_TRUE(reader.load().empty());
-    EXPECT_EQ(reader.entries(), 2u);
-    EXPECT_EQ(reader.corruptLines(), 0u);
-    EXPECT_EQ(reader.lookup("bbbb")->value, 2.0);
+    TinyCache cache(dir, "old");
+    const std::string err = cache.load();
+    EXPECT_NE(err.find("binary cache"), std::string::npos) << err;
+    EXPECT_NE(err.find("no longer reads"), std::string::npos) << err;
+    EXPECT_NE(err.find("delete the file"), std::string::npos) << err;
+    EXPECT_EQ(err.find("upgrade"), std::string::npos) << err;
+    EXPECT_EQ(err.find("--"), std::string::npos) << err;
+    EXPECT_EQ(cache.entries(), 0u);
     fs::remove_all(dir);
 }
 
-TEST(BinaryCacheFormat, ModeCodecsRoundTripEveryFieldExactly)
+TEST(JsonlCacheFormat, ModeCodecsRoundTripEveryFieldExactly)
 {
-    const auto dir = scratchDir("pluto_campaign_bin_codec_test");
+    const auto dir = scratchDir("pluto_campaign_codec_test");
 
     sim::CachedRun run;
     run.elements = 123456789ull;
@@ -393,7 +308,7 @@ TEST(BinaryCacheFormat, ModeCodecsRoundTripEveryFieldExactly)
     run.hostNs = 5e-324; // denormal min
     run.verified = true;
     run.wallMs = 0.1;
-    sim::RunCache simc(dir, "scn", CacheFormat::Binary);
+    sim::RunCache simc(dir, "scn");
     ASSERT_TRUE(simc.append("k1", run).empty());
 
     serve::ServiceOutcome svc;
@@ -406,10 +321,21 @@ TEST(BinaryCacheFormat, ModeCodecsRoundTripEveryFieldExactly)
     svc.tenants.back().tenant = 3;
     svc.tenants.back().requests = 21;
     svc.tenants.back().p95Ms = 2.0 / 3.0;
-    serve::ServiceCache servec(dir, "scn", CacheFormat::Binary);
+    serve::ServiceCache servec(dir, "scn");
     ASSERT_TRUE(servec.append("k2", svc).empty());
 
-    sim::RunCache simr(dir, "scn", CacheFormat::Binary);
+    nn::NnOutcome nnOut;
+    nnOut.images = 9;
+    nnOut.macs = 4294967297ull; // above u32
+    nnOut.timeNs = 2.0 / 3.0;
+    nnOut.energyPj = -0.0;
+    nnOut.accuracy = 5e-324;
+    nnOut.verified = true;
+    nnOut.wallMs = 2.5e300;
+    nn::NnCache nnc(dir, "scn");
+    ASSERT_TRUE(nnc.append("k3", nnOut).empty());
+
+    sim::RunCache simr(dir, "scn");
     ASSERT_TRUE(simr.load().empty());
     const auto r = simr.lookup("k1");
     ASSERT_TRUE(r);
@@ -420,7 +346,7 @@ TEST(BinaryCacheFormat, ModeCodecsRoundTripEveryFieldExactly)
     EXPECT_EQ(r->verified, run.verified);
     EXPECT_EQ(r->wallMs, run.wallMs);
 
-    serve::ServiceCache server(dir, "scn", CacheFormat::Binary);
+    serve::ServiceCache server(dir, "scn");
     ASSERT_TRUE(server.load().empty());
     const auto s = server.lookup("k2");
     ASSERT_TRUE(s);
@@ -432,6 +358,20 @@ TEST(BinaryCacheFormat, ModeCodecsRoundTripEveryFieldExactly)
     EXPECT_EQ(s->tenants[0].tenant, 3u);
     EXPECT_EQ(s->tenants[0].requests, 21u);
     EXPECT_EQ(s->tenants[0].p95Ms, svc.tenants[0].p95Ms);
+
+    nn::NnCache nnr(dir, "scn");
+    ASSERT_TRUE(nnr.load().empty());
+    EXPECT_EQ(nnr.corruptLines(), 0u);
+    const auto n = nnr.lookup("k3");
+    ASSERT_TRUE(n);
+    EXPECT_EQ(n->images, nnOut.images);
+    EXPECT_EQ(n->macs, nnOut.macs);
+    EXPECT_EQ(n->timeNs, nnOut.timeNs);
+    EXPECT_TRUE(std::signbit(n->energyPj));
+    EXPECT_EQ(n->energyPj, 0.0);
+    EXPECT_EQ(n->accuracy, nnOut.accuracy);
+    EXPECT_EQ(n->verified, nnOut.verified);
+    EXPECT_EQ(n->wallMs, nnOut.wallMs);
     fs::remove_all(dir);
 }
 
@@ -541,41 +481,6 @@ TEST(NnCampaign, ShardedCachedRunsEqualColdRunByteForByte)
     const auto serial = runner.run(one);
     EXPECT_EQ(nn::NnMetricsSink::renderCsv(cfg, serial),
               nn::NnMetricsSink::renderCsv(cfg, cold));
-    fs::remove_all(dir);
-}
-
-TEST(NnCampaign, ShardedBinaryCacheRunsEqualColdRunByteForByte)
-{
-    // The binary encoding must inherit the exact sharded+merged ==
-    // cold discipline of the JSONL cache: same grid partition, every
-    // merge cell a hit, byte-identical reports.
-    const auto cfg = nnScenario();
-    const auto dir = scratchDir("pluto_campaign_nn_bin_test");
-    const nn::NnRunner runner(cfg);
-
-    RunOptions opt;
-    opt.threads = 2;
-    opt.deterministic = true;
-    const auto cold = runner.run(opt);
-
-    opt.cacheDir = dir;
-    opt.cacheFormat = CacheFormat::Binary;
-    std::size_t shardRuns = 0;
-    for (u32 i = 0; i < 3; ++i) {
-        opt.shardIndex = i;
-        opt.shardCount = 3;
-        shardRuns += runner.run(opt).runs.size();
-    }
-    EXPECT_EQ(shardRuns, cold.runs.size());
-
-    opt.shardIndex = 0;
-    opt.shardCount = 1;
-    const auto merged = runner.run(opt);
-    EXPECT_EQ(merged.cacheHits, merged.runs.size());
-    EXPECT_EQ(nn::NnMetricsSink::renderCsv(cfg, merged),
-              nn::NnMetricsSink::renderCsv(cfg, cold));
-    EXPECT_EQ(nn::NnMetricsSink::renderJson(cfg, merged),
-              nn::NnMetricsSink::renderJson(cfg, cold));
     fs::remove_all(dir);
 }
 

@@ -4,19 +4,17 @@
  * and outcome encoding produces byte for byte — the content keys of
  * the three campaign caches (default specs, one perturbation per
  * keyed field, every expanded cell of the example scenarios), the
- * digests of one JSONL line and one binary record per outcome type,
- * and a full field dump of each example's expanded cells — so a
- * refactor of the parser, the key builders or the codecs must leave
- * them untouched. The golden builders below are written against the
- * spec and outcome members directly, independent of any schema
- * table.
+ * digest of one JSONL line per outcome type, and a full field dump of
+ * each example's expanded cells — so a refactor of the parser, the
+ * key builders or the codecs must leave them untouched. The golden
+ * builders below are written against the spec and outcome members
+ * directly, independent of any schema table.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cctype>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -192,35 +190,17 @@ fixedService()
     return o;
 }
 
-/** The entry line and the binary record one append writes. */
-struct Encoded
-{
-    std::string line;
-    std::string record;
-};
-
-/** Append `out` under `key` in both encodings; @return the entry. */
+/** Append `out` under a fixed key; @return the entry line written. */
 template <typename Cache, typename Outcome>
-Encoded
-encodeBoth(const std::string &tag, const Outcome &out)
+std::string
+encodeLine(const std::string &tag, const Outcome &out)
 {
     const auto dir = scratchDir("pluto_schema_encode_" + tag);
-    Encoded e;
-    {
-        Cache jsonl(dir, "j", campaign::CacheFormat::Jsonl);
-        EXPECT_TRUE(jsonl.append("0123456789abcdef", out).empty());
-        const std::string text = readFile(jsonl.path());
-        const auto nl = text.find('\n');
-        e.line = text.substr(nl + 1);
-    }
-    {
-        Cache bin(dir, "b", campaign::CacheFormat::Binary);
-        EXPECT_TRUE(bin.append("0123456789abcdef", out).empty());
-        const std::string data = readFile(bin.path());
-        e.record = data.substr(data.find('\n') + 1);
-    }
+    Cache cache(dir, "j");
+    EXPECT_TRUE(cache.append("0123456789abcdef", out).empty());
+    const std::string text = readFile(cache.path());
     fs::remove_all(dir);
-    return e;
+    return text.substr(text.find('\n') + 1);
 }
 
 // ---- Content-key golden ----
@@ -361,18 +341,17 @@ TEST(SchemaGoldens, CacheKeys)
 
 TEST(SchemaGoldens, CodecRecords)
 {
-    const auto run = encodeBoth<sim::RunCache>("sim", fixedRun());
+    const auto run = encodeLine<sim::RunCache>("sim", fixedRun());
     const auto svc =
-        encodeBoth<serve::ServiceCache>("serve", fixedService());
-    const auto nnE = encodeBoth<nn::NnCache>("nn", fixedNn());
+        encodeLine<serve::ServiceCache>("serve", fixedService());
+    const auto nnLine = encodeLine<nn::NnCache>("nn", fixedNn());
     std::ostringstream o;
-    for (const auto &[name, e] :
-         {std::pair<const char *, const Encoded &>{"sim", run},
+    for (const auto &[name, line] :
+         {std::pair<const char *, const std::string &>{"sim", run},
           {"serve", svc},
-          {"nn", nnE}})
-        o << name << " jsonl " << fnv1aHex(e.line) << " "
-          << e.line.size() << "B binary " << fnv1aHex(e.record) << " "
-          << e.record.size() << "B\n";
+          {"nn", nnLine}})
+        o << name << " jsonl " << fnv1aHex(line) << " " << line.size()
+          << "B\n";
     test::expectGolden("cache_codecs", o.str(), "cache encodings");
 }
 
@@ -473,11 +452,11 @@ withValue(std::string line, const std::string &name,
 TEST(CacheDecode, RejectsIntegersThatDoNotFitTheirField)
 {
     const std::string run =
-        encodeBoth<sim::RunCache>("int_sim", fixedRun()).line;
+        encodeLine<sim::RunCache>("int_sim", fixedRun());
     const std::string nnLine =
-        encodeBoth<nn::NnCache>("int_nn", fixedNn()).line;
+        encodeLine<nn::NnCache>("int_nn", fixedNn());
     const std::string svc =
-        encodeBoth<serve::ServiceCache>("int_serve", fixedService()).line;
+        encodeLine<serve::ServiceCache>("int_serve", fixedService());
     // Controls: the untouched lines replay.
     EXPECT_EQ(loadLines<sim::RunCache>("sim", {run}), Loaded(1, 0));
     EXPECT_EQ(loadLines<nn::NnCache>("nn", {nnLine}), Loaded(1, 0));
@@ -684,36 +663,22 @@ TEST(Mutation, ScenarioMutantsParseOrFailWithALineDiagnostic)
     }
 }
 
-/** FNV-1a 32, the binary cache's record checksum. */
-u32
-fnv1a32(const std::string &s)
-{
-    u32 h = 2166136261u;
-    for (const char c : s) {
-        h ^= static_cast<u8>(c);
-        h *= 16777619u;
-    }
-    return h;
-}
-
 /**
- * Mutate one outcome's JSONL line and binary record payload kMutants
- * times each (re-framing binary records with a valid checksum, so the
- * mutants reach the decoder): every mutant must load as an entry or
- * count as corrupt.
+ * Mutate one outcome's JSONL line kMutants times: every mutant must
+ * load as an entry or count as corrupt.
  */
 template <typename Cache, typename Outcome>
 void
 expectMutantsDecodeOrCountCorrupt(const std::string &kind,
                                   const Outcome &out)
 {
-    const Encoded e = encodeBoth<Cache>("mut_" + kind, out);
+    const std::string entry = encodeLine<Cache>("mut_" + kind, out);
     const auto dir = scratchDir("pluto_schema_mut_" + kind);
     fs::create_directories(dir);
     std::mt19937_64 rng(7 + kind.size());
     u64 decoded = 0;
     for (int i = 0; i < kMutants; ++i) {
-        const std::string line = mutate(e.line, rng, true);
+        const std::string line = mutate(entry, rng, true);
         {
             std::ofstream f(dir + "/j." + kind + ".cache.jsonl");
             f << "{\"cacheFormat\":2,\"kind\":\"" << kind << "\"}\n"
@@ -726,24 +691,6 @@ expectMutantsDecodeOrCountCorrupt(const std::string &kind,
             EXPECT_GE(jsonl.entries() + jsonl.corruptLines(), 1u) << i;
         }
         decoded += jsonl.entries();
-
-        const std::string payload = mutate(e.record.substr(8), rng, false);
-        std::string frame(8, '\0');
-        const u32 len = static_cast<u32>(payload.size());
-        const u32 sum = fnv1a32(payload);
-        std::memcpy(frame.data(), &len, 4);
-        std::memcpy(frame.data() + 4, &sum, 4);
-        {
-            std::ofstream f(dir + "/b." + kind + ".cache.jsonl",
-                            std::ios::binary);
-            f << "{\"cacheFormat\":3,\"kind\":\"" << kind
-              << "\",\"encoding\":\"binary\"}\n"
-              << frame << payload;
-        }
-        Cache bin(dir, "b", campaign::CacheFormat::Binary);
-        ASSERT_EQ(bin.load(), "");
-        EXPECT_EQ(bin.entries() + bin.corruptLines(), 1u) << i;
-        decoded += bin.entries();
     }
     // Some mutants (e.g. a flipped digit in a double) stay valid.
     EXPECT_GT(decoded, 0u);

@@ -1481,17 +1481,6 @@ TEST(ServiceCache, RoundTripsOutcomesBitIdentically)
     EXPECT_EQ(hit->maxQueueDepth, out.maxQueueDepth);
     EXPECT_FALSE(cache.lookup("k2"));
 
-    // The binary codec carries the same payload bit-for-bit.
-    {
-        ServiceCache bin(dir, "unit_bin",
-                         campaign::CacheFormat::Binary);
-        EXPECT_TRUE(bin.append("k1", out).empty());
-    }
-    ServiceCache bin(dir, "unit_bin", campaign::CacheFormat::Binary);
-    EXPECT_TRUE(bin.load().empty());
-    const auto bhit = bin.lookup("k1");
-    ASSERT_TRUE(bhit);
-    expectSameOutcome(*bhit, out);
     fs::remove_all(dir);
 }
 
