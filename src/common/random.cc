@@ -19,12 +19,6 @@ splitmix64(u64 &state)
     return z ^ (z >> 31);
 }
 
-constexpr u64
-rotl(u64 x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(u64 seed)
@@ -32,20 +26,6 @@ Rng::Rng(u64 seed)
     u64 sm = seed;
     for (auto &s : s_)
         s = splitmix64(sm);
-}
-
-u64
-Rng::next()
-{
-    const u64 result = rotl(s_[1] * 5, 7) * 9;
-    const u64 t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-    return result;
 }
 
 u64
@@ -59,12 +39,6 @@ Rng::below(u64 bound)
         if (r >= threshold)
             return r % bound;
     }
-}
-
-double
-Rng::uniform()
-{
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
 double

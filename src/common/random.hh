@@ -23,14 +23,29 @@ class Rng
   public:
     explicit Rng(u64 seed = 0x5eed5eed5eed5eedULL);
 
-    /** @return next 64 uniformly random bits. */
-    u64 next();
+    /** @return next 64 uniformly random bits (inline: the serving
+     *  load generator draws several per request). */
+    u64 next()
+    {
+        const u64 result = rotl(s_[1] * 5, 7) * 9;
+        const u64 t = s_[1] << 17;
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = rotl(s_[3], 45);
+        return result;
+    }
 
     /** @return uniform integer in [0, bound). bound must be > 0. */
     u64 below(u64 bound);
 
     /** @return uniform double in [0, 1). */
-    double uniform();
+    double uniform()
+    {
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** @return uniform double in [lo, hi). */
     double uniform(double lo, double hi);
@@ -48,6 +63,11 @@ class Rng
     std::vector<u64> values(u64 n, u64 bound);
 
   private:
+    static constexpr u64 rotl(u64 x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     u64 s_[4];
     bool haveSpare_ = false;
     double spare_ = 0.0;

@@ -58,7 +58,7 @@ Histogram::addCount(double v, u64 n)
 {
     if (n == 0)
         return;
-    buckets_[bucketOf(v)] += n;
+    buckets_.at(bucketOf(v)) += n;
     if (count_ == 0) {
         min_ = v;
         max_ = v;
@@ -75,8 +75,7 @@ Histogram::merge(const Histogram &other)
 {
     if (other.count_ == 0)
         return;
-    for (const auto &[idx, n] : other.buckets_)
-        buckets_[idx] += n;
+    other.forEachBucket([&](i32 idx, u64 n) { buckets_.at(idx) += n; });
     if (count_ == 0) {
         min_ = other.min_;
         max_ = other.max_;
@@ -124,12 +123,18 @@ Histogram::rankBucket(double q) const
         1, static_cast<u64>(
                std::ceil(q * static_cast<double>(count_))));
     u64 seen = 0;
-    for (const auto &[idx, n] : buckets_) {
+    return buckets_.findIf([&](i32, u64 n) {
         seen += n;
-        if (seen >= rank)
-            return idx;
-    }
-    return buckets_.rbegin()->first; // unreachable: counts sum to count_
+        return seen >= rank;
+    }); // never -1: counts sum to count_
+}
+
+std::map<i32, u64>
+Histogram::buckets() const
+{
+    std::map<i32, u64> out;
+    forEachBucket([&](i32 idx, u64 n) { out.emplace(idx, n); });
+    return out;
 }
 
 } // namespace pluto::obs

@@ -6,9 +6,6 @@
 #include "obs/timeseries.hh"
 
 #include <algorithm>
-#include <cmath>
-
-#include "common/logging.hh"
 
 namespace pluto::obs
 {
@@ -18,45 +15,17 @@ TimeSeries::TimeSeries(double intervalNs, std::vector<SeriesCol> cols)
 {
     PLUTO_ASSERT(intervalNs_ > 0.0);
     slot_.reserve(cols_.size());
-    std::size_t vals = 0;
     for (const auto &c : cols_)
         slot_.push_back(c.agg == SeriesAgg::Hist ? histCols_++
-                                                 : vals++);
-}
-
-TimeSeries::Window &
-TimeSeries::at(double tNs)
-{
-    const std::size_t valCols = cols_.size() - histCols_;
-    std::size_t idx = 0;
-    if (tNs > 0.0)
-        idx = static_cast<std::size_t>(tNs / intervalNs_);
-    idx = std::min(idx, kMaxWindows - 1);
-    while (wins_.size() <= idx) {
-        Window w;
-        w.vals.assign(valCols, 0.0);
-        w.hists.resize(histCols_);
-        wins_.push_back(std::move(w));
-    }
-    return wins_[idx];
+                                                 : valCols_++);
 }
 
 void
-TimeSeries::record(double tNs, std::size_t col, double v)
+TimeSeries::grow(std::size_t count)
 {
-    PLUTO_ASSERT(col < cols_.size());
-    Window &w = at(tNs);
-    switch (cols_[col].agg) {
-      case SeriesAgg::Sum:
-        w.vals[slot_[col]] += v;
-        break;
-      case SeriesAgg::Max:
-        w.vals[slot_[col]] = std::max(w.vals[slot_[col]], v);
-        break;
-      case SeriesAgg::Hist:
-        w.hists[slot_[col]].add(v);
-        break;
-    }
+    windows_ = count;
+    vals_.resize(windows_ * valCols_, 0.0);
+    hists_.resize(windows_ * histCols_);
 }
 
 void
@@ -70,15 +39,11 @@ TimeSeries::recordSpan(double t0, double t1, std::size_t col,
     const double span = t1 - t0;
     double cur = t0;
     while (cur < t1) {
-        const std::size_t idx = std::min(
-            cur > 0.0
-                ? static_cast<std::size_t>(cur / intervalNs_)
-                : 0,
-            kMaxWindows - 1);
+        const std::size_t idx = window(cur);
         double end = static_cast<double>(idx + 1) * intervalNs_;
         if (idx == kMaxWindows - 1 || end > t1)
             end = t1;
-        at(cur).vals[slot_[col]] += v * ((end - cur) / span);
+        add(idx, col, v * ((end - cur) / span));
         cur = end;
     }
 }
@@ -88,26 +53,25 @@ TimeSeries::merge(const TimeSeries &other)
 {
     PLUTO_ASSERT(cols_.size() == other.cols_.size() &&
                  intervalNs_ == other.intervalNs_);
-    if (other.wins_.empty())
-        return;
-    // Materialize up to the other's last window, then fold.
-    at((static_cast<double>(other.wins_.size()) - 0.5) *
-       intervalNs_);
-    for (std::size_t i = 0; i < other.wins_.size(); ++i) {
-        Window &dst = wins_[i];
-        const Window &src = other.wins_[i];
+    if (other.windows_ > windows_)
+        grow(other.windows_);
+    for (std::size_t c = 0; c < cols_.size(); ++c)
+        PLUTO_ASSERT(cols_[c].agg == other.cols_[c].agg);
+    for (std::size_t i = 0; i < other.windows_; ++i) {
         for (std::size_t c = 0; c < cols_.size(); ++c) {
-            PLUTO_ASSERT(cols_[c].agg == other.cols_[c].agg);
             switch (cols_[c].agg) {
               case SeriesAgg::Sum:
-                dst.vals[slot_[c]] += src.vals[slot_[c]];
+                vals_[i * valCols_ + slot_[c]] +=
+                    other.vals_[i * valCols_ + slot_[c]];
                 break;
-              case SeriesAgg::Max:
-                dst.vals[slot_[c]] = std::max(dst.vals[slot_[c]],
-                                              src.vals[slot_[c]]);
+              case SeriesAgg::Max: {
+                double &x = vals_[i * valCols_ + slot_[c]];
+                x = std::max(x, other.vals_[i * valCols_ + slot_[c]]);
                 break;
+              }
               case SeriesAgg::Hist:
-                dst.hists[slot_[c]].merge(src.hists[slot_[c]]);
+                hists_[i * histCols_ + slot_[c]].merge(
+                    other.hists_[i * histCols_ + slot_[c]]);
                 break;
             }
         }
@@ -117,17 +81,17 @@ TimeSeries::merge(const TimeSeries &other)
 double
 TimeSeries::value(std::size_t win, std::size_t col) const
 {
-    PLUTO_ASSERT(win < wins_.size() && col < cols_.size() &&
+    PLUTO_ASSERT(win < windows_ && col < cols_.size() &&
                  cols_[col].agg != SeriesAgg::Hist);
-    return wins_[win].vals[slot_[col]];
+    return vals_[win * valCols_ + slot_[col]];
 }
 
 const Histogram &
 TimeSeries::hist(std::size_t win, std::size_t col) const
 {
-    PLUTO_ASSERT(win < wins_.size() && col < cols_.size() &&
+    PLUTO_ASSERT(win < windows_ && col < cols_.size() &&
                  cols_[col].agg == SeriesAgg::Hist);
-    return wins_[win].hists[slot_[col]];
+    return hists_[win * histCols_ + slot_[col]];
 }
 
 } // namespace pluto::obs

@@ -18,9 +18,12 @@
 #ifndef PLUTO_OBS_TIMESERIES_HH
 #define PLUTO_OBS_TIMESERIES_HH
 
+#include <algorithm>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/types.hh"
 #include "obs/histogram.hh"
 
@@ -59,7 +62,50 @@ class TimeSeries
     TimeSeries(double intervalNs, std::vector<SeriesCol> cols);
 
     /** Record `v` into column `col` at time `tNs`. */
-    void record(double tNs, std::size_t col, double v);
+    void record(double tNs, std::size_t col, double v)
+    {
+        add(window(tNs), col, v);
+    }
+
+    /**
+     * @return the index of the window holding `tNs`, materializing
+     * windows up to it. Computed once, it serves every add() of one
+     * event; a repeat of the last timestamp (several records of one
+     * instant) skips the division.
+     */
+    std::size_t window(double tNs)
+    {
+        if (tNs == lastT_)
+            return lastWin_;
+        std::size_t idx = 0;
+        if (tNs > 0.0)
+            idx = static_cast<std::size_t>(tNs / intervalNs_);
+        idx = std::min(idx, kMaxWindows - 1);
+        if (idx >= windows_)
+            grow(idx + 1);
+        lastT_ = tNs;
+        lastWin_ = idx;
+        return idx;
+    }
+
+    /** Fold `v` into column `col` of window `win` (from window()). */
+    void add(std::size_t win, std::size_t col, double v)
+    {
+        PLUTO_ASSERT(win < windows_ && col < cols_.size());
+        const std::size_t slot = slot_[col];
+        switch (cols_[col].agg) {
+          case SeriesAgg::Sum:
+            vals_[win * valCols_ + slot] += v;
+            break;
+          case SeriesAgg::Max:
+            vals_[win * valCols_ + slot] =
+                std::max(vals_[win * valCols_ + slot], v);
+            break;
+          case SeriesAgg::Hist:
+            hists_[win * histCols_ + slot].add(v);
+            break;
+        }
+    }
 
     /**
      * Spread `v` (a Sum column) over [t0, t1) proportionally to the
@@ -72,7 +118,7 @@ class TimeSeries
     void merge(const TimeSeries &other);
 
     /** @return number of materialized windows. */
-    std::size_t windows() const { return wins_.size(); }
+    std::size_t windows() const { return windows_; }
 
     /** @return window width in ns. */
     double intervalNs() const { return intervalNs_; }
@@ -87,21 +133,24 @@ class TimeSeries
     const Histogram &hist(std::size_t win, std::size_t col) const;
 
   private:
-    struct Window
-    {
-        std::vector<double> vals;
-        std::vector<Histogram> hists;
-    };
-
-    /** The window holding `tNs`, materializing up to it. */
-    Window &at(double tNs);
+    /** Materialize windows up to `count`. */
+    void grow(std::size_t count);
 
     double intervalNs_ = 1e6;
     std::vector<SeriesCol> cols_;
-    /** col -> slot in Window::hists (Hist cols) or Window::vals. */
+    /** col -> slot in a window's histograms (Hist cols) or values. */
     std::vector<std::size_t> slot_;
     std::size_t histCols_ = 0;
-    std::vector<Window> wins_;
+    std::size_t valCols_ = 0;
+    std::size_t windows_ = 0;
+    /** window()'s last timestamp and answer (NaN: none yet). */
+    double lastT_ = std::numeric_limits<double>::quiet_NaN();
+    std::size_t lastWin_ = 0;
+    /** Sum/Max values, window-major: window w's are at
+     *  [w * valCols, (w + 1) * valCols). */
+    std::vector<double> vals_;
+    /** Hist columns, window-major likewise. */
+    std::vector<Histogram> hists_;
 };
 
 } // namespace pluto::obs

@@ -3,8 +3,9 @@
  * Discrete-event machinery for the serving simulator: the timestamped
  * event heap, the indexed least-loaded dispatch structure, and the
  * arena-backed request pool. They stand in for per-tick O(P) scans
- * of the pool with O(log P) operations, so a service cell costs
- * O((R + E)·log P) for R requests and E events across a P-device
+ * of the pool: an event costs O(log E) on the heap and a dispatch
+ * O(P/64) word tests at most, so a service cell costs about
+ * O((R + E)·log E) for R requests and E events across a P-device
  * pool.
  *
  * Determinism: every structure breaks ties by a total order that is a
@@ -16,8 +17,8 @@
  * Only the event heap uses lazy deletion: superseded events stay in
  * the heap and are discarded when they surface, validated against the
  * current device state; a device has at most one live event (busy:
- * its completion; idle with a queue: its policy wake-up). Dispatch is
- * an exact tournament tree of fixed size, updated in place.
+ * its completion; idle with a queue: its policy wake-up). Dispatch
+ * buckets devices by load in per-level bitmaps, updated in place.
  */
 
 #ifndef PLUTO_SERVE_ENGINE_HH
@@ -26,7 +27,9 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
+#include <set>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/arena.hh"
@@ -107,69 +110,117 @@ class EventQueue
 };
 
 /**
- * Least-loaded device index: a tournament tree over the pool that
- * picks what a linear scan would — the minimum queue+inFlight load,
- * ties to the lowest device index.
+ * Least-loaded device index: picks what a linear scan would — the
+ * minimum queue+inFlight load, ties to the lowest device index.
  *
- * The tree has L = next_pow2(P) leaves; node i's children are 2i and
- * 2i+1, the root is node 1 and leaf d is node L + d. Each node holds
- * the winning device of its subtree: the lower load, or on equal load
- * the left child, whose devices all precede the right child's. The
- * root is thus the (load, index) minimum over the pool. Padding
- * leaves d >= P carry the maximum load and sit right of every real
- * device, so they never win. An update replays the log2(L) matches on
- * the device's path to the root; memory is O(P) however many updates
- * arrive.
+ * Devices are bucketed by load. Each load level below kDenseLevels
+ * owns a P-bit bitmap of the devices at that level and a count of
+ * them; levels are grown on demand up to the highest load recorded.
+ * The index also tracks the lowest non-empty level. The pick is the
+ * lowest set bit of that level, which is the (load, index) minimum
+ * over the pool. An update clears one bit and sets another. A load
+ * below the minimum becomes the minimum; the minimum rises only when
+ * the updated device was alone on it and rose, and then steps up to
+ * the next occupied level. In the serve loop that is one step, since
+ * an arrival adds 1 to a least-loaded device and a completion only
+ * lowers a load.
+ *
+ * Loads at or above kDenseLevels go to an exact (load, device) set,
+ * which is read only when every dense level is empty. The set keeps
+ * arbitrary loads (up to the u64 maximum) exact without sizing the
+ * bitmaps by them. In the simulator a load is at most backlog/P + a
+ * batch, so the bitmaps cost about one bit per queued request.
  */
 class LoadIndex
 {
   public:
+    /** Loads below this are bucketed in bitmaps, the rest in a set. */
+    static constexpr u64 kDenseLevels = u64{1} << 20;
+
     explicit LoadIndex(u32 devices)
-        : leaves_(std::bit_ceil(devices)),
-          load_(leaves_, std::numeric_limits<u64>::max()),
-          tree_(2 * static_cast<std::size_t>(leaves_))
+        : words_((devices + 63) / 64), load_(devices, 0)
     {
         PLUTO_ASSERT(devices > 0);
-        std::fill_n(load_.begin(), devices, u64{0});
-        for (u32 d = 0; d < leaves_; ++d)
-            tree_[leaves_ + d] = d;
-        for (u32 i = leaves_ - 1; i > 0; --i)
-            tree_[i] = match(i);
+        grow(1);
+        for (u32 d = 0; d < devices; ++d)
+            set(0, d);
     }
 
     /** Record `dev`'s new queue+inFlight load. */
     void update(u32 dev, u64 load)
     {
+        const u64 old = load_[dev];
+        if (old == load)
+            return;
         load_[dev] = load;
-        for (u32 i = leaves_ + dev; i > 1;) {
-            i /= 2;
-            tree_[i] = match(i);
+        if (old < kDenseLevels) {
+            bits_[old * words_ + dev / 64] &= ~(u64{1} << (dev % 64));
+            --count_[old];
+        } else {
+            overflow_.erase({old, dev});
         }
+        if (load < kDenseLevels) {
+            if (load >= count_.size())
+                grow(load + 1);
+            set(load, dev);
+        } else {
+            overflow_.insert({load, dev});
+        }
+        if (load < min_)
+            min_ = load;
+        else
+            while (min_ < count_.size() && count_[min_] == 0)
+                ++min_;
     }
 
     /**
      * @return the device the linear scan would pick: minimum load,
      * ties to the lowest index.
      */
-    u32 leastLoaded() const { return tree_[1]; }
+    u32 leastLoaded() const
+    {
+        if (min_ == count_.size())
+            return overflow_.begin()->second;
+        const u64 *w = &bits_[min_ * words_];
+        u32 i = 0;
+        while (w[i] == 0)
+            ++i;
+        return 64 * i + static_cast<u32>(std::countr_zero(w[i]));
+    }
 
     /** @return the last load recorded for `dev`. */
     u64 load(u32 dev) const { return load_[dev]; }
 
   private:
-    /** Winner of node `i`'s two children; ties go left. */
-    u32 match(u32 i) const
+    /** Materialize levels [0, levels). */
+    void grow(u64 levels)
     {
-        const u32 l = tree_[2 * i];
-        const u32 r = tree_[2 * i + 1];
-        return load_[r] < load_[l] ? r : l;
+        bits_.resize(levels * words_, 0);
+        count_.resize(levels, 0);
     }
 
-    u32 leaves_;
-    /** Current load per leaf; padding leaves hold the maximum. */
+    /** Put `dev` on dense level `level`. */
+    void set(u64 level, u32 dev)
+    {
+        bits_[level * words_ + dev / 64] |= u64{1} << (dev % 64);
+        ++count_[level];
+    }
+
+    /** 64-bit words per level bitmap. */
+    u64 words_;
+    /** Current load per device. */
     std::vector<u64> load_;
-    /** Winning device per node; [1, L) internal, [L, 2L) leaves. */
-    std::vector<u32> tree_;
+    /** Level bitmaps, level-major: level l's words are
+     *  [l * words_, (l + 1) * words_). */
+    std::vector<u64> bits_;
+    /** Devices per dense level; its size is the materialized level
+     *  count. */
+    std::vector<u32> count_;
+    /** Lowest non-empty dense level, or count_.size() when every
+     *  device sits in overflow_. */
+    u64 min_ = 0;
+    /** (load, device) of loads >= kDenseLevels. */
+    std::set<std::pair<u64, u32>> overflow_;
 };
 
 /**

@@ -84,9 +84,10 @@ LoadGen::LoadGen(const sim::ServiceSpec &spec,
 TimeNs
 LoadGen::nextArrivalAt() const
 {
-    if (pending_.empty())
+    if (!hasPending())
         return std::numeric_limits<double>::infinity();
-    return pending_.top().arriveNs;
+    return spec_.closedLoop ? pending_.top().arriveNs
+                            : fifo_[head_].arriveNs;
 }
 
 u32
@@ -119,7 +120,16 @@ LoadGen::push(TimeNs at)
     r.cls = drawClass();
     r.tenant = mix_[r.cls].tenant;
     r.arriveNs = at;
-    pending_.push(r);
+    if (spec_.closedLoop) {
+        pending_.push(r);
+        return;
+    }
+    if (head_ >= 64 && 2 * head_ >= fifo_.size()) {
+        fifo_.erase(fifo_.begin(),
+                    fifo_.begin() + static_cast<std::ptrdiff_t>(head_));
+        head_ = 0;
+    }
+    fifo_.push_back(r);
 }
 
 TimeNs
@@ -138,8 +148,7 @@ LoadGen::refill(TimeNs until)
 {
     // Keep at least one arrival beyond `until` pending so
     // nextArrivalAt() always reflects the true next event.
-    while (!openDone_ &&
-           (pending_.empty() || frontier_ <= until)) {
+    while (!openDone_ && (!hasPending() || frontier_ <= until)) {
         const TimeNs gap =
             spec_.uniformArrivals
                 ? 1e9 / spec_.ratePerSec
@@ -157,16 +166,17 @@ LoadGen::refill(TimeNs until)
 bool
 LoadGen::poll(TimeNs until, Request &out)
 {
-    if (!spec_.closedLoop)
-        refill(until);
-    if (pending_.empty() || pending_.top().arriveNs > until)
+    if (spec_.closedLoop) {
+        if (pending_.empty() || pending_.top().arriveNs > until)
+            return false;
+        out = pending_.top();
+        pending_.pop();
+        return true;
+    }
+    refill(until);
+    if (head_ == fifo_.size() || fifo_[head_].arriveNs > until)
         return false;
-    out = pending_.top();
-    pending_.pop();
-    // Keep the schedule one arrival ahead so nextArrivalAt() stays
-    // exact for the caller's next event-time computation.
-    if (!spec_.closedLoop)
-        refill(until);
+    out = fifo_[head_++];
     return true;
 }
 

@@ -20,6 +20,11 @@
  * interarrival draws, so an entire arrival sequence is a pure
  * function of (ServiceSpec, mix).
  *
+ * Pending arrivals wait in (time, id) order. Open-loop arrivals are
+ * drawn in that order (`frontier_ += gap` only grows, ids count up),
+ * so they queue in a FIFO; closed-loop clients complete out of
+ * order, so their next arrivals go through a heap.
+ *
  * With `tenant_skew` s > 0 the class draw goes through a Zipf(s)
  * tenant draw first: the mix's distinct tenant ids are ranked
  * ascending (lowest id = rank 1 = hottest) and the class is then
@@ -90,7 +95,11 @@ class LoadGen
     TimeNs nextArrivalAt() const;
 
     /** @return true when at least one arrival is pending. */
-    bool hasPending() const { return !pending_.empty(); }
+    bool hasPending() const
+    {
+        return spec_.closedLoop ? !pending_.empty()
+                                : head_ < fifo_.size();
+    }
 
     /**
      * Streaming arrival pop: write the earliest pending arrival with
@@ -151,6 +160,13 @@ class LoadGen
     bool openDone_ = false;
     u64 nextId_ = 0;
 
+    /** Open loop: pending arrivals, [head_, size) of fifo_. The
+     *  consumed prefix is dropped once it is the larger half, so the
+     *  buffer stays as short as the lookahead. */
+    std::vector<Request> fifo_;
+    std::size_t head_ = 0;
+
+    /** Closed loop: pending arrivals, earliest (time, id) on top. */
     struct Later
     {
         bool operator()(const Request &a, const Request &b) const

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/emit.hh"
 #include "common/logging.hh"
@@ -16,6 +17,9 @@ namespace pluto::serve
 
 namespace
 {
+
+/** classGroup_ entry of a class with no completion yet. */
+constexpr u32 kNoGroup = 0xffffffffu;
 
 /** Column slots of the internal TimeSeries (declaration order). */
 enum SeriesColId : std::size_t
@@ -143,6 +147,7 @@ MetricsConfig::from(const sim::ServiceSpec &spec,
 
 ServiceMetrics::ServiceMetrics(MetricsConfig cfg)
     : cfg_(std::move(cfg)),
+      classGroup_(cfg_.classNames.size(), kNoGroup),
       series_(std::max(cfg_.seriesIntervalMs, 1e-6) * 1e6,
               seriesSchema())
 {
@@ -175,15 +180,47 @@ ServiceMetrics::onBatch(TimeNs at, u32 size, u32 busyDevices,
     series_.recordSpan(at, at + serviceNs, kColBusyNs, serviceNs);
 }
 
+u32
+ServiceMetrics::groupOf(const Request &r)
+{
+    if (r.cls < classGroup_.size()) {
+        const u32 g = classGroup_[r.cls];
+        if (g != kNoGroup && groups_[g].tenant == r.tenant)
+            return g;
+    }
+    u32 g = 0;
+    while (g < groups_.size() &&
+           (groups_[g].tenant != r.tenant || groups_[g].cls != r.cls))
+        ++g;
+    if (g == groups_.size()) {
+        GroupState grp;
+        grp.tenant = r.tenant;
+        grp.cls = r.cls;
+        while (grp.slot < tenants_.size() &&
+               tenants_[grp.slot].tenant != r.tenant)
+            ++grp.slot;
+        if (grp.slot == tenants_.size()) {
+            tenants_.emplace_back();
+            tenants_.back().tenant = r.tenant;
+        }
+        groups_.push_back(std::move(grp));
+    }
+    if (r.cls < classGroup_.size())
+        classGroup_[r.cls] = g;
+    return g;
+}
+
 void
 ServiceMetrics::onComplete(const Request &r, TimeNs finishNs,
                            const PhaseBreakdownNs &ph)
 {
     const double ms = (finishNs - r.arriveNs) * 1e-6;
     latHist_.add(ms);
-    TenantState &t = tenants_[r.tenant];
+    const u32 gi = groupOf(r);
+    GroupState &grp = groups_[gi];
+    TenantState &t = tenants_[grp.slot];
     t.hist.add(ms);
-    BucketSums &b = t.tail[{r.cls, obs::Histogram::bucketOf(ms)}];
+    BucketSums &b = grp.buckets.at(obs::Histogram::bucketOf(ms));
     ++b.requests;
     b.latMs += ms;
     for (u32 i = 0; i < kPhaseCount; ++i) {
@@ -207,8 +244,9 @@ ServiceMetrics::onComplete(const Request &r, TimeNs finishNs,
         sloViolations_ += !good;
     }
 
-    series_.record(finishNs, kColCompletions, 1.0);
-    series_.record(finishNs, kColLatencyMs, ms);
+    const std::size_t w = series_.window(finishNs);
+    series_.add(w, kColCompletions, 1.0);
+    series_.add(w, kColLatencyMs, ms);
     lastFinishNs_ = std::max(lastFinishNs_, finishNs);
 }
 
@@ -265,37 +303,48 @@ ServiceMetrics::finish(u32 devices, TimeNs busyNs, double energyPj,
     if (!latHist_.empty()) {
         out.tailThresholdMs = latHist_.quantile(cfg_.tailQuantile);
         const i32 cut = latHist_.rankBucket(cfg_.tailQuantile);
-        for (const auto &[tenant, t] : tenants_) {
-            for (const auto &[key, b] : t.tail) {
-                const auto [cls, bucket] = key;
-                if (bucket < cut)
-                    continue;
-                if (out.tail.empty() ||
-                    out.tail.back().tenant != tenant ||
-                    out.tail.back().cls != cls) {
-                    TailGroup g;
-                    g.tenant = tenant;
-                    g.cls = cls;
-                    if (cls < cfg_.classNames.size())
-                        g.workload = cfg_.classNames[cls];
-                    out.tail.push_back(std::move(g));
-                }
-                TailGroup &g = out.tail.back();
+        std::vector<const GroupState *> order;
+        for (const GroupState &grp : groups_)
+            order.push_back(&grp);
+        std::sort(order.begin(), order.end(),
+                  [](const GroupState *a, const GroupState *b) {
+                      return std::pair(a->tenant, a->cls) <
+                             std::pair(b->tenant, b->cls);
+                  });
+        for (const GroupState *grp : order) {
+            TailGroup g;
+            g.tenant = grp->tenant;
+            g.cls = grp->cls;
+            if (grp->cls < cfg_.classNames.size())
+                g.workload = cfg_.classNames[grp->cls];
+            grp->buckets.forEach([&](i32 bucket, const BucketSums &b) {
+                if (bucket < cut || b.requests == 0)
+                    return;
                 g.requests += b.requests;
                 g.meanMs += b.latMs;
                 for (u32 i = 0; i < kPhaseCount; ++i)
                     g.phaseMs[i] += b.phaseMs[i];
-                out.tailRequests += b.requests;
-            }
-        }
-        for (TailGroup &g : out.tail)
+            });
+            if (g.requests == 0)
+                continue;
+            out.tailRequests += g.requests;
             g.meanMs /= static_cast<double>(g.requests);
+            out.tail.push_back(std::move(g));
+        }
     }
 
-    // ---- Per-tenant digests.
-    for (const auto &[tenant, t] : tenants_) {
+    // ---- Per-tenant digests, tenant-ascending.
+    std::vector<const TenantState *> tenants;
+    for (const TenantState &t : tenants_)
+        tenants.push_back(&t);
+    std::sort(tenants.begin(), tenants.end(),
+              [](const TenantState *a, const TenantState *b) {
+                  return a->tenant < b->tenant;
+              });
+    for (const TenantState *tp : tenants) {
+        const TenantState &t = *tp;
         TenantSummary s;
-        s.tenant = tenant;
+        s.tenant = t.tenant;
         s.requests = t.hist.count();
         s.meanMs = t.hist.mean();
         s.p50Ms = t.hist.quantile(0.50);

@@ -21,8 +21,15 @@
  *    <= 1/64 relative resolution;
  *  - a fixed-interval virtual-time series (obs/timeseries).
  *
- * Memory therefore grows with the number of tenants, classes and
- * occupied latency buckets, never with the request count.
+ * All of it is flat: tenants and (tenant, class) tail groups live in
+ * vectors in first-completion order, found through a per-class hint
+ * that every request of a class hits once the class has completed
+ * (a request whose tenant differs from its class's last one falls
+ * back to a scan); per-bucket state sits in the histograms' dense
+ * bucket slots. finish() sorts tenants and groups by id, so outputs
+ * keep tenant- and (tenant, class)-ascending order. Memory grows with
+ * the number of tenants, classes and the spread of latency buckets,
+ * never with the request count.
  *
  * Everything in a ServiceOutcome derives from the virtual clock and
  * the devices' command schedulers, so outcomes are bit-identical
@@ -35,9 +42,7 @@
 #ifndef PLUTO_SERVE_METRICS_HH
 #define PLUTO_SERVE_METRICS_HH
 
-#include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "obs/histogram.hh"
@@ -268,7 +273,7 @@ class ServiceMetrics
                           double energyPj, bool verified) const;
 
   private:
-    /** Tail-blame sums of one (class, latency bucket) cell. */
+    /** Tail-blame sums of one (tenant, class, latency bucket) cell. */
     struct BucketSums
     {
         u64 requests = 0;
@@ -279,19 +284,37 @@ class ServiceMetrics
     /** Online state of one tenant. */
     struct TenantState
     {
+        u32 tenant = 0;
         obs::Histogram hist;
         double phaseMs[kPhaseCount] = {};
         /** Tightest effective SLO among the tenant's requests, ms. */
         double sloMs = 0.0;
         u64 sloGood = 0;
         u64 sloViolations = 0;
-        /** (class, Histogram::bucketOf(latency)) -> sums. */
-        std::map<std::pair<u32, i32>, BucketSums> tail;
     };
+
+    /** Tail-blame state of one (tenant, class) pair. */
+    struct GroupState
+    {
+        u32 tenant = 0;
+        u32 cls = 0;
+        /** The tenant's index in tenants_. */
+        u32 slot = 0;
+        /** Histogram::bucketOf(latency) -> sums. */
+        obs::Histogram::Slots<BucketSums> buckets;
+    };
+
+    /** @return the groups_ index of (r.tenant, r.cls), creating the
+     *  group (and its tenant) on first sight. */
+    u32 groupOf(const Request &r);
 
     MetricsConfig cfg_;
     obs::Histogram latHist_;
-    std::map<u32, TenantState> tenants_;
+    /** Tenants and groups in first-completion order. */
+    std::vector<TenantState> tenants_;
+    std::vector<GroupState> groups_;
+    /** Per class: the group its last request folded into. */
+    std::vector<u32> classGroup_;
     double phaseMs_[kPhaseCount] = {};
     u64 sloGood_ = 0;
     u64 sloViolations_ = 0;

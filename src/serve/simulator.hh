@@ -38,9 +38,9 @@
  *    completions and policy wake-ups flow through a timestamped
  *    binary heap ordered by (time, event kind, device index),
  *    arrivals stream from LoadGen, dispatch picks the least-loaded
- *    device through a tournament tree, and only devices whose
+ *    device from per-load-level bitmaps, and only devices whose
  *    queue state changed are re-offered to the batching policy —
- *    O((R + E) log P) total.
+ *    O((R + E) log E) total.
  *
  * Determinism: arrivals, mix draws, dispatch, batching and charging
  * are all pure functions of (variant config, service spec, mix), so

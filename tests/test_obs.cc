@@ -11,13 +11,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/emit.hh"
 #include "common/logging.hh"
+#include "common/random.hh"
 #include "common/stats.hh"
 #include "obs/histogram.hh"
 #include "obs/registry.hh"
@@ -427,6 +431,242 @@ TEST(Histogram, JsonEncodingRoundTripsByteStably)
     EXPECT_EQ(jsonMembers(back), jsonMembers(h));
     EXPECT_EQ(back.buckets(), h.buckets());
     EXPECT_EQ(back.quantile(0.5), h.quantile(0.5));
+}
+
+/**
+ * The sparse-map histogram the dense bucket store replaced, kept as
+ * the oracle: the same bucketing, digest, merge and nearest-rank
+ * lookup over a std::map.
+ */
+struct MapHistogram
+{
+    std::map<i32, u64> buckets;
+    u64 count = 0;
+    double sum = 0.0;
+    double min = 0.0;
+    double max = 0.0;
+
+    void addCount(double v, u64 n)
+    {
+        if (n == 0)
+            return;
+        buckets[Histogram::bucketOf(v)] += n;
+        min = count ? std::min(min, v) : v;
+        max = count ? std::max(max, v) : v;
+        count += n;
+        sum += v * static_cast<double>(n);
+    }
+
+    void merge(const MapHistogram &o)
+    {
+        if (o.count == 0)
+            return;
+        for (const auto &[idx, n] : o.buckets)
+            buckets[idx] += n;
+        min = count ? std::min(min, o.min) : o.min;
+        max = count ? std::max(max, o.max) : o.max;
+        count += o.count;
+        sum += o.sum;
+    }
+
+    i32 rankBucket(double q) const
+    {
+        if (count == 0)
+            return Histogram::kUnderflowBucket;
+        const u64 rank = std::max<u64>(
+            1, static_cast<u64>(std::ceil(std::clamp(q, 0.0, 1.0) *
+                                          static_cast<double>(count))));
+        u64 seen = 0;
+        for (const auto &[idx, n] : buckets)
+            if ((seen += n) >= rank)
+                return idx;
+        return buckets.rbegin()->first;
+    }
+
+    double quantile(double q) const
+    {
+        if (count == 0)
+            return 0.0;
+        const i32 idx = rankBucket(q);
+        double rep = 0.0;
+        if (idx == Histogram::kUnderflowBucket)
+            rep = std::min(min, 0.0);
+        else if (idx >= Histogram::kOverflowBucket)
+            rep = max;
+        else
+            rep = 0.5 * (Histogram::bucketLo(idx) +
+                         Histogram::bucketHi(idx));
+        return std::clamp(rep, min, max);
+    }
+};
+
+/** Bit pattern of a double: NaN == NaN and -0.0 != 0.0. */
+u64
+bitsOf(double v)
+{
+    return std::bit_cast<u64>(v);
+}
+
+/** Compare every observable of `h` against the oracle. */
+void
+expectMatchesOracle(const Histogram &h, const MapHistogram &ref,
+                    const std::string &what)
+{
+    SCOPED_TRACE(what);
+    ASSERT_EQ(h.buckets(), ref.buckets);
+    ASSERT_EQ(h.count(), ref.count);
+    EXPECT_EQ(h.empty(), ref.count == 0);
+    const bool any = ref.count > 0;
+    EXPECT_EQ(bitsOf(h.sum()), bitsOf(any ? ref.sum : 0.0));
+    EXPECT_EQ(bitsOf(h.min()), bitsOf(any ? ref.min : 0.0));
+    EXPECT_EQ(bitsOf(h.max()), bitsOf(any ? ref.max : 0.0));
+    for (const double q : {-1.0, 0.0, 1e-9, 0.001, 0.01, 0.1, 0.25, 0.5,
+                           0.75, 0.9, 0.99, 0.999, 0.9999, 1.0, 2.0}) {
+        EXPECT_EQ(h.rankBucket(q), ref.rankBucket(q)) << "q=" << q;
+        EXPECT_EQ(bitsOf(h.quantile(q)), bitsOf(ref.quantile(q)))
+            << "q=" << q;
+    }
+}
+
+/**
+ * Seeded values over more than 1000 octaves (2^-520 .. 2^520), a
+ * tenth of them negated, with every special the bucketing separates
+ * mixed in: zeros, subnormals, the normal extremes, NaN, +/-inf and
+ * exact bucket edges.
+ */
+std::vector<double>
+oracleValues(std::size_t n, u64 seed)
+{
+    Rng rng(seed);
+    const std::vector<double> specials = {
+        0.0,
+        -0.0,
+        -1.5,
+        -1e300,
+        std::numeric_limits<double>::denorm_min(),
+        std::ldexp(0.75, -1022), // subnormal
+        std::numeric_limits<double>::min(),
+        std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        Histogram::bucketLo(Histogram::bucketOf(3.0)),
+        std::nextafter(Histogram::bucketHi(Histogram::bucketOf(3.0)),
+                       0.0),
+    };
+    std::vector<double> v;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (rng.below(16) == 0) {
+            v.push_back(specials[rng.below(specials.size())]);
+            continue;
+        }
+        const int exp = static_cast<int>(rng.below(1041)) - 520;
+        const double x = std::ldexp(1.0 + rng.uniform(), exp);
+        v.push_back(rng.below(10) == 0 ? -x : x);
+    }
+    return v;
+}
+
+TEST(Histogram, DenseStoreMatchesTheSparseMapOracle)
+{
+    // Streams that grow the dense range every way: random over >1000
+    // octaves with specials, one octave, and monotone runs that set a
+    // new extreme on every sample (falling: the geometric front
+    // growth; rising: the back growth).
+    std::vector<std::pair<std::string, std::vector<double>>> streams;
+    streams.emplace_back("wide", oracleValues(4000, 0x0c1e));
+    std::vector<double> narrow, falling, rising;
+    Rng rng(0x0c1f);
+    for (int i = 0; i < 2000; ++i) {
+        narrow.push_back(1.0 + rng.uniform());
+        falling.push_back(std::ldexp(1.0, 300 - i / 4));
+        rising.push_back(std::ldexp(1.0 + rng.uniform(), i / 8 - 120));
+    }
+    streams.emplace_back("narrow", narrow);
+    streams.emplace_back("falling", falling);
+    streams.emplace_back("rising", rising);
+
+    for (const auto &[name, values] : streams) {
+        Histogram h;
+        MapHistogram ref;
+        expectMatchesOracle(h, ref, name + " empty");
+        for (std::size_t i = 0; i < values.size(); ++i) {
+            // Every seventh sample goes in as a repeat count.
+            const u64 n = i % 7 == 6 ? 1 + i % 5 : 1;
+            h.addCount(values[i], n);
+            ref.addCount(values[i], n);
+            if (i % 499 == 0)
+                expectMatchesOracle(h, ref,
+                                    name + " @" + std::to_string(i));
+        }
+        h.addCount(values.front(), 0); // a no-op on both
+        ref.addCount(values.front(), 0);
+        expectMatchesOracle(h, ref, name);
+
+        // Self-merge doubles every count.
+        Histogram twice = h;
+        twice.merge(twice);
+        MapHistogram refTwice = ref;
+        refTwice.merge(ref);
+        expectMatchesOracle(twice, refTwice, name + " self-merge");
+    }
+
+    // Merges in every grouping and order: three shards of the wide
+    // stream, folded as (x + y) + z and x + (y + z) for each of the
+    // six orders, plus empty operands on either side.
+    const auto &wide = streams.front().second;
+    Histogram part[3];
+    MapHistogram refPart[3];
+    for (std::size_t i = 0; i < wide.size(); ++i) {
+        part[i % 3].add(wide[i]);
+        refPart[i % 3].addCount(wide[i], 1);
+    }
+    int order[3] = {0, 1, 2};
+    do {
+        const auto [x, y, z] = order;
+        const std::string tag = std::to_string(x) + std::to_string(y) +
+                                std::to_string(z);
+        Histogram left = part[x];
+        left.merge(part[y]);
+        left.merge(part[z]);
+        MapHistogram refLeft = refPart[x];
+        refLeft.merge(refPart[y]);
+        refLeft.merge(refPart[z]);
+        expectMatchesOracle(left, refLeft, "(" + tag + ") left");
+
+        Histogram yz = part[y];
+        yz.merge(part[z]);
+        Histogram right = part[x];
+        right.merge(yz);
+        MapHistogram refYz = refPart[y];
+        refYz.merge(refPart[z]);
+        MapHistogram refRight = refPart[x];
+        refRight.merge(refYz);
+        expectMatchesOracle(right, refRight, "(" + tag + ") right");
+        // Buckets and the count fold exactly whatever the shape.
+        EXPECT_EQ(left.buckets(), right.buckets());
+    } while (std::next_permutation(std::begin(order), std::end(order)));
+    Histogram empty, intoEmpty;
+    intoEmpty.merge(part[1]);
+    expectMatchesOracle(intoEmpty, refPart[1], "into empty");
+    Histogram withEmpty = part[2];
+    withEmpty.merge(empty);
+    expectMatchesOracle(withEmpty, refPart[2], "empty operand");
+
+    // clear() reuse: a cleared histogram is empty, then records a
+    // new stream exactly as a fresh one does.
+    Histogram reused = part[0];
+    reused.clear();
+    expectMatchesOracle(reused, MapHistogram{}, "cleared");
+    MapHistogram refNarrow;
+    for (const double v : narrow) {
+        reused.add(v);
+        refNarrow.addCount(v, 1);
+    }
+    expectMatchesOracle(reused, refNarrow, "reused");
+    reused.clear();
+    reused.merge(part[0]);
+    expectMatchesOracle(reused, refPart[0], "cleared then merged");
 }
 
 TEST(Registry, HistogramsFoldExactlyAcrossWorkerShards)

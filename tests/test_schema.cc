@@ -17,11 +17,16 @@
 #include <cctype>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <map>
 #include <random>
 #include <set>
 #include <sstream>
+
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "golden.hh"
 #include "nn/campaign.hh"
@@ -500,6 +505,87 @@ TEST(CacheDecode, RejectsIntegersThatDoNotFitTheirField)
     EXPECT_EQ(loadLines<serve::ServiceCache>(
                   "serve", {withValue(svc, "count", "7")}),
               Loaded(0, 1));
+}
+
+/** @return `line` with its whole histogram "buckets" array replaced. */
+std::string
+withBuckets(std::string line, const std::string &buckets)
+{
+    const std::string tag = "\"buckets\":";
+    const auto at = line.find(tag);
+    EXPECT_NE(at, std::string::npos);
+    const auto b = at + tag.size();
+    const auto e = line.find("]]", b);
+    EXPECT_NE(e, std::string::npos);
+    return line.replace(b, e + 2 - b, buckets);
+}
+
+/** Peak RSS (KiB) of a forked child running `fn`; the child exits
+ *  with `fn`'s result, which must be 0. */
+long
+childPeakRssKb(const std::function<int()> &fn)
+{
+    const pid_t pid = fork();
+    if (pid == 0)
+        _exit(fn());
+    int status = 0;
+    rusage ru{};
+    EXPECT_EQ(wait4(pid, &status, 0, &ru), pid);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+    return ru.ru_maxrss;
+}
+
+TEST(CacheDecode, RejectsHistogramBucketsOutsideTheIndexRanges)
+{
+    using obs::Histogram;
+    const std::string svc =
+        encodeLine<serve::ServiceCache>("hist_serve", fixedService());
+    const auto load = [](const std::string &line) {
+        return loadLines<serve::ServiceCache>("serve", {line});
+    };
+    // fixedService()'s latency histogram holds 6 samples. Controls:
+    // every legal index range replays — underflow, the lowest and
+    // highest regular bucket, overflow, and all of them at once.
+    const std::string okIdx[] = {
+        "[[0,6]]",
+        "[[64,6]]",
+        "[[" + std::to_string(Histogram::kOverflowBucket - 1) + ",6]]",
+        "[[" + std::to_string(Histogram::kOverflowBucket) + ",6]]",
+        "[[0,1],[64,1],[1000,1],[" +
+            std::to_string(Histogram::kOverflowBucket) + ",3]]",
+    };
+    for (const auto &b : okIdx)
+        EXPECT_EQ(load(withBuckets(svc, b)), Loaded(1, 0)) << b;
+
+    // Hostile indices next to a real regular bucket, in both orders:
+    // a dense store sized from them would span up to 2^31 slots.
+    // Each line must count as corrupt instead.
+    std::vector<std::string> bad;
+    for (const i64 idx :
+         {i64{-1}, i64{1}, i64{63}, i64{INT32_MAX},
+          i64{Histogram::kOverflowBucket} + 1}) {
+        const std::string i = std::to_string(idx);
+        bad.push_back("[[64,1],[" + i + ",5]]");
+        bad.push_back("[[" + i + ",5],[64,1]]");
+    }
+    // A zero-count bucket is never written either.
+    bad.push_back("[[64,6],[100,0]]");
+    for (const auto &b : bad)
+        EXPECT_EQ(load(withBuckets(svc, b)), Loaded(0, 1)) << b;
+
+    // ... and costs no more memory than replaying the control line.
+    const long control = childPeakRssKb([&] {
+        return load(withBuckets(svc, okIdx[4])) == Loaded(1, 0) ? 0 : 1;
+    });
+    const long hostile = childPeakRssKb([&] {
+        for (const auto &b : bad)
+            if (load(withBuckets(svc, b)) != Loaded(0, 1))
+                return 1;
+        return 0;
+    });
+    EXPECT_LT(hostile - control, 8 * 1024)
+        << "control " << control << " KiB, hostile " << hostile
+        << " KiB";
 }
 
 // ---- Key completeness ----

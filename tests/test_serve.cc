@@ -282,6 +282,71 @@ TEST(ZipfSampler, MatchesTheZipfMass)
     }
 }
 
+/** The sampler grid the table is checked on: rank counts around
+ *  small, power-of-two and large tenant sets, skews on both sides of
+ *  s = 1 and at it. */
+const u64 kZipfRanks[] = {1, 2, 3, 4, 7, 16, 100, 256, 1000};
+const double kZipfSkews[] = {0.3, 0.9, 1.0, 1.1, 2.0, 3.5};
+
+TEST(ZipfSampler, TableDrawsMatchTheFormula)
+{
+    // The table-driven sampler must return the formula's rank on
+    // every draw and consume exactly its uniforms: both streams stay
+    // in lockstep, and the generators end in the same state.
+    for (const u64 n : kZipfRanks) {
+        for (const double s : kZipfSkews) {
+            SCOPED_TRACE("n=" + std::to_string(n) +
+                         " s=" + std::to_string(s));
+            const ZipfSampler zipf(n, s);
+            Rng table(n * 31 + static_cast<u64>(s * 10));
+            Rng direct = table;
+            u64 mismatches = 0;
+            for (int i = 0; i < 1000000; ++i)
+                mismatches += zipf.sample(table) != zipf.sampleDirect(direct);
+            EXPECT_EQ(mismatches, 0u);
+            EXPECT_EQ(table.next(), direct.next());
+        }
+    }
+}
+
+TEST(ZipfSampler, TableMatchesTheFormulaAtEveryEdge)
+{
+    // Crafted inversion points: every decision edge, one ulp to
+    // either side, and just outside the guard band on either side,
+    // where the table answers without the formula.
+    for (const u64 n : kZipfRanks) {
+        for (const double s : kZipfSkews) {
+            SCOPED_TRACE("n=" + std::to_string(n) +
+                         " s=" + std::to_string(s));
+            const ZipfSampler zipf(n, s);
+            // The domain of point(): (point(1), point(0)].
+            const double lo = zipf.point(1.0), hi = zipf.point(0.0);
+            EXPECT_GE(zipf.edges().size(), n - 1);
+            u64 checked = 0;
+            const auto check = [&](double u) {
+                if (u <= lo || u > hi)
+                    return;
+                ++checked;
+                EXPECT_EQ(zipf.draw(u), zipf.drawDirect(u)) << "u=" << u;
+            };
+            const double inf = std::numeric_limits<double>::infinity();
+            for (const double e : zipf.edges()) {
+                const double out = ZipfSampler::guard(e) * (1 + 1e-6);
+                for (const double u :
+                     {e, std::nextafter(e, -inf), std::nextafter(e, inf),
+                      e - out, e + out})
+                    check(u);
+            }
+            // The domain ends and a coarse sweep across it.
+            check(hi);
+            check(std::nextafter(lo, inf));
+            for (int i = 0; i < 4096; ++i)
+                check(zipf.point((i + 0.5) / 4096));
+            EXPECT_GE(checked, 5 * zipf.edges().size());
+        }
+    }
+}
+
 TEST(LoadGen, TenantSkewBiasesTowardLowTenantIds)
 {
     // twoClassMix tenants {0, 3}: under skew=2, rank 1 (tenant 0)
@@ -455,6 +520,77 @@ TEST(LoadIndex, MatchesTheLinearScanOracle)
             ASSERT_EQ(tracked(), load) << "op " << op;
             ASSERT_EQ(index.leastLoaded(), oracle()) << "op " << op;
         }
+    }
+}
+
+TEST(LoadIndex, MatchesTheOracleAtWordEdgesAndTheDenseCap)
+{
+    // Pools on both sides of the 64-device bitmap word edges, driven
+    // the way the serve loop drives the index: each device holds a
+    // queue and an in-flight batch, an arrival adds 1 to the
+    // least-loaded device, a batch start moves queue to in-flight
+    // (load unchanged), and a completion drops the load to the queue
+    // size. A second phase runs the same traffic with every load
+    // straddling LoadIndex::kDenseLevels, so devices move between the
+    // bitmaps and the overflow set in both directions.
+    constexpr u64 kCap = LoadIndex::kDenseLevels;
+    for (const u32 devices : {63u, 64u, 65u, 127u, 128u, 129u}) {
+        SCOPED_TRACE(devices);
+        Rng rng(2000 + devices);
+        LoadIndex index(devices);
+        std::vector<u64> queue(devices, 0), inFlight(devices, 0);
+        const auto load = [&](u32 d) { return queue[d] + inFlight[d]; };
+        const auto oracle = [&] {
+            u32 best = 0;
+            for (u32 d = 1; d < devices; ++d)
+                if (load(d) < load(best))
+                    best = d;
+            return best;
+        };
+        const auto step = [&](int op) {
+            const u32 d = static_cast<u32>(rng.below(devices));
+            switch (rng.below(8)) {
+            case 0: // Batch start: queue -> in flight.
+                if (inFlight[d] == 0) {
+                    const u64 take =
+                        std::min<u64>(queue[d], 1 + rng.below(16));
+                    queue[d] -= take;
+                    inFlight[d] += take;
+                    index.update(d, load(d));
+                }
+                break;
+            case 1: // Completion: the load drops to the queue size.
+                inFlight[d] = 0;
+                index.update(d, load(d));
+                break;
+            default: { // Arrival to the least-loaded device.
+                const u32 picked = index.leastLoaded();
+                ++queue[picked];
+                index.update(picked, load(picked));
+                break;
+            }
+            }
+            for (u32 i = 0; i < devices; ++i)
+                ASSERT_EQ(index.load(i), load(i)) << "op " << op;
+            ASSERT_EQ(index.leastLoaded(), oracle()) << "op " << op;
+        };
+        for (int op = 0; op < 20000; ++op)
+            ASSERT_NO_FATAL_FAILURE(step(op));
+
+        // Every load just under the cap: arrivals lift devices into
+        // the overflow set, and completions drop some back below it.
+        for (u32 d = 0; d < devices; ++d) {
+            queue[d] = kCap - 1 - rng.below(3);
+            inFlight[d] = 0;
+            index.update(d, load(d));
+        }
+        ASSERT_EQ(index.leastLoaded(), oracle()) << "at the cap";
+        for (int op = 0; op < 20000; ++op)
+            ASSERT_NO_FATAL_FAILURE(step(op));
+        u64 over = 0;
+        for (u32 d = 0; d < devices; ++d)
+            over += load(d) >= kCap;
+        EXPECT_GT(over, 0u) << "no load passed the cap";
     }
 }
 
@@ -1291,8 +1427,17 @@ TEST(ServiceMetrics, BucketedTailMatchesTheExactOracle)
             << "q=" << q;
         EXPECT_EQ(out.latHist.rankBucket(q), oracle.thresholdBucket);
 
-        // The bucketed tail is exactly the bucket population.
+        // The bucketed tail is exactly the bucket population, in
+        // (tenant, class) order; tenants come out ascending. The
+        // stream's first completions arrive in neither order.
         ASSERT_EQ(out.tail.size(), oracle.bucketed.size()) << "q=" << q;
+        for (std::size_t i = 1; i < out.tail.size(); ++i) {
+            const TailGroup &a = out.tail[i - 1], &b = out.tail[i];
+            EXPECT_LT(std::pair(a.tenant, a.cls),
+                      std::pair(b.tenant, b.cls));
+        }
+        for (std::size_t i = 1; i < out.tenants.size(); ++i)
+            EXPECT_LT(out.tenants[i - 1].tenant, out.tenants[i].tenant);
         u64 total = 0;
         for (const TailGroup &g : out.tail) {
             const auto it = oracle.bucketed.find({g.tenant, g.cls});
