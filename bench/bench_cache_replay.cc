@@ -28,7 +28,7 @@ namespace
 constexpr u64 kEntries = 50000;
 
 using Cache =
-    campaign::JsonlCache<sim::CachedRun, sim::RunCacheCodec>;
+    campaign::JsonlCache<sim::RunOutcome, sim::RunCacheCodec>;
 
 double
 msSince(const std::chrono::steady_clock::time_point &t0)
@@ -39,10 +39,10 @@ msSince(const std::chrono::steady_clock::time_point &t0)
 }
 
 /** Deterministic synthetic outcome with bit-twiddly doubles. */
-sim::CachedRun
+sim::RunOutcome
 makeRun(u64 i)
 {
-    sim::CachedRun r;
+    sim::RunOutcome r;
     r.elements = 1024 + i;
     r.timeNs = 1e6 / (static_cast<double>(i) + 3.0);
     r.energyPj = std::sqrt(static_cast<double>(i) + 7.0) * 1e3;
@@ -53,7 +53,7 @@ makeRun(u64 i)
 }
 
 bool
-sameRun(const sim::CachedRun &a, const sim::CachedRun &b)
+sameRun(const sim::RunOutcome &a, const sim::RunOutcome &b)
 {
     return a.elements == b.elements && a.timeNs == b.timeNs &&
            a.energyPj == b.energyPj && a.hostNs == b.hostNs &&

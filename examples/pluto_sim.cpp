@@ -68,9 +68,9 @@ runBatch(const sim::SimConfig &cfg, const CliInvocation &inv)
                      static_cast<unsigned long long>(done),
                      static_cast<unsigned long long>(total),
                      r.variant.c_str(), r.workload.c_str(), r.repeat,
-                     r.result.timeNs * 1e-3, r.result.pjPerElem(),
-                     r.result.verified ? "ok" : "VERIFY FAILED",
-                     r.wallMs);
+                     r.out.timeNs * 1e-3, r.out.pjPerElem(),
+                     r.out.verified ? "ok" : "VERIFY FAILED",
+                     r.out.wallMs);
     };
     const auto report = runner.run(
         inv.opt,
@@ -93,9 +93,7 @@ runBatch(const sim::SimConfig &cfg, const CliInvocation &inv)
     }
     std::printf("\n%s\n", table.render().c_str());
     return finishCampaign(
-        inv,
-        {report.wallMs, report.cacheHits, report.cacheMisses},
-        report.allVerified(),
+        inv, report, report.allVerified(),
         [&](const std::string &suffix,
             std::vector<std::string> &written) {
             return sim::MetricsSink::write(cfg, report, written,
@@ -148,9 +146,7 @@ runService(const sim::SimConfig &cfg, const CliInvocation &inv)
                       r.out.verified ? "yes" : "NO"});
     std::printf("\n%s\n", table.render().c_str());
     return finishCampaign(
-        inv,
-        {report.wallMs, report.cacheHits, report.cacheMisses},
-        report.allVerified(),
+        inv, report, report.allVerified(),
         [&](const std::string &suffix,
             std::vector<std::string> &written) {
             std::string err = serve::ServiceMetricsSink::write(
@@ -230,9 +226,7 @@ runNn(const sim::SimConfig &cfg, const CliInvocation &inv)
     }
     std::printf("\n%s\n", table.render().c_str());
     return finishCampaign(
-        inv,
-        {report.wallMs, report.cacheHits, report.cacheMisses},
-        report.allVerified(),
+        inv, report, report.allVerified(),
         [&](const std::string &suffix,
             std::vector<std::string> &written) {
             return nn::NnMetricsSink::write(cfg, report, written,

@@ -81,6 +81,9 @@ template <typename Outcome, typename Codec>
 class JsonlCache
 {
   public:
+    /** The mode's name: filename infix and content-key prefix. */
+    static constexpr const char *kKind = Codec::kKind;
+
     /**
      * Cache for scenario `scenario` under directory `dir` (created
      * if missing on first append).

@@ -5,6 +5,7 @@
 
 #include "campaign/cli.hh"
 
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -175,7 +176,18 @@ cliMain(int argc, char **argv, const std::vector<Mode> &modes)
             printWorkloadTable();
             return 0;
         } else if (arg == "--threads") {
-            inv.opt.threads = static_cast<u32>(std::atoi(next()));
+            // The whole value must be an unsigned decimal, like the
+            // --shard fields: "abc", "2x", "-1" and "" are errors.
+            const std::string spec = next();
+            const char *end = spec.data() + spec.size();
+            const auto [stop, ec] =
+                std::from_chars(spec.data(), end, inv.opt.threads);
+            if (ec != std::errc() || stop != end) {
+                usageError("pluto_sim: --threads wants an unsigned "
+                           "integer (0 = all cores), got '%s'\n",
+                           spec);
+                return 1;
+            }
         } else if (arg == "--out") {
             outDir = next();
         } else if (arg == "--shard") {

@@ -4,27 +4,30 @@
  * scenario *mode* (batch sim, request-level serving, NN inference —
  * and whatever comes next).
  *
- * A campaign is a grid of independent cells addressed by a global
+ * A campaign is a list of independent cells addressed by a global
  * index. The core owns everything mode-agnostic about running one:
  *
+ *  - `i % n` sharding of the global index space (RunOptions);
+ *  - the cached-cell discipline: open and load the mode's JsonlCache,
+ *    then per cell label → key → lookup → replay, or compute →
+ *    append; hit/miss accounting; the wall rule (runCampaign);
  *  - thread-pool fan-out over the index space (forEachTask), with one
  *    atomic work queue, stable worker indices, and propagation of the
  *    first worker exception to the caller;
  *  - one telemetry shard per task, folded in task order, so
  *    `--metrics-out` sums do not depend on the scheduling;
- *  - `i % n` sharding of the global index space (RunOptions);
  *  - one grow-only ScratchArena per worker, so every device a worker
  *    builds reuses the same functional-path buffers;
  *  - precomputed-index result ordering: records are stored by task
  *    index, so report order never depends on scheduling;
- *  - cache-hit accounting and wall-clock measurement, with
- *    `--deterministic` zeroing of the only nondeterministic fields.
+ *  - wall-clock measurement, with `--deterministic` zeroing of the
+ *    only nondeterministic fields.
  *
- * Modes stay thin clients: they expand their task grid, provide a
- * cell function (compute one record, consulting their JsonlCache),
- * and render reports. The discipline — and therefore byte-identity
- * of sharded+cached campaigns vs cold runs — cannot diverge between
- * modes, because there is only one implementation of it.
+ * A mode supplies four things: its full task list, a content key per
+ * task, a compute function and its record labels (CellFns), and
+ * renders the returned Report. Byte-identity of sharded+cached
+ * campaigns vs cold runs cannot diverge between modes, because the
+ * cell loop has exactly one implementation.
  */
 
 #ifndef PLUTO_CAMPAIGN_RUNNER_HH
@@ -34,10 +37,13 @@
 #include <chrono>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/arena.hh"
+#include "common/logging.hh"
 #include "common/types.hh"
 #include "obs/registry.hh"
 #include "obs/trace.hh"
@@ -101,27 +107,91 @@ u32 resolveThreads(std::size_t count, u32 threads);
 void forEachTask(std::size_t count, u32 threads,
                  const std::function<void(std::size_t, u32)> &fn);
 
-/**
- * The one campaign loop. Fills `records[i]` for every task index by
- * calling `cell(i, records[i], arena)` — which returns true when the
- * record was replayed from a cache — and reports progress through
- * `progress` (serialized; may be empty). `opt` must already
- * validate(); records are resized to `count`.
- *
- * Determinism contract: `cell` must compute records as a pure
- * function of the task (the arena never changes simulated results),
- * so records are bit-identical across thread counts and schedules.
- */
-template <typename Record, typename Cell>
-Stats
-runCampaign(std::size_t count, const RunOptions &opt,
-            std::vector<Record> &records, const Cell &cell,
-            const std::function<void(const Record &, u64 done,
-                                     u64 total)> &progress = nullptr)
-{
-    records.clear();
-    records.resize(count);
+/** Per-cell progress callback: serialized, may be empty. */
+template <typename Record>
+using Progress =
+    std::function<void(const Record &, u64 done, u64 total)>;
 
+/**
+ * The cached outcome of one campaign, as every mode reports it:
+ * the executed shard's records in task order plus the Stats.
+ * `Record` carries `out` (the cached outcome, with a `verified`
+ * flag) and `fromCache`.
+ */
+template <typename Record>
+struct Report : Stats
+{
+    /** This shard's records, in global task order. */
+    std::vector<Record> runs;
+
+    /** @return true when every record verified (and there is one). */
+    bool allVerified() const
+    {
+        for (const auto &r : runs)
+            if (!r.out.verified)
+                return false;
+        return !runs.empty();
+    }
+};
+
+/** What a mode supplies for one cell of its task list. */
+template <typename Task, typename Record>
+struct CellFns
+{
+    /** Fill the record's labels (everything except `out`). */
+    std::function<void(const Task &, Record &)> label;
+    /** @return the task's content key in the mode's cache. */
+    std::function<std::string(const Task &)> key;
+    /** Compute `rec.out` fresh, on the worker's scratch arena. */
+    std::function<void(const Task &, Record &, ScratchArena &)> compute;
+};
+
+/**
+ * The one cached-cell loop. Runs this shard's part of `tasks` (task
+ * `g` belongs to the shard when opt.inShard(g)) under `opt`, which
+ * must validate(). With `opt.cacheDir` set it loads the mode's
+ * `Cache` (a JsonlCache subclass) for `scenario`; each cell is then
+ * labelled, keyed and replayed from the cache on a hit, or computed
+ * and appended on a miss.
+ *
+ * Wall rule: an outcome with a `wallMs` member stores the host wall
+ * of the cell that computed it (0 under --deterministic) and replays
+ * the stored value (0 under --deterministic). Outcomes without one
+ * cache no wall.
+ *
+ * Determinism contract: `compute` must be a pure function of the
+ * task (the arena never changes simulated results), so records are
+ * bit-identical across thread counts, shards and cache replays.
+ */
+template <typename Cache, typename Task, typename Record>
+Report<Record>
+runCampaign(const std::vector<Task> &tasks, const RunOptions &opt,
+            const std::string &scenario,
+            const CellFns<Task, Record> &cell,
+            const std::type_identity_t<Progress<Record>> &progress =
+                nullptr)
+{
+    const std::string oerr = opt.validate();
+    if (!oerr.empty())
+        fatal("campaign: %s", oerr.c_str());
+
+    std::vector<const Task *> mine;
+    for (std::size_t g = 0; g < tasks.size(); ++g)
+        if (opt.inShard(g))
+            mine.push_back(&tasks[g]);
+
+    std::optional<Cache> cache;
+    if (!opt.cacheDir.empty()) {
+        cache.emplace(opt.cacheDir, scenario);
+        const std::string cerr = cache->load();
+        if (!cerr.empty())
+            fatal("%s cache: %s", Cache::kKind, cerr.c_str());
+    }
+
+    constexpr bool kWall = requires(Record &r) { r.out.wallMs; };
+    Report<Record> report;
+    report.runs.resize(mine.size());
+    const std::size_t count = mine.size();
     const auto t0 = std::chrono::steady_clock::now();
     std::atomic<u64> done{0};
     std::atomic<u64> hits{0};
@@ -131,20 +201,45 @@ runCampaign(std::size_t count, const RunOptions &opt,
         resolveThreads(count, opt.threads));
 
     forEachTask(count, opt.threads, [&](std::size_t i, u32 worker) {
-        Record &rec = records[i];
+        const Task &task = *mine[i];
+        Record &rec = report.runs[i];
         auto *tr = obs::tracer();
         const double span0 = tr ? tr->nowNs() : 0.0;
-        const bool hit = cell(i, rec, arenas[worker]);
+        const auto c0 = std::chrono::steady_clock::now();
+
+        cell.label(task, rec);
+        const std::string key = cache ? cell.key(task) : std::string();
+        auto hit = cache ? cache->lookup(key) : std::nullopt;
+        if (hit) {
+            // Simulated outcomes are deterministic, so a replay is
+            // bit-identical to recomputation.
+            rec.out = std::move(*hit);
+            if constexpr (kWall)
+                if (opt.deterministic)
+                    rec.out.wallMs = 0.0;
+            rec.fromCache = true;
+        } else {
+            cell.compute(task, rec, arenas[worker]);
+            if constexpr (kWall)
+                rec.out.wallMs = opt.deterministic ? 0.0 : msSince(c0);
+            if (cache) {
+                const std::string err = cache->append(key, rec.out);
+                if (!err.empty())
+                    warn("%s cache: %s", Cache::kKind, err.c_str());
+            }
+        }
+
         if (tr)
             tr->hostSpan("cell", span0, tr->nowNs(),
                          {obs::argNum("cell", static_cast<double>(i)),
-                          obs::argNum("cache_hit", hit ? 1.0 : 0.0)});
+                          obs::argNum("cache_hit",
+                                      rec.fromCache ? 1.0 : 0.0)});
         if (auto *sh = obs::shard()) {
             sh->inc("campaign/cells");
-            sh->inc(hit ? "campaign/cache/hits"
-                        : "campaign/cache/misses");
+            sh->inc(rec.fromCache ? "campaign/cache/hits"
+                                  : "campaign/cache/misses");
         }
-        if (hit)
+        if (rec.fromCache)
             hits.fetch_add(1, std::memory_order_relaxed);
         const u64 n = done.fetch_add(1) + 1;
         if (progress) {
@@ -153,10 +248,9 @@ runCampaign(std::size_t count, const RunOptions &opt,
         }
     });
 
-    Stats stats;
-    stats.cacheHits = hits.load();
-    stats.cacheMisses = count - stats.cacheHits;
-    stats.wallMs = opt.deterministic ? 0.0 : msSince(t0);
+    report.cacheHits = hits.load();
+    report.cacheMisses = count - report.cacheHits;
+    report.wallMs = opt.deterministic ? 0.0 : msSince(t0);
     // forEachTask rebound this thread to the root shard, so the
     // phase-level wall lands there. Under --deterministic the phase
     // wall is zeroed like every other host-time field, so --metrics-out
@@ -164,7 +258,7 @@ runCampaign(std::size_t count, const RunOptions &opt,
     if (auto *sh = obs::shard())
         sh->add("campaign/phase/run_ms",
                 opt.deterministic ? 0.0 : msSince(t0));
-    return stats;
+    return report;
 }
 
 } // namespace pluto::campaign

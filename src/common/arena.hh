@@ -10,7 +10,7 @@
  *
  * Ownership rules:
  *  - An arena is single-threaded state. Each worker thread of a
- *    campaign (ScenarioRunner / ServiceRunner) owns exactly one arena
+ *    campaign (campaign::runCampaign) owns exactly one arena
  *    and passes it to every device it constructs via
  *    DeviceConfig::arena; a device built without one falls back to a
  *    private arena, so standalone use needs no setup.

@@ -5,8 +5,6 @@
 
 #include "nn/campaign.hh"
 
-#include <chrono>
-#include <optional>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -71,15 +69,6 @@ chargeBatch(runtime::PlutoDevice &dev, const LeNet5 &net, u32 images)
 
 } // namespace
 
-bool
-NnReport::allVerified() const
-{
-    for (const auto &r : runs)
-        if (!r.out.verified)
-            return false;
-    return !runs.empty();
-}
-
 std::string
 NnCache::key(const runtime::DeviceConfig &cfg,
              const sim::NnSpec &spec)
@@ -96,121 +85,80 @@ NnReport
 NnRunner::run(const campaign::RunOptions &opt,
               const Progress &progress) const
 {
-    const std::string oerr = opt.validate();
-    if (!oerr.empty())
-        fatal("NnRunner: %s", oerr.c_str());
     if (cfg_.nnCells.empty())
         fatal("scenario '%s' declares no [nn] sections",
               cfg_.name.c_str());
 
     std::vector<CellTask> tasks;
-    {
-        u64 g = 0;
-        for (u32 d = 0; d < cfg_.devices.size(); ++d)
-            for (u32 s = 0; s < cfg_.nnCells.size(); ++s, ++g)
-                if (opt.inShard(g))
-                    tasks.push_back({d, s});
-    }
+    for (u32 d = 0; d < cfg_.devices.size(); ++d)
+        for (u32 s = 0; s < cfg_.nnCells.size(); ++s)
+            tasks.push_back({d, s});
 
-    std::optional<NnCache> cache;
-    if (!opt.cacheDir.empty()) {
-        cache.emplace(opt.cacheDir, cfg_.name);
-        const std::string cerr = cache->load();
-        if (!cerr.empty())
-            fatal("nn cache: %s", cerr.c_str());
-    }
+    campaign::CellFns<CellTask, NnRunRecord> cell;
+    cell.label = [&](const CellTask &t, NnRunRecord &rec) {
+        const sim::NnSpec &spec = cfg_.nnCells[t.spec];
+        rec.variant = cfg_.devices[t.device].name;
+        rec.cell = spec.name;
+        rec.bits = spec.bits;
+        rec.seed = spec.seed;
+    };
+    cell.key = [&](const CellTask &t) {
+        return NnCache::key(cfg_.devices[t.device].config,
+                            cfg_.nnCells[t.spec]);
+    };
+    cell.compute = [&](const CellTask &t, NnRunRecord &rec,
+                       ScratchArena &arena) {
+        const sim::NnSpec &spec = cfg_.nnCells[t.spec];
 
-    NnReport report;
-    const campaign::Stats stats = campaign::runCampaign(
-        tasks.size(), opt, report.runs,
-        [&](std::size_t i, NnRunRecord &rec, ScratchArena &arena) {
-            const CellTask &t = tasks[i];
-            const sim::DeviceSpec &ds = cfg_.devices[t.device];
-            const sim::NnSpec &spec = cfg_.nnCells[t.spec];
+        // Functional path: classify the batch on the host and check
+        // the whole prediction vector reproduces with a freshly
+        // built net — inference must be a pure function of
+        // (bits, seed).
+        const LeNet5 net(spec.bits, spec.seed);
+        MnistSynth synth(spec.seed);
+        const auto digits = synth.batch(spec.images);
+        u32 correct = 0;
+        std::vector<u32> preds;
+        preds.reserve(digits.size());
+        for (const auto &img : digits) {
+            preds.push_back(net.classify(img));
+            correct += preds.back() == img.label;
+        }
+        const LeNet5 replay(spec.bits, spec.seed);
+        MnistSynth resynth(spec.seed);
+        bool verified = true;
+        for (u32 k = 0; k < spec.images; ++k)
+            verified = verified &&
+                       replay.classify(resynth.image(
+                           digits[k].label)) == preds[k];
 
-            const auto t0 = std::chrono::steady_clock::now();
-            rec.variant = ds.name;
-            rec.cell = spec.name;
-            rec.bits = spec.bits;
-            rec.seed = spec.seed;
+        // Cost path: charge the batch through the device's query
+        // engine.
+        runtime::DeviceConfig cfg = cfg_.devices[t.device].config;
+        cfg.arena = &arena;
+        runtime::PlutoDevice dev(cfg);
+        chargeBatch(dev, net, spec.images);
+        const auto st = dev.stats();
+        if (auto *sh = obs::shard()) {
+            sh->inc("nn/cells");
+            sh->add("nn/images", static_cast<double>(spec.images));
+            sh->add("nn/macs", static_cast<double>(net.totalMacs() *
+                                                   spec.images));
+            if (spec.images > 0)
+                sh->hist("nn/inference_ns")
+                    .add(st.timeNs / spec.images);
+            sh->absorb("device", st.counters);
+        }
 
-            std::string key;
-            std::optional<NnOutcome> hit;
-            if (cache) {
-                key = NnCache::key(ds.config, spec);
-                hit = cache->lookup(key);
-            }
-            if (hit) {
-                rec.out = *hit;
-                rec.out.wallMs =
-                    opt.deterministic ? 0.0 : rec.out.wallMs;
-                rec.fromCache = true;
-                return true;
-            }
-
-            // Functional path: classify the batch on the host and
-            // check the whole prediction vector reproduces with a
-            // freshly built net — inference must be a pure function
-            // of (bits, seed).
-            const LeNet5 net(spec.bits, spec.seed);
-            MnistSynth synth(spec.seed);
-            const auto digits = synth.batch(spec.images);
-            u32 correct = 0;
-            std::vector<u32> preds;
-            preds.reserve(digits.size());
-            for (const auto &img : digits) {
-                preds.push_back(net.classify(img));
-                correct += preds.back() == img.label;
-            }
-            const LeNet5 replay(spec.bits, spec.seed);
-            MnistSynth resynth(spec.seed);
-            bool verified = true;
-            for (u32 k = 0; k < spec.images; ++k)
-                verified = verified &&
-                           replay.classify(resynth.image(
-                               digits[k].label)) == preds[k];
-
-            // Cost path: charge the batch through the device's
-            // query engine.
-            runtime::DeviceConfig cfg = ds.config;
-            cfg.arena = &arena;
-            runtime::PlutoDevice dev(cfg);
-            chargeBatch(dev, net, spec.images);
-            const auto st = dev.stats();
-            if (auto *sh = obs::shard()) {
-                sh->inc("nn/cells");
-                sh->add("nn/images",
-                        static_cast<double>(spec.images));
-                sh->add("nn/macs", static_cast<double>(
-                                       net.totalMacs() * spec.images));
-                if (spec.images > 0)
-                    sh->hist("nn/inference_ns")
-                        .add(st.timeNs / spec.images);
-                sh->absorb("device", st.counters);
-            }
-
-            rec.out.images = spec.images;
-            rec.out.macs = net.totalMacs();
-            rec.out.timeNs = st.timeNs;
-            rec.out.energyPj = st.energyPj;
-            rec.out.accuracy =
-                static_cast<double>(correct) / spec.images;
-            rec.out.verified = verified;
-            rec.out.wallMs =
-                opt.deterministic ? 0.0 : campaign::msSince(t0);
-            if (cache) {
-                const std::string err = cache->append(key, rec.out);
-                if (!err.empty())
-                    warn("nn cache: %s", err.c_str());
-            }
-            return false;
-        },
-        progress);
-
-    report.wallMs = stats.wallMs;
-    report.cacheHits = stats.cacheHits;
-    report.cacheMisses = stats.cacheMisses;
-    return report;
+        rec.out.images = spec.images;
+        rec.out.macs = net.totalMacs();
+        rec.out.timeNs = st.timeNs;
+        rec.out.energyPj = st.energyPj;
+        rec.out.accuracy = static_cast<double>(correct) / spec.images;
+        rec.out.verified = verified;
+    };
+    return campaign::runCampaign<NnCache>(tasks, opt, cfg_.name, cell,
+                                          progress);
 }
 
 std::vector<std::string>

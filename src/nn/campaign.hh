@@ -11,16 +11,17 @@
  * the inference cost is charged through the device's query engine
  * (one LUT load per batch, then query waves across all SALP lanes),
  * so batch size amortizes LUT loading and the timing/energy follow
- * the active design's Table 1 formulas. Cells are pure functions of
- * (variant config, spec): outcomes are bit-identical across thread
- * counts, shards and cache replays, exactly like the other modes —
- * because the discipline is the campaign core's, not this file's.
+ * the active design's Table 1 formulas. This file supplies the task
+ * list, the NnCache key, the labels and the compute (functional
+ * re-verification + chargeBatch); sharding, cache replay, hit
+ * accounting and the wall rule are the campaign core's, so outcomes
+ * are bit-identical across thread counts, shards and cache replays,
+ * exactly like the other modes.
  */
 
 #ifndef PLUTO_NN_CAMPAIGN_HH
 #define PLUTO_NN_CAMPAIGN_HH
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -75,20 +76,9 @@ struct NnRunRecord
     bool fromCache = false;
 };
 
-/** Aggregated outcome of one --nn campaign (or one shard). */
-struct NnReport
-{
-    /** All cells, variant-major then nn-spec. */
-    std::vector<NnRunRecord> runs;
-    /** Host wall-clock of the whole campaign, milliseconds. */
-    double wallMs = 0.0;
-    /** Cells replayed from the cache / computed fresh. */
-    u64 cacheHits = 0;
-    u64 cacheMisses = 0;
-
-    /** @return true when every cell's inference check verified. */
-    bool allVerified() const;
-};
+/** All cells of one --nn campaign (or one shard), variant-major then
+ *  nn-spec. */
+using NnReport = campaign::Report<NnRunRecord>;
 
 /** Codec fields of an NnOutcome (see common/codec.hh). */
 template <typename V, RecordOf<NnOutcome> O>
@@ -127,8 +117,7 @@ class NnRunner
 {
   public:
     /** Called after each finished cell (serialized; for progress). */
-    using Progress =
-        std::function<void(const NnRunRecord &, u64 done, u64 total)>;
+    using Progress = campaign::Progress<NnRunRecord>;
 
     explicit NnRunner(sim::SimConfig cfg);
 

@@ -1,50 +1,39 @@
 /**
  * @file
- * ServiceRunner: executes every (variant, service) cell of a
- * scenario's --service mode across a thread pool.
+ * ServiceRunner: the --service campaign mode — every (variant,
+ * service) cell of a scenario as a thin client of the campaign core
+ * (campaign/runner.hh).
  *
- * Mirrors sim::ScenarioRunner's execution discipline: cells are fully
- * independent (each owns its own device pool and load generator),
- * results are stored by precomputed global cell index so report order
- * never depends on scheduling, sharding partitions the index space
- * (`i % shardCount == shardIndex`), and a warm ServiceCache replays
- * finished cells bit-identically — so a sharded campaign plus a merge
- * pass emits the same bytes as a cold unsharded run.
+ * Cells are fully independent (each owns its own device pool and
+ * load generator). This mode supplies the task list, the
+ * ServiceCache key, the record labels and the compute (a lazily
+ * calibrated, per-variant ServeSimulator run); the core owns
+ * sharding, cache replay, hit accounting and result ordering — so a
+ * sharded campaign plus a merge pass emits the same bytes as a cold
+ * unsharded run. Service outcomes cache no wall-clock:
+ * `loopHostMs` is diagnostic only and replays as 0.
  */
 
 #ifndef PLUTO_SERVE_RUNNER_HH
 #define PLUTO_SERVE_RUNNER_HH
 
-#include <functional>
-
+#include "campaign/runner.hh"
 #include "serve/metrics.hh"
-#include "sim/runner.hh"
+#include "sim/config.hh"
 
 namespace pluto::serve
 {
 
-/** Aggregated outcome of one --service campaign (or one shard). */
-struct ServiceReport
-{
-    /** All cells, variant-major then service. */
-    std::vector<ServiceRunRecord> runs;
-    /** Host wall-clock of the whole campaign, milliseconds. */
-    double wallMs = 0.0;
-    /** Cells replayed from the cache / computed fresh. */
-    u64 cacheHits = 0;
-    u64 cacheMisses = 0;
-
-    /** @return true when every cell's calibrations verified. */
-    bool allVerified() const;
-};
+/** All cells of one --service campaign (or one shard), variant-major
+ *  then service. */
+using ServiceReport = campaign::Report<ServiceRunRecord>;
 
 /** Batch executor for a scenario's service experiments. */
 class ServiceRunner
 {
   public:
     /** Called after each finished cell (serialized; for progress). */
-    using Progress = std::function<void(const ServiceRunRecord &,
-                                        u64 done, u64 total)>;
+    using Progress = campaign::Progress<ServiceRunRecord>;
 
     explicit ServiceRunner(sim::SimConfig cfg);
 
@@ -55,7 +44,7 @@ class ServiceRunner
      * Execute this process's shard of the variant x service grid
      * under `opt` (which must validate()).
      */
-    ServiceReport run(const sim::RunOptions &opt,
+    ServiceReport run(const campaign::RunOptions &opt,
                       const Progress &progress = nullptr) const;
 
   private:

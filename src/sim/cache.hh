@@ -16,24 +16,22 @@
 
 #include "campaign/cache.hh"
 #include "runtime/device.hh"
+#include "workloads/workload.hh"
 
 namespace pluto::sim
 {
 
-/** One cached simulated outcome (mirrors WorkloadResult + wall). */
-struct CachedRun
+/** Outcome of one batch run: the simulated result plus the host
+ *  wall-clock of the run that computed it (the cached part of a
+ *  RunRecord). */
+struct RunOutcome : workloads::WorkloadResult
 {
-    u64 elements = 0;
-    double timeNs = 0.0;
-    double energyPj = 0.0;
-    double hostNs = 0.0;
-    bool verified = false;
-    /** Host wall-clock of the run that computed the result. */
+    /** Host wall-clock of the run that computed the result, ms. */
     double wallMs = 0.0;
 };
 
-/** Codec fields of a CachedRun (see common/codec.hh). */
-template <typename V, RecordOf<CachedRun> R>
+/** Codec fields of a RunOutcome (see common/codec.hh). */
+template <typename V, RecordOf<RunOutcome> R>
 void
 fields(V &v, R &run)
 {
@@ -53,7 +51,7 @@ struct RunCacheCodec
 
 /** Append-only JSONL result cache for one scenario's batch runs. */
 class RunCache
-    : public campaign::JsonlCache<CachedRun, RunCacheCodec>
+    : public campaign::JsonlCache<RunOutcome, RunCacheCodec>
 {
   public:
     using JsonlCache::JsonlCache;

@@ -44,25 +44,25 @@ MetricsSink::renderCsv(const SimConfig &cfg,
 {
     CsvWriter csv(csvColumns());
     for (const auto &r : report.runs) {
-        const double npe = r.result.nsPerElem();
+        const double npe = r.out.nsPerElem();
         csv.addRow({
             cfg.name,
             r.variant,
             r.workload,
             fmtU64(r.repeat),
             fmtU64(r.seed),
-            fmtU64(r.result.elements),
-            fmtNum("%.6f", r.result.timeNs),
+            fmtU64(r.out.elements),
+            fmtNum("%.6f", r.out.timeNs),
             fmtNum("%.9f", npe),
-            fmtNum("%.6f", r.result.energyPj),
-            fmtNum("%.9f", r.result.pjPerElem()),
-            fmtNum("%.6f", r.result.hostNs),
-            r.result.verified ? "yes" : "no",
+            fmtNum("%.6f", r.out.energyPj),
+            fmtNum("%.9f", r.out.pjPerElem()),
+            fmtNum("%.6f", r.out.hostNs),
+            r.out.verified ? "yes" : "no",
             fmtNum("%.4f", speedup(r.rates.cpu, npe)),
             fmtNum("%.4f", speedup(r.rates.gpu, npe)),
             fmtNum("%.4f", speedup(r.rates.fpga, npe)),
             fmtNum("%.4f", speedup(r.rates.pnm, npe)),
-            fmtNum("%.3f", r.wallMs),
+            fmtNum("%.3f", r.out.wallMs),
         });
     }
     return csv.render();
@@ -76,23 +76,23 @@ MetricsSink::aggregate(const ScenarioReport &report)
     std::map<CellKey, CellSummary> cells;
     for (const auto &r : report.runs) {
         const auto key = CellKey(r.variant, r.workload,
-                                 r.result.elements, r.seed);
+                                 r.out.elements, r.seed);
         auto [it, inserted] = cells.try_emplace(key);
         CellSummary &c = it->second;
         if (inserted) {
             order.push_back(key);
             c.variant = r.variant;
             c.workload = r.workload;
-            c.elements = r.result.elements;
+            c.elements = r.out.elements;
             c.seed = r.seed;
             c.verified = true;
             c.rates = r.rates;
         }
         ++c.runs;
-        c.verified = c.verified && r.result.verified;
-        c.meanTimeNs += r.result.timeNs;
-        c.meanEnergyPj += r.result.energyPj;
-        c.wallMs += r.wallMs;
+        c.verified = c.verified && r.out.verified;
+        c.meanTimeNs += r.out.timeNs;
+        c.meanEnergyPj += r.out.energyPj;
+        c.wallMs += r.out.wallMs;
     }
 
     std::vector<CellSummary> out;

@@ -9,24 +9,21 @@
  * input generation is seeded per workload — so runs are embarrassingly
  * parallel, wall-clock drops near-linearly with cores, and the
  * *simulated* timing/energy of every run is bit-identical regardless
- * of thread count or completion order. The campaign core supplies the
- * thread-pool fan-out, per-worker scratch arenas, precomputed-index
- * result ordering, `i % n` sharding, cache-hit accounting and
- * `--deterministic` wall-clock zeroing; this mode supplies the task
- * grid (variants x workloads x repeats), the RunCache codec and the
- * per-run cell.
+ * of thread count or completion order. This mode supplies the task
+ * list (variants x workloads x repeats, with each workload's element
+ * count resolved per variant), the RunCache key, the run labels and
+ * the per-run compute; the campaign core owns sharding, cache replay,
+ * hit accounting, the wall rule and the thread-pool fan-out.
  */
 
 #ifndef PLUTO_SIM_RUNNER_HH
 #define PLUTO_SIM_RUNNER_HH
 
-#include <functional>
 #include <string>
-#include <vector>
 
 #include "campaign/runner.hh"
+#include "sim/cache.hh"
 #include "sim/config.hh"
-#include "workloads/workload.hh"
 
 namespace pluto::sim
 {
@@ -45,37 +42,24 @@ struct RunRecord
     u32 repeat = 0;
     /** Input-generation seed of the workload entry. */
     u64 seed = 0;
-    /** Simulated outcome. */
-    workloads::WorkloadResult result;
     /** Host baseline rates of the workload (for speedup columns). */
     workloads::BaselineRates rates;
-    /** Host wall-clock spent simulating this run, milliseconds. */
-    double wallMs = 0.0;
+    /** Simulated outcome and host wall-clock (the cached part). */
+    RunOutcome out;
     /** Result was replayed from the run cache. */
     bool fromCache = false;
 };
 
-/** Aggregated outcome of a whole scenario (or one shard of it). */
-struct ScenarioReport
-{
-    /** All runs, variant-major then workload then repeat. */
-    std::vector<RunRecord> runs;
-    /** Host wall-clock of the whole campaign, milliseconds. */
-    double wallMs = 0.0;
-    /** Runs replayed from the cache / computed fresh. */
-    u64 cacheHits = 0;
-    u64 cacheMisses = 0;
-    /** @return true when every run passed functional verification. */
-    bool allVerified() const;
-};
+/** All runs of a scenario (or one shard of it), variant-major then
+ *  workload then repeat. */
+using ScenarioReport = campaign::Report<RunRecord>;
 
 /** Batch executor for one scenario. */
 class ScenarioRunner
 {
   public:
     /** Called after each finished run (serialized; for progress). */
-    using Progress = std::function<void(const RunRecord &, u64 done,
-                                        u64 total)>;
+    using Progress = campaign::Progress<RunRecord>;
 
     explicit ScenarioRunner(SimConfig cfg);
 

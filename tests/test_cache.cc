@@ -32,11 +32,11 @@ scratchDir(const std::string &name)
     return dir;
 }
 
-/** A CachedRun with awkward (non-terminating) double values. */
-CachedRun
+/** A RunOutcome with awkward (non-terminating) double values. */
+RunOutcome
 runFor(u64 i)
 {
-    CachedRun r;
+    RunOutcome r;
     r.elements = 1000 + i;
     r.timeNs = 1e9 / 3.0 + static_cast<double>(i) * 0.1;
     r.energyPj = 7.0 / 9.0 * static_cast<double>(i + 1);
@@ -47,7 +47,7 @@ runFor(u64 i)
 }
 
 void
-expectSameRun(const CachedRun &a, const CachedRun &b)
+expectSameRun(const RunOutcome &a, const RunOutcome &b)
 {
     EXPECT_EQ(a.elements, b.elements);
     // Bit-identical, not approximately equal: %.17g round-trips.

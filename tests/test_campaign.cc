@@ -2,12 +2,14 @@
  * @file
  * Campaign-core tests: forEachTask edge cases (zero tasks, more
  * threads than tasks, worker-index stability/uniqueness, exception
- * propagation, task-order telemetry folds), the JsonlCache version
- * header (legacy files load, future formats and retired binary files
- * are rejected with a clear error), exact codec round trips, per-mode
- * key namespacing (equal descriptors cannot collide across modes in a
- * shared --cache-dir), and the NN campaign mode's sharded+cached
- * byte-identity — the properties every mode inherits from the core.
+ * propagation, task-order telemetry folds), the cached-cell loop
+ * (hit/miss accounting, replay, appends, shard filtering), the
+ * JsonlCache version header (legacy files load, future formats and
+ * retired binary files are rejected with a clear error), exact codec
+ * round trips, per-mode key namespacing (equal descriptors cannot
+ * collide across modes in a shared --cache-dir), the nn and service
+ * modes' sharded+cached byte-identity and every mode's wall rule —
+ * the properties every mode inherits from the core.
  */
 
 #include <gtest/gtest.h>
@@ -25,11 +27,14 @@
 #include <vector>
 
 #include "campaign/cache.hh"
+#include "campaign/cli.hh"
 #include "campaign/runner.hh"
 #include "nn/campaign.hh"
 #include "obs/registry.hh"
 #include "serve/cache.hh"
+#include "serve/runner.hh"
 #include "sim/cache.hh"
+#include "sim/runner.hh"
 
 namespace pluto::campaign
 {
@@ -147,24 +152,50 @@ TEST(ForEachTask, TelemetryFoldsInTaskOrder)
     }
 }
 
-TEST(RunCampaign, CountsHitsAndZerosWallUnderDeterminism)
+// ---- CLI flag parsing ----
+
+TEST(CliMain, ThreadsMustBeAWholeUnsignedDecimal)
 {
-    RunOptions opt;
-    opt.threads = 2;
-    opt.deterministic = true;
-    std::vector<int> records;
-    const Stats stats = runCampaign(
-        10, opt, records,
-        [&](std::size_t i, int &rec, ScratchArena &) {
-            rec = static_cast<int>(i) + 1;
-            return i % 2 == 0; // pretend even cells were cached
-        });
-    EXPECT_EQ(stats.cacheHits, 5u);
-    EXPECT_EQ(stats.cacheMisses, 5u);
-    EXPECT_EQ(stats.wallMs, 0.0);
-    ASSERT_EQ(records.size(), 10u);
-    for (std::size_t i = 0; i < records.size(); ++i)
-        EXPECT_EQ(records[i], static_cast<int>(i) + 1);
+    const auto dir = scratchDir("pluto_campaign_cli_test");
+    fs::create_directories(dir);
+    const std::string ini = dir + "/tiny.ini";
+    {
+        std::ofstream out(ini);
+        out << "[scenario]\nname = tiny\n[device]\ndesign = gmc\n"
+               "[workload ADD4]\nelements = 1024\n";
+    }
+    int runs = 0;
+    u32 threads = 99;
+    const std::vector<Mode> modes = {
+        {"batch", "", "test mode", {}, [](const sim::SimConfig &) {
+             return std::string("1");
+         },
+         [&](const sim::SimConfig &cfg, const CliInvocation &inv) {
+             ++runs;
+             threads = inv.opt.threads;
+             return sim::ScenarioRunner(cfg).run(inv.opt).allVerified()
+                        ? 0
+                        : 2;
+         }}};
+    const auto cli = [&](const std::string &value) {
+        std::vector<std::string> args = {"pluto_sim", "--threads",
+                                         value, "--quiet", ini};
+        std::vector<char *> argv;
+        for (auto &a : args)
+            argv.push_back(a.data());
+        return cliMain(static_cast<int>(argv.size()), argv.data(),
+                       modes);
+    };
+
+    // Rejected before any scenario loads or any mode runs.
+    for (const std::string bad : {"abc", "2x", "-1", "", " 1", "+1"})
+        EXPECT_EQ(cli(bad), 1) << "'" << bad << "'";
+    EXPECT_EQ(runs, 0);
+
+    EXPECT_EQ(cli("1"), 0);
+    EXPECT_EQ(runs, 1);
+    EXPECT_EQ(threads, 1u);
+    fs::remove_all(dir);
 }
 
 // ---- JsonlCache format versioning ----
@@ -188,6 +219,99 @@ struct TinyCodec
 };
 
 using TinyCache = JsonlCache<TinyOutcome, TinyCodec>;
+
+// ---- The cached-cell loop ----
+
+/** Record of the cell-loop tests: one label + a TinyOutcome. */
+struct TinyRecord
+{
+    int label = -1;
+    TinyOutcome out;
+    bool fromCache = false;
+};
+
+/** The content key of tiny task `t`: "k<t>". */
+std::string
+tinyKey(int t)
+{
+    std::string key = "k";
+    key += std::to_string(t);
+    return key;
+}
+
+/** Cells keyed by tinyKey that compute task + 1, counting computes. */
+CellFns<int, TinyRecord>
+tinyCells(std::atomic<int> &computes)
+{
+    CellFns<int, TinyRecord> cell;
+    cell.label = [](const int &t, TinyRecord &rec) { rec.label = t; };
+    cell.key = [](const int &t) { return tinyKey(t); };
+    cell.compute = [&computes](const int &t, TinyRecord &rec,
+                               ScratchArena &) {
+        computes.fetch_add(1);
+        rec.out.value = t + 1;
+    };
+    return cell;
+}
+
+TEST(RunCampaign, CountsHitsAndZerosWallUnderDeterminism)
+{
+    const auto dir = scratchDir("pluto_campaign_loop_test");
+    {
+        // Pretend even cells were cached, with a marker value.
+        TinyCache seed(dir, "loop");
+        for (int t = 0; t < 10; t += 2)
+            ASSERT_TRUE(seed.append(tinyKey(t), {-1.0 * t}).empty());
+    }
+    std::vector<int> tasks(10);
+    for (int t = 0; t < 10; ++t)
+        tasks[t] = t;
+    std::atomic<int> computes{0};
+    const auto cell = tinyCells(computes);
+
+    RunOptions opt;
+    opt.threads = 2;
+    opt.deterministic = true;
+    opt.cacheDir = dir;
+    const auto report =
+        runCampaign<TinyCache>(tasks, opt, "loop", cell);
+    EXPECT_EQ(report.cacheHits, 5u);
+    EXPECT_EQ(report.cacheMisses, 5u);
+    EXPECT_EQ(report.wallMs, 0.0);
+    EXPECT_EQ(computes.load(), 5);
+    ASSERT_EQ(report.runs.size(), 10u);
+    for (int t = 0; t < 10; ++t) {
+        const TinyRecord &r = report.runs[t];
+        EXPECT_EQ(r.label, t);
+        EXPECT_EQ(r.fromCache, t % 2 == 0) << t;
+        EXPECT_EQ(r.out.value, t % 2 == 0 ? -1.0 * t : t + 1.0) << t;
+    }
+
+    // The misses were appended: a rerun replays every cell.
+    const auto warm = runCampaign<TinyCache>(tasks, opt, "loop", cell);
+    EXPECT_EQ(warm.cacheHits, 10u);
+    EXPECT_EQ(computes.load(), 5);
+
+    // Sharding filters by global task index, keeping task order.
+    opt.shardIndex = 1;
+    opt.shardCount = 3;
+    const auto shard =
+        runCampaign<TinyCache>(tasks, opt, "loop", cell);
+    ASSERT_EQ(shard.runs.size(), 3u);
+    EXPECT_EQ(shard.runs[0].label, 1);
+    EXPECT_EQ(shard.runs[1].label, 4);
+    EXPECT_EQ(shard.runs[2].label, 7);
+
+    // Without a cache directory nothing is keyed or replayed.
+    RunOptions cold;
+    cold.threads = 1;
+    const auto uncached =
+        runCampaign<TinyCache>(tasks, cold, "loop", cell);
+    EXPECT_EQ(uncached.cacheHits, 0u);
+    EXPECT_EQ(uncached.cacheMisses, 10u);
+    EXPECT_EQ(computes.load(), 15);
+    fs::remove_all(dir);
+}
 
 TEST(JsonlCacheFormat, NewFilesLeadWithVersionHeader)
 {
@@ -301,7 +425,7 @@ TEST(JsonlCacheFormat, ModeCodecsRoundTripEveryFieldExactly)
 {
     const auto dir = scratchDir("pluto_campaign_codec_test");
 
-    sim::CachedRun run;
+    sim::RunOutcome run;
     run.elements = 123456789ull;
     run.timeNs = 1.0 / 3.0;
     run.energyPj = 2.5e300;
@@ -403,7 +527,7 @@ TEST(CacheNamespacing, EqualDescriptorsCannotCollideAcrossModes)
 
     // Concretely: store a batch outcome under simKey; the service
     // and nn caches in the same directory must not see anything.
-    sim::CachedRun run;
+    sim::RunOutcome run;
     run.elements = 7;
     run.timeNs = 1.0 / 3.0;
     ASSERT_TRUE(simCache.append(simKey, run).empty());
@@ -439,7 +563,7 @@ images = 2
     return *cfg;
 }
 
-TEST(NnCampaign, ShardedCachedRunsEqualColdRunByteForByte)
+TEST(NnCampaign, ShardedRunOutcomesEqualColdRunByteForByte)
 {
     const auto cfg = nnScenario();
     const auto dir = scratchDir("pluto_campaign_nn_test");
@@ -481,6 +605,173 @@ TEST(NnCampaign, ShardedCachedRunsEqualColdRunByteForByte)
     const auto serial = runner.run(one);
     EXPECT_EQ(nn::NnMetricsSink::renderCsv(cfg, serial),
               nn::NnMetricsSink::renderCsv(cfg, cold));
+    fs::remove_all(dir);
+}
+
+// ---- The service mode inherits the campaign discipline ----
+
+/** Small 2-variant x 3-cell service scenario. */
+sim::SimConfig
+serviceScenario()
+{
+    std::string err;
+    const auto cfg = sim::SimConfig::parse(R"(
+[scenario]
+name = serve_unit
+[variant gmc]
+design = gmc
+[variant gsa]
+design = gsa
+[workload CRC-8]
+elements = 1024
+[service s]
+duration_ms = 0.5
+devices = 2
+sweep rate = 5000, 20000, 80000
+)",
+                                           err);
+    EXPECT_TRUE(cfg) << err;
+    return *cfg;
+}
+
+TEST(ServeCampaign, ShardedCachedRunsEqualColdRunByteForByte)
+{
+    using serve::ServiceMetricsSink;
+    const auto cfg = serviceScenario();
+    const auto dir = scratchDir("pluto_campaign_serve_test");
+    const serve::ServiceRunner runner(cfg);
+
+    RunOptions opt;
+    opt.threads = 2;
+    opt.deterministic = true;
+    const auto cold = runner.run(opt);
+    ASSERT_EQ(cold.runs.size(), 6u);
+    EXPECT_TRUE(cold.allVerified());
+    EXPECT_EQ(cold.cacheHits, 0u);
+
+    opt.cacheDir = dir;
+    std::size_t shardRuns = 0;
+    for (u32 i = 0; i < 3; ++i) {
+        opt.shardIndex = i;
+        opt.shardCount = 3;
+        const auto shard = runner.run(opt);
+        EXPECT_EQ(shard.cacheHits, 0u);
+        shardRuns += shard.runs.size();
+    }
+    EXPECT_EQ(shardRuns, cold.runs.size());
+
+    opt.shardIndex = 0;
+    opt.shardCount = 1;
+    const auto merged = runner.run(opt);
+    EXPECT_EQ(merged.cacheHits, merged.runs.size());
+    EXPECT_EQ(merged.cacheMisses, 0u);
+    EXPECT_EQ(ServiceMetricsSink::renderCsv(cfg, merged.runs),
+              ServiceMetricsSink::renderCsv(cfg, cold.runs));
+    EXPECT_EQ(
+        ServiceMetricsSink::renderJson(cfg, merged.runs, merged.wallMs),
+        ServiceMetricsSink::renderJson(cfg, cold.runs, cold.wallMs));
+    EXPECT_EQ(ServiceMetricsSink::renderTailReport(cfg, merged.runs),
+              ServiceMetricsSink::renderTailReport(cfg, cold.runs));
+    EXPECT_EQ(ServiceMetricsSink::renderTimeseriesCsv(cfg, merged.runs),
+              ServiceMetricsSink::renderTimeseriesCsv(cfg, cold.runs));
+    fs::remove_all(dir);
+}
+
+// ---- The wall rule, per mode ----
+
+/**
+ * Sim and nn outcomes store the wall of the cell that computed them
+ * and replay it, or 0 under --deterministic; a fresh cell stores 0
+ * under --deterministic.
+ */
+template <typename Runner>
+void
+expectStoredWallReplays(const sim::SimConfig &cfg,
+                        const std::string &name)
+{
+    const Runner runner(cfg);
+    const auto dir = scratchDir(name);
+    RunOptions opt;
+    opt.threads = 1;
+    opt.cacheDir = dir;
+    const auto cold = runner.run(opt);
+    ASSERT_FALSE(cold.runs.empty());
+    bool timed = false;
+    for (const auto &r : cold.runs)
+        timed = timed || r.out.wallMs > 0.0;
+    EXPECT_TRUE(timed);
+
+    const auto warm = runner.run(opt);
+    ASSERT_EQ(warm.runs.size(), cold.runs.size());
+    EXPECT_EQ(warm.cacheHits, warm.runs.size());
+    for (std::size_t i = 0; i < warm.runs.size(); ++i) {
+        EXPECT_TRUE(warm.runs[i].fromCache);
+        EXPECT_EQ(warm.runs[i].out.wallMs, cold.runs[i].out.wallMs);
+    }
+
+    opt.deterministic = true;
+    for (const auto &r : runner.run(opt).runs) {
+        EXPECT_TRUE(r.fromCache);
+        EXPECT_EQ(r.out.wallMs, 0.0);
+    }
+
+    const auto detDir = scratchDir(name + "_det");
+    opt.cacheDir = detDir;
+    for (const auto &r : runner.run(opt).runs)
+        EXPECT_EQ(r.out.wallMs, 0.0);
+    opt.deterministic = false;
+    for (const auto &r : runner.run(opt).runs) {
+        EXPECT_TRUE(r.fromCache);
+        EXPECT_EQ(r.out.wallMs, 0.0);
+    }
+    fs::remove_all(dir);
+    fs::remove_all(detDir);
+}
+
+TEST(WallRule, SimReplaysTheStoredWallOrZeroWhenDeterministic)
+{
+    std::string err;
+    const auto cfg = sim::SimConfig::parse(R"(
+[scenario]
+name = wall_sim
+[device]
+design = gmc
+[workload ADD4]
+elements = 4096
+repeats = 2
+)",
+                                           err);
+    ASSERT_TRUE(cfg) << err;
+    expectStoredWallReplays<sim::ScenarioRunner>(
+        *cfg, "pluto_campaign_wall_sim_test");
+}
+
+TEST(WallRule, NnReplaysTheStoredWallOrZeroWhenDeterministic)
+{
+    expectStoredWallReplays<nn::NnRunner>(
+        nnScenario(), "pluto_campaign_wall_nn_test");
+}
+
+TEST(WallRule, ServeCachesNoWallAndReplaysLoopHostMsAsZero)
+{
+    const auto cfg = serviceScenario();
+    const auto dir = scratchDir("pluto_campaign_wall_serve_test");
+    const serve::ServiceRunner runner(cfg);
+    RunOptions opt;
+    opt.threads = 1;
+    opt.cacheDir = dir;
+    bool timed = false;
+    for (const auto &r : runner.run(opt).runs)
+        timed = timed || r.out.loopHostMs > 0.0;
+    EXPECT_TRUE(timed);
+
+    for (const bool deterministic : {false, true}) {
+        opt.deterministic = deterministic;
+        for (const auto &r : runner.run(opt).runs) {
+            EXPECT_TRUE(r.fromCache);
+            EXPECT_EQ(r.out.loopHostMs, 0.0) << deterministic;
+        }
+    }
     fs::remove_all(dir);
 }
 

@@ -87,10 +87,10 @@ loadExample(const std::string &path)
 
 // ---- Fixed outcomes, one per cache type ----
 
-sim::CachedRun
+sim::RunOutcome
 fixedRun()
 {
-    sim::CachedRun run;
+    sim::RunOutcome run;
     run.elements = 123456789ull;
     run.timeNs = 1.0 / 3.0;
     run.energyPj = 2.5e300;

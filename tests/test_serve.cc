@@ -1703,7 +1703,7 @@ memo = )") + memo + "\n",
         EXPECT_TRUE(cfg) << err;
         return *cfg;
     };
-    sim::RunOptions opt;
+    campaign::RunOptions opt;
     opt.threads = 2;
     opt.deterministic = true;
     opt.cacheDir = dir;

@@ -507,16 +507,16 @@ TEST(ScenarioRunner, DeterministicAcrossRepeatsAndThreads)
         EXPECT_EQ(a.variant, b.variant);
         EXPECT_EQ(a.workload, b.workload);
         EXPECT_EQ(a.repeat, b.repeat);
-        EXPECT_EQ(a.result.elements, b.result.elements);
-        EXPECT_EQ(a.result.timeNs, b.result.timeNs) << i;
-        EXPECT_EQ(a.result.energyPj, b.result.energyPj) << i;
-        EXPECT_TRUE(a.result.verified) << a.workload;
+        EXPECT_EQ(a.out.elements, b.out.elements);
+        EXPECT_EQ(a.out.timeNs, b.out.timeNs) << i;
+        EXPECT_EQ(a.out.energyPj, b.out.energyPj) << i;
+        EXPECT_TRUE(a.out.verified) << a.workload;
     }
     EXPECT_TRUE(serial.allVerified());
 
     // Repeats of the same cell are identical too (seeded inputs).
-    EXPECT_EQ(serial.runs[0].result.timeNs,
-              serial.runs[1].result.timeNs);
+    EXPECT_EQ(serial.runs[0].out.timeNs,
+              serial.runs[1].out.timeNs);
 
     // Variant-major order: bsa block then gmc block.
     EXPECT_EQ(serial.runs[0].variant, "bsa");
@@ -524,8 +524,8 @@ TEST(ScenarioRunner, DeterministicAcrossRepeatsAndThreads)
     EXPECT_EQ(serial.runs[3].variant, "gmc");
 
     // The two designs actually differ (distinct devices ran).
-    EXPECT_NE(serial.runs[0].result.timeNs,
-              serial.runs[3].result.timeNs);
+    EXPECT_NE(serial.runs[0].out.timeNs,
+              serial.runs[3].out.timeNs);
 }
 
 TEST(MetricsSink, CsvSchema)

@@ -236,14 +236,14 @@ TEST(SimOutputs, CacheResumesAndTossesCorruptLines)
     ASSERT_EQ(warm.runs.size(), cold.runs.size());
     for (std::size_t i = 0; i < warm.runs.size(); ++i) {
         EXPECT_TRUE(warm.runs[i].fromCache);
-        EXPECT_EQ(warm.runs[i].result.timeNs,
-                  cold.runs[i].result.timeNs)
+        EXPECT_EQ(warm.runs[i].out.timeNs,
+                  cold.runs[i].out.timeNs)
             << i;
-        EXPECT_EQ(warm.runs[i].result.energyPj,
-                  cold.runs[i].result.energyPj)
+        EXPECT_EQ(warm.runs[i].out.energyPj,
+                  cold.runs[i].out.energyPj)
             << i;
-        EXPECT_EQ(warm.runs[i].result.verified,
-                  cold.runs[i].result.verified)
+        EXPECT_EQ(warm.runs[i].out.verified,
+                  cold.runs[i].out.verified)
             << i;
     }
     fs::remove_all(dir);
@@ -318,8 +318,8 @@ sweep seed = 0, 3
     EXPECT_EQ(report.runs[0].seed, 0u);
     EXPECT_EQ(report.runs[1].seed, 3u);
     // Identical command-level cost: timing is data-independent.
-    EXPECT_EQ(report.runs[0].result.timeNs,
-              report.runs[1].result.timeNs);
+    EXPECT_EQ(report.runs[0].out.timeNs,
+              report.runs[1].out.timeNs);
 }
 
 } // namespace
