@@ -17,56 +17,6 @@
 namespace pluto::bench
 {
 
-/** One evaluated pLUTo configuration. */
-struct PlutoConfig
-{
-    core::Design design;
-    dram::MemoryKind memory;
-
-    std::string
-    label() const
-    {
-        return std::string(core::designName(design)) +
-               (memory == dram::MemoryKind::Hmc3ds ? "-3DS" : "");
-    }
-};
-
-/** The six configurations of Figures 7/8/10 (paper order). */
-inline std::vector<PlutoConfig>
-allConfigs()
-{
-    using core::Design;
-    using dram::MemoryKind;
-    return {
-        {Design::Gsa, MemoryKind::Ddr4},
-        {Design::Bsa, MemoryKind::Ddr4},
-        {Design::Gmc, MemoryKind::Ddr4},
-        {Design::Gsa, MemoryKind::Hmc3ds},
-        {Design::Bsa, MemoryKind::Hmc3ds},
-        {Design::Gmc, MemoryKind::Hmc3ds},
-    };
-}
-
-/** Run one workload on one configuration at its default scale. */
-inline workloads::WorkloadResult
-runOn(const workloads::Workload &w, const PlutoConfig &cfg,
-      double faw_scale = 0.0, u32 salp = 0)
-{
-    runtime::DeviceConfig dc;
-    dc.design = cfg.design;
-    dc.memory = cfg.memory;
-    dc.fawScale = faw_scale;
-    dc.salp = salp;
-    runtime::PlutoDevice dev(dc);
-    const auto res = w.runDefault(dev);
-    if (!res.verified)
-        std::fprintf(stderr,
-                     "WARNING: %s failed functional verification on "
-                     "%s\n",
-                     w.name().c_str(), cfg.label().c_str());
-    return res;
-}
-
 /** Print a titled section. */
 inline void
 section(const std::string &title)

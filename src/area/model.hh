@@ -57,10 +57,6 @@ class AreaModel
     AreaMm2 plutoOverheadArea(dram::MemoryKind kind,
                               core::Design d) const;
 
-    /** Approximate CPU / GPU die areas for Figure 8's baselines. */
-    static AreaMm2 cpuDieArea() { return 485.0; }
-    static AreaMm2 gpuDieArea() { return 628.0; }
-
   private:
     // Base component areas (mm^2), Table 5.
     AreaMm2 cell_ = 45.23;

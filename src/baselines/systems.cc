@@ -15,28 +15,4 @@ gpuSpec()
     return {"GPU (RTX 3080 Ti)", 350.0, 628.0};
 }
 
-HostSpec
-gpuP100Spec()
-{
-    return {"GPU (Tesla P100)", 250.0, 610.0};
-}
-
-HostSpec
-fpgaSpec()
-{
-    return {"FPGA (ZCU102)", 2.1, 600.0};
-}
-
-HostSpec
-pnmSpec()
-{
-    return {"PnM (HMC + Ambit + DRISA)", 10.0, 70.0};
-}
-
-SystemCost
-costAt(TimeNs ns, const HostSpec &spec)
-{
-    return {ns, units::energyFromPower(spec.power, ns)};
-}
-
 } // namespace pluto::baselines

@@ -1,17 +1,17 @@
 /**
  * @file
- * Host-system cost models (the substitutes for the paper's measured
- * CPU / GPU / FPGA and simulated PnM baselines, Section 7.1).
+ * Host-system specs (the substitutes for the paper's measured CPU
+ * and GPU baselines, Section 7.1).
  *
  * The paper's performance claims are relative, so each baseline is an
  * analytic model: a workload supplies a per-element execution rate
  * (ns/element, documented per workload with its derivation), and the
- * system spec supplies the power drawn while executing. The specs'
- * power values are *effective active* powers calibrated so the
- * energy-ratio geomeans land near the paper's (Figure 10, Table 7):
- * CPU ~30 W of package power attributable to the workload, GPU
- * ~350 W board power, FPGA ~2.1 W (post-synthesis estimate class),
- * PnM 10 W TDP (Table 3).
+ * system spec supplies the power drawn while executing and the die
+ * area for performance-per-area normalization (Figure 8). The
+ * specs' power values are *effective active* powers calibrated so
+ * the energy-ratio geomeans land near the paper's (Figure 10): CPU
+ * ~30 W of package power attributable to the workload, GPU ~350 W
+ * board power.
  */
 
 #ifndef PLUTO_BASELINES_SYSTEMS_HH
@@ -23,13 +23,6 @@
 
 namespace pluto::baselines
 {
-
-/** Time + energy of one workload execution on one system. */
-struct SystemCost
-{
-    TimeNs timeNs = 0.0;
-    EnergyPj energyPj = 0.0;
-};
 
 /** Static description of a host system. */
 struct HostSpec
@@ -46,18 +39,6 @@ HostSpec cpuSpec();
 
 /** NVIDIA RTX 3080 Ti-class GPU (the paper's [104]). */
 HostSpec gpuSpec();
-
-/** NVIDIA P100-class data-center GPU (Table 7's QNN baseline). */
-HostSpec gpuP100Spec();
-
-/** Xilinx ZCU102-class FPGA via HLS (the paper's [105]). */
-HostSpec fpgaSpec();
-
-/** HMC logic-layer PnM with Ambit + DRISA support (Table 3). */
-HostSpec pnmSpec();
-
-/** Cost of running for `ns` at `spec`'s power. */
-SystemCost costAt(TimeNs ns, const HostSpec &spec);
 
 } // namespace pluto::baselines
 

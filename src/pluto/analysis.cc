@@ -49,13 +49,4 @@ queryThroughputPerSec(Design d, const dram::TimingParams &t,
     return queries / (lat * 1e-9);
 }
 
-EnergyPj
-energyPerLutQuery(Design d, const dram::EnergyParams &e,
-                  const dram::Geometry &g, u32 input_bit_width, u32 n)
-{
-    const double queries =
-        static_cast<double>(g.rowBits()) / input_bit_width;
-    return queryEnergy(d, e, n) / queries;
-}
-
 } // namespace pluto::core

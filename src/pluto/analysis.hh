@@ -36,11 +36,6 @@ double queryThroughputPerSec(Design d, const dram::TimingParams &t,
                              const dram::Geometry &g, u32 input_bit_width,
                              u32 n);
 
-/** Energy per individual LUT query (pJ): queryEnergy / queries. */
-EnergyPj energyPerLutQuery(Design d, const dram::EnergyParams &e,
-                           const dram::Geometry &g, u32 input_bit_width,
-                           u32 n);
-
 } // namespace pluto::core
 
 #endif // PLUTO_PLUTO_ANALYSIS_HH

@@ -19,21 +19,9 @@ const auto timing = dram::TimingParams::ddr4_2400();
 const auto energy = dram::EnergyParams::ddr4();
 const auto geom = dram::Geometry::ddr4();
 
-TEST(Systems, CostScalesWithTimeAndPower)
-{
-    const auto cpu = cpuSpec();
-    const auto c1 = costAt(100.0, cpu);
-    const auto c2 = costAt(200.0, cpu);
-    EXPECT_DOUBLE_EQ(c2.timeNs, 2.0 * c1.timeNs);
-    EXPECT_DOUBLE_EQ(c2.energyPj, 2.0 * c1.energyPj);
-    EXPECT_DOUBLE_EQ(c1.energyPj,
-                     units::energyFromPower(cpu.power, 100.0));
-}
-
-TEST(Systems, GpuDrawsMoreThanCpuThanFpga)
+TEST(Systems, GpuDrawsMoreThanCpu)
 {
     EXPECT_GT(gpuSpec().power, cpuSpec().power);
-    EXPECT_GT(cpuSpec().power, fpgaSpec().power);
 }
 
 TEST(PumCompare, BitwiseLatenciesNearPaper)
