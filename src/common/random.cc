@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "common/logging.hh"
-
 namespace pluto
 {
 
@@ -26,19 +24,6 @@ Rng::Rng(u64 seed)
     u64 sm = seed;
     for (auto &s : s_)
         s = splitmix64(sm);
-}
-
-u64
-Rng::below(u64 bound)
-{
-    PLUTO_ASSERT(bound > 0);
-    // Rejection sampling to avoid modulo bias.
-    const u64 threshold = (0 - bound) % bound;
-    for (;;) {
-        const u64 r = next();
-        if (r >= threshold)
-            return r % bound;
-    }
 }
 
 double

@@ -12,6 +12,7 @@
 
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/types.hh"
 
 namespace pluto
@@ -38,8 +39,25 @@ class Rng
         return result;
     }
 
-    /** @return uniform integer in [0, bound). bound must be > 0. */
-    u64 below(u64 bound);
+    /**
+     * @return uniform integer in [0, bound). bound must be > 0.
+     * Rejection sampling avoids modulo bias. Inline so constant
+     * bounds fold their divisions; a power-of-two bound never
+     * rejects (its threshold is 0), so it takes the low bits
+     * directly and draws the same sequence.
+     */
+    u64 below(u64 bound)
+    {
+        PLUTO_ASSERT(bound > 0);
+        if ((bound & (bound - 1)) == 0)
+            return next() & (bound - 1);
+        const u64 threshold = (0 - bound) % bound;
+        for (;;) {
+            const u64 r = next();
+            if (r >= threshold)
+                return r % bound;
+        }
+    }
 
     /** @return uniform double in [0, 1). */
     double uniform()

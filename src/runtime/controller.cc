@@ -268,75 +268,74 @@ Controller::lutPlacement(i32 reg)
     return store_.placement(it->second);
 }
 
-void
-Controller::writeValues(i32 reg, std::span<const u64> values,
-                        bool charge_io)
+const RowSet &
+Controller::transferSet(const char *what, i32 reg, u64 first, u64 count)
 {
     const auto it = rowRegs_.find(reg);
     if (it == rowRegs_.end())
         fatal("row register $prg%d not allocated", reg);
     auto &set = it->second;
-    if (values.size() > set.elements)
-        fatal("writeValues: %zu values > %llu allocated", values.size(),
+    if (first % set.slotsPerRow != 0)
+        fatal("%s: first element %llu is not row-aligned (%llu slots "
+              "per row)",
+              what, static_cast<unsigned long long>(first),
+              static_cast<unsigned long long>(set.slotsPerRow));
+    if (first > set.elements || count > set.elements - first)
+        fatal("%s: %llu values at element %llu > %llu allocated", what,
+              static_cast<unsigned long long>(count),
+              static_cast<unsigned long long>(first),
               static_cast<unsigned long long>(set.elements));
-    for (std::size_t r = 0; r < set.rows.size(); ++r) {
+    return set;
+}
+
+void
+Controller::writeValues(i32 reg, std::span<const u64> values)
+{
+    writeValuesAt(reg, 0, values);
+    const auto &set = rowRegs_.at(reg);
+    const u64 written =
+        (values.size() + set.slotsPerRow - 1) / set.slotsPerRow;
+    for (u64 r = written; r < set.rows.size(); ++r) {
         auto row = mod_.rowAt(set.rows[r]);
-        const u64 base = r * set.slotsPerRow;
+        std::fill(row.begin(), row.end(), 0);
+    }
+}
+
+void
+Controller::writeValuesAt(i32 reg, u64 first, std::span<const u64> values)
+{
+    const auto &set = transferSet("write", reg, first, values.size());
+    const u64 row0 = first / set.slotsPerRow;
+    for (u64 base = 0; base < values.size(); base += set.slotsPerRow) {
+        auto row = mod_.rowAt(set.rows[row0 + base / set.slotsPerRow]);
         const u64 count =
-            base < values.size()
-                ? std::min<u64>(set.slotsPerRow, values.size() - base)
-                : 0;
-        bulk::packBulk(values.subspan(count ? base : 0, count),
-                       set.width, row);
-        // Missing values pack as zero, as the scalar path did.
+            std::min<u64>(set.slotsPerRow, values.size() - base);
+        bulk::packBulk(values.subspan(base, count), set.width, row);
+        // Unused slots pack as zero, as the scalar path did.
         const u64 used = (count * set.width + 7) / 8;
         std::fill(row.begin() + static_cast<std::ptrdiff_t>(used),
                   row.end(), 0);
     }
-    if (charge_io) {
-        const double bytes =
-            static_cast<double>(values.size()) * set.width / 8.0;
-        sched_.op("host.write", bytes / 19.2,
-                  bytes * sched_.energyParams().eIoPerByte);
-    }
 }
 
 std::vector<u64>
-Controller::readValues(i32 reg, bool charge_io)
+Controller::readValues(i32 reg)
 {
-    const auto it = rowRegs_.find(reg);
-    if (it == rowRegs_.end())
-        fatal("row register $prg%d not allocated", reg);
-    auto &set = it->second;
-    std::vector<u64> out(set.elements);
-    readValuesInto(reg, out, charge_io);
+    std::vector<u64> out(rowSet(reg).elements);
+    readValuesAt(reg, 0, out);
     return out;
 }
 
 void
-Controller::readValuesInto(i32 reg, std::span<u64> out, bool charge_io)
+Controller::readValuesAt(i32 reg, u64 first, std::span<u64> out)
 {
-    const auto it = rowRegs_.find(reg);
-    if (it == rowRegs_.end())
-        fatal("row register $prg%d not allocated", reg);
-    auto &set = it->second;
-    if (out.size() > set.elements)
-        fatal("readValuesInto: %zu values > %llu allocated",
-              out.size(), static_cast<unsigned long long>(set.elements));
-    u64 got = 0;
-    for (std::size_t r = 0; r < set.rows.size() && got < out.size();
-         ++r) {
-        const u64 count =
-            std::min<u64>(set.slotsPerRow, out.size() - got);
-        bulk::unpackBulk(mod_.peekRow(set.rows[r]), set.width,
-                         out.subspan(got, count));
-        got += count;
-    }
-    if (charge_io) {
-        const double bytes =
-            static_cast<double>(out.size()) * set.width / 8.0;
-        sched_.op("host.read", bytes / 19.2,
-                  bytes * sched_.energyParams().eIoPerByte);
+    const auto &set = transferSet("read", reg, first, out.size());
+    const u64 row0 = first / set.slotsPerRow;
+    for (u64 base = 0; base < out.size(); base += set.slotsPerRow) {
+        const u64 count = std::min<u64>(set.slotsPerRow, out.size() - base);
+        bulk::unpackBulk(
+            mod_.peekRow(set.rows[row0 + base / set.slotsPerRow]),
+            set.width, out.subspan(base, count));
     }
 }
 

@@ -67,23 +67,30 @@ class Controller
     core::LutPlacement &lutPlacement(i32 reg);
 
     /**
-     * Host-side write of packed element values into a row register.
-     * PuM inputs are assumed DRAM-resident (the paper's kernels time
-     * in-memory execution), so no channel cost is charged unless
-     * `charge_io` is set.
+     * Host-side write of packed element values into a row register:
+     * the values fill it from element 0 and every row past them
+     * packs as zero. PuM inputs are assumed DRAM-resident (the
+     * paper's kernels time in-memory execution), so no channel cost
+     * is charged.
      */
-    void writeValues(i32 reg, std::span<const u64> values,
-                     bool charge_io = false);
-
-    /** Host-side read-back of a row register's element values. */
-    std::vector<u64> readValues(i32 reg, bool charge_io = false);
+    void writeValues(i32 reg, std::span<const u64> values);
 
     /**
-     * Host-side read-back into a caller buffer (no allocation):
-     * fills `out` with the first out.size() element values.
+     * Ranged host-side write starting at element `first`, which must
+     * be row-aligned: rewrites only the rows the values cover, and
+     * the unused slots of a partial last row pack as zero.
      */
-    void readValuesInto(i32 reg, std::span<u64> out,
-                        bool charge_io = false);
+    void writeValuesAt(i32 reg, u64 first, std::span<const u64> values);
+
+    /** Host-side read-back of a row register's element values. */
+    std::vector<u64> readValues(i32 reg);
+
+    /**
+     * Host-side read-back into a caller buffer (no allocation): fills
+     * `out` with the element values starting at row-aligned element
+     * `first`.
+     */
+    void readValuesAt(i32 reg, u64 first, std::span<u64> out);
 
     /** @return the configured SALP wave width. */
     u32 salp() const { return alloc_.salp(); }
@@ -99,6 +106,13 @@ class Controller
     /** Check two registers describe compatible vectors. */
     void checkCompatible(const RowSet &a, const RowSet &b,
                          const char *what) const;
+
+    /**
+     * The RowSet of `reg` for a ranged host transfer of `count`
+     * values at element `first`; fatal unless the register exists,
+     * `first` is row-aligned and the range fits the allocation.
+     */
+    const RowSet &transferSet(const char *what, i32 reg, u64 first, u64 count);
 
     dram::Module &mod_;
     dram::CommandScheduler &sched_;

@@ -106,21 +106,31 @@ PlutoDevice::write(const VecHandle &v, std::span<const u64> values)
     impl_->controller.writeValues(v.reg, values);
 }
 
+void
+PlutoDevice::writeAt(const VecHandle &v, u64 first,
+                     std::span<const u64> values)
+{
+    impl_->controller.writeValuesAt(v.reg, first, values);
+}
+
 std::vector<u64>
 PlutoDevice::read(const VecHandle &v)
 {
     std::vector<u64> out(v.elements);
-    impl_->controller.readValuesInto(v.reg, out);
+    readAt(v, 0, out);
     return out;
 }
 
 void
 PlutoDevice::readInto(const VecHandle &v, std::span<u64> out)
 {
-    if (out.size() > v.elements)
-        fatal("readInto: %zu values > %llu allocated", out.size(),
-              static_cast<unsigned long long>(v.elements));
-    impl_->controller.readValuesInto(v.reg, out);
+    readAt(v, 0, out);
+}
+
+void
+PlutoDevice::readAt(const VecHandle &v, u64 first, std::span<u64> out)
+{
+    impl_->controller.readValuesAt(v.reg, first, out);
 }
 
 LutHandle

@@ -114,8 +114,19 @@ class PlutoDevice
     /** Allocate a vector of `elements` `width`-bit slots. */
     VecHandle alloc(u64 elements, u32 width);
 
-    /** Host write of element values into a vector. */
+    /**
+     * Host write of element values into a vector, from element 0;
+     * the rows past the values pack as zero.
+     */
     void write(const VecHandle &v, std::span<const u64> values);
+
+    /**
+     * Ranged host write starting at element `first`, which must be a
+     * multiple of the vector's slots per row (fatal otherwise). Only
+     * the rows the values cover are rewritten.
+     */
+    void writeAt(const VecHandle &v, u64 first,
+                 std::span<const u64> values);
 
     /** Host read of a vector's element values. */
     std::vector<u64> read(const VecHandle &v);
@@ -125,6 +136,12 @@ class PlutoDevice
      * with the first out.size() <= v.elements element values.
      */
     void readInto(const VecHandle &v, std::span<u64> out);
+
+    /**
+     * Ranged host read: fills `out` with the values starting at
+     * row-aligned element `first` (fatal otherwise).
+     */
+    void readAt(const VecHandle &v, u64 first, std::span<u64> out);
 
     // ---- LUT management ----
 

@@ -13,7 +13,11 @@
 
 #include "workloads/workload.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
+#include "workloads/chunked.hh"
+#include "workloads/crc.hh"
 
 namespace pluto::workloads
 {
@@ -35,47 +39,6 @@ packetByte(u64 p, u64 j, u64 seed)
             0x9e3779b97f4a7c15ULL;
     x ^= x >> 29;
     return static_cast<u8>(x);
-}
-
-/**
- * Host reference CRC implementations (match the library LUTs). The
- * bit steps are branch-free: with data-dependent branches this check
- * dominated the host time of a paper-scale CRC cell.
- */
-u8
-refCrc8(u64 p, u64 seed)
-{
-    u8 crc = 0;
-    for (u64 j = 0; j < packetBytes; ++j) {
-        crc = static_cast<u8>(crc ^ packetByte(p, j, seed));
-        for (int k = 0; k < 8; ++k)
-            crc = static_cast<u8>((crc << 1) ^ (0x07 & -(crc >> 7)));
-    }
-    return crc;
-}
-
-u16
-refCrc16(u64 p, u64 seed)
-{
-    u16 crc = 0xffff;
-    for (u64 j = 0; j < packetBytes; ++j) {
-        crc = static_cast<u16>(crc ^ (u16(packetByte(p, j, seed)) << 8));
-        for (int k = 0; k < 8; ++k)
-            crc = static_cast<u16>((crc << 1) ^ (0x1021 & -(crc >> 15)));
-    }
-    return crc;
-}
-
-u32
-refCrc32(u64 p, u64 seed)
-{
-    u32 crc = 0xffffffffu;
-    for (u64 j = 0; j < packetBytes; ++j) {
-        crc ^= packetByte(p, j, seed);
-        for (int k = 0; k < 8; ++k)
-            crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
-    }
-    return crc;
 }
 
 class CrcWorkload : public Workload
@@ -139,23 +102,31 @@ class CrcWorkload : public Workload
         const auto maskRest = dev.alloc(packets, width_);
 
         // Constant rows (loaded once, outside the kernel timing).
-        dev.write(maskLow, std::vector<u64>(packets, 0xff));
-        dev.write(maskRest,
-                  std::vector<u64>(packets,
-                                   width_ == 32 ? 0x00ffffffull
-                                                : 0x00ffull));
-        const u64 init = width_ == 8 ? 0 : width_ == 16 ? 0xffff
-                                                        : 0xffffffffull;
-        dev.write(state, std::vector<u64>(packets, init));
+        Chunker chunks(dev, state);
+        const auto fill = [&](const runtime::VecHandle &v, u64 value) {
+            chunks.write(v, [value](u64, std::span<u64> chunk) {
+                std::fill(chunk.begin(), chunk.end(), value);
+            });
+        };
+        fill(maskLow, 0xff);
+        fill(maskRest, width_ == 32 ? 0x00ffffffull : 0x00ffull);
+        const CrcReference ref(width_);
+        fill(state, ref.init());
 
-        std::vector<u64> step(packets);
+        // Each packet's reference CRC absorbs its bytes as they are
+        // staged, so no byte is generated twice.
+        std::vector<u32> expect(packets, ref.init());
         dev.resetStats();
         for (u64 j = 0; j < packetBytes; ++j) {
-            for (u64 p = 0; p < packets; ++p)
-                step[p] = packetByte(p, j, seed);
             // Input bytes are already DRAM-resident in a PuM system;
             // the host write below is data staging, not kernel work.
-            dev.write(bytes, step);
+            chunks.write(bytes, [&](u64 first, std::span<u64> chunk) {
+                for (u64 k = 0; k < chunk.size(); ++k) {
+                    const u8 b = packetByte(first + k, j, seed);
+                    chunk[k] = b;
+                    expect[first + k] = ref.step(expect[first + k], b);
+                }
+            });
             switch (width_) {
               case 8:
                 // crc = T[crc ^ byte]
@@ -196,18 +167,12 @@ class CrcWorkload : public Workload
         res.energyPj = stats.energyPj;
         res.hostNs = stats.counters.get("host.ns");
 
-        const auto got = dev.read(state);
-        res.verified = true;
-        for (u64 p = 0; p < packets; ++p) {
-            const u64 expect =
-                width_ == 8    ? refCrc8(p, seed)
-                : width_ == 16 ? refCrc16(p, seed)
-                               : refCrc32(p, seed);
-            if (got[p] != expect) {
-                res.verified = false;
-                break;
-            }
-        }
+        res.verified = chunks.verify(
+            state, [&](u64 first, std::span<const u64> chunk) {
+                return std::equal(chunk.begin(), chunk.end(),
+                                  expect.begin() +
+                                      static_cast<std::ptrdiff_t>(first));
+            });
         return res;
     }
 
@@ -216,6 +181,42 @@ class CrcWorkload : public Workload
 };
 
 } // namespace
+
+CrcReference::CrcReference(u32 width)
+    : width_(width),
+      init_(width == 8 ? 0u : width == 16 ? 0xffffu : 0xffffffffu)
+{
+    PLUTO_ASSERT(width == 8 || width == 16 || width == 32);
+    // Entry i is the register after eight bit-serial steps from the
+    // byte i in the position the recurrence in step() feeds it.
+    for (u32 i = 0; i < 256; ++i) {
+        u32 crc = width == 16 ? i << 8 : i;
+        for (int k = 0; k < 8; ++k) {
+            switch (width) {
+              case 8:
+                crc = ((crc << 1) ^ (0x07u & (0u - (crc >> 7)))) & 0xff;
+                break;
+              case 16:
+                crc = ((crc << 1) ^ (0x1021u & (0u - (crc >> 15)))) &
+                      0xffff;
+                break;
+              default:
+                crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+                break;
+            }
+        }
+        table_[i] = crc;
+    }
+}
+
+u32
+CrcReference::of(std::span<const u8> bytes) const
+{
+    u32 crc = init_;
+    for (const u8 b : bytes)
+        crc = step(crc, b);
+    return crc;
+}
 
 WorkloadPtr
 makeCrc(u32 width)

@@ -8,9 +8,11 @@
 
 #include "workloads/workload.hh"
 
-#include <algorithm>
+#include <array>
+#include <functional>
 
 #include "common/random.hh"
+#include "workloads/chunked.hh"
 
 namespace pluto::workloads
 {
@@ -18,19 +20,16 @@ namespace pluto::workloads
 namespace
 {
 
-/** Deterministic synthetic image bytes (pixel channel values). */
-std::vector<u64>
-syntheticImage(u64 bytes, u64 seed)
+/**
+ * Deterministic synthetic image byte `i` (a pixel channel value):
+ * smooth gradients plus noise from `rng`, one draw per byte in
+ * order, so thresholding and grading exercise the full value range.
+ */
+u64
+imageByte(u64 i, Rng &rng)
 {
-    Rng rng(seed);
-    std::vector<u64> img(bytes);
-    // Smooth gradients plus noise, so thresholding and grading
-    // exercise the full value range.
-    for (u64 i = 0; i < bytes; ++i) {
-        const u64 base = (i * 7919 / 4096) % 200;
-        img[i] = (base + rng.below(56)) & 0xff;
-    }
-    return img;
+    const u64 base = (i * 7919 / 4096) % 200;
+    return (base + rng.below(56)) & 0xff;
 }
 
 /** Shared implementation: one 8->8 LUT applied to every byte. */
@@ -65,17 +64,13 @@ class LutImageWorkload : public Workload
         const auto lut = dev.loadLut(lutName_);
         const auto in = dev.alloc(elements, 8);
         const auto out = dev.alloc(elements, 8);
-        // Both references map bytes to bytes, so the expected image
-        // is kept as bytes and the u64 input vector is dropped before
-        // the result is read back: one u64 vector is live at a time.
-        std::vector<u8> expect(elements);
-        {
-            const auto image =
-                syntheticImage(elements, mixSeed(936000, seed));
-            dev.write(in, image);
-            for (u64 i = 0; i < elements; ++i)
-                expect[i] = static_cast<u8>(reference_(image[i]));
-        }
+        Chunker chunks(dev, in);
+        const Rng start(mixSeed(936000, seed));
+        Rng rng = start;
+        chunks.write(in, [&](u64 first, std::span<u64> chunk) {
+            for (u64 k = 0; k < chunk.size(); ++k)
+                chunk[k] = imageByte(first + k, rng);
+        });
 
         dev.resetStats(); // kernel time excludes LUT loading
         dev.lutOp(out, in, lut);
@@ -84,9 +79,19 @@ class LutImageWorkload : public Workload
         res.energyPj = stats.energyPj;
         res.hostNs = stats.counters.get("host.ns");
 
-        const auto got = dev.read(out);
-        res.verified = std::equal(got.begin(), got.end(),
-                                  expect.begin(), expect.end());
+        // Both references map bytes to bytes: apply each once per
+        // byte value, then check the replayed image through the table.
+        std::array<u8, 256> expect;
+        for (u64 v = 0; v < expect.size(); ++v)
+            expect[v] = static_cast<u8>(reference_(v));
+        rng = start;
+        res.verified =
+            chunks.verify(out, [&](u64 first, std::span<const u64> chunk) {
+                for (u64 k = 0; k < chunk.size(); ++k)
+                    if (chunk[k] != expect[imageByte(first + k, rng)])
+                        return false;
+                return true;
+            });
         return res;
     }
 

@@ -21,6 +21,7 @@
 
 #include "common/logging.hh"
 #include "common/random.hh"
+#include "workloads/chunked.hh"
 
 namespace pluto::workloads
 {
@@ -125,6 +126,33 @@ vmpcKeystream(u64 p, u64 bytes)
 }
 
 /**
+ * Keystream bytes by global byte index, generating one packet's
+ * keystream at a time (callers walk the indices in order).
+ */
+class Keystream
+{
+  public:
+    explicit Keystream(bool salsa) : salsa_(salsa) {}
+
+    u8
+    at(u64 i)
+    {
+        const u64 p = i / packetSize;
+        if (bytes_.empty() || p != packet_) {
+            bytes_ = salsa_ ? salsa20Keystream(p, packetSize)
+                            : vmpcKeystream(p, packetSize);
+            packet_ = p;
+        }
+        return bytes_[i % packetSize];
+    }
+
+  private:
+    bool salsa_;
+    u64 packet_ = 0;
+    std::vector<u8> bytes_;
+};
+
+/**
  * Shared cipher-workload implementation: the keystream phase is
  * charged as `queriesPerRowWave` bulk LUT queries (plus bitwise
  * overhead) per DRAM row of keystream; the XOR application phase is
@@ -162,25 +190,27 @@ class StreamCipherWorkload : public Workload
         const u64 bytes = packets * packetSize;
         res.elements = bytes;
 
-        // Host golden model.
-        std::vector<u64> plain(bytes), keystream(bytes);
-        Rng rng(mixSeed(salsa_ ? 20u : 4u, seed));
-        for (u64 p = 0; p < packets; ++p) {
-            const auto ks = salsa_
-                                ? salsa20Keystream(p, packetSize)
-                                : vmpcKeystream(p, packetSize);
-            for (u64 j = 0; j < packetSize; ++j) {
-                plain[p * packetSize + j] = static_cast<u8>(rng.next());
-                keystream[p * packetSize + j] = ks[j];
-            }
-        }
-
         const auto lut = dev.loadLut("exp3mod256"); // stand-in 8->8 LUT
         const auto vplain = dev.alloc(bytes, 8);
         const auto vks = dev.alloc(bytes, 8);
         const auto vct = dev.alloc(bytes, 8);
-        dev.write(vplain, plain);
-        dev.write(vks, keystream);
+
+        // Host golden model: plaintext bytes are consecutive draws of
+        // `rng`, keystream bytes come from the packet's own cipher
+        // state, each generated per chunk on staging and again on
+        // verification.
+        Chunker chunks(dev, vplain);
+        const Rng start(mixSeed(salsa_ ? 20u : 4u, seed));
+        Rng rng = start;
+        chunks.write(vplain, [&](u64, std::span<u64> chunk) {
+            for (auto &v : chunk)
+                v = static_cast<u8>(rng.next());
+        });
+        Keystream ks(salsa_);
+        chunks.write(vks, [&](u64 first, std::span<u64> chunk) {
+            for (u64 k = 0; k < chunk.size(); ++k)
+                chunk[k] = ks.at(first + k);
+        });
 
         dev.resetStats();
         // Keystream generation: one bulk 8->8 query performs one
@@ -203,14 +233,15 @@ class StreamCipherWorkload : public Workload
         res.energyPj = stats.energyPj;
         res.hostNs = stats.counters.get("host.ns");
 
-        const auto got = dev.read(vct);
-        res.verified = true;
-        for (u64 i = 0; i < bytes; ++i) {
-            if (got[i] != (plain[i] ^ keystream[i])) {
-                res.verified = false;
-                break;
-            }
-        }
+        rng = start;
+        res.verified =
+            chunks.verify(vct, [&](u64 first, std::span<const u64> chunk) {
+                for (u64 k = 0; k < chunk.size(); ++k)
+                    if (chunk[k] != (static_cast<u8>(rng.next()) ^
+                                     ks.at(first + k)))
+                        return false;
+                return true;
+            });
         return res;
     }
 

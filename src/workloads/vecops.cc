@@ -18,15 +18,28 @@
 
 #include "workloads/workload.hh"
 
+#include <array>
+
 #include "common/fixed_point.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
+#include "workloads/chunked.hh"
 
 namespace pluto::workloads
 {
 
 namespace
 {
+
+/** Chunk filler: each value is the next `rng.below(bound)` draw. */
+auto
+drawInto(Rng &rng, u64 bound)
+{
+    return [&rng, bound](u64, std::span<u64> chunk) {
+        for (auto &v : chunk)
+            v = rng.below(bound);
+    };
+}
 
 /** Elements that fill `lanes` SALP lanes with `rows` rows each. */
 u64
@@ -89,11 +102,14 @@ class VectorArithWorkload : public Workload
         const auto a = dev.alloc(elements, slot);
         const auto b = dev.alloc(elements, slot);
         const auto out = dev.alloc(elements, slot);
+        // The operands are two consecutive runs of `elements` draws;
+        // each run's start is saved so verification can replay both.
+        Chunker chunks(dev, a);
         Rng rng(mixSeed(bits_ * 1000 + static_cast<u32>(op_), seed));
-        const auto va = rng.values(elements, bound);
-        const auto vb = rng.values(elements, bound);
-        dev.write(a, va);
-        dev.write(b, vb);
+        const Rng startA = rng;
+        chunks.write(a, drawInto(rng, bound));
+        const Rng startB = rng;
+        chunks.write(b, drawInto(rng, bound));
 
         // Warm the LUT handle outside the kernel timing.
         switch (op_) {
@@ -124,38 +140,42 @@ class VectorArithWorkload : public Workload
         res.energyPj = stats.energyPj;
         res.hostNs = stats.counters.get("host.ns");
 
-        const auto got = dev.read(out);
-        res.verified = true;
         const u64 slot_mask = (slot >= 64) ? ~0ull : (1ull << slot) - 1;
-        for (u64 i = 0; i < elements; ++i) {
-            u64 expect = 0;
-            switch (op_) {
-              case Op::Add:
-                expect = va[i] + vb[i];
-                break;
-              case Op::Mul:
-                expect = va[i] * vb[i];
-                break;
-              case Op::MulQ: {
-                // Sign-extend to Q1.(n-1) and take the fixed product.
-                const i64 sa = static_cast<i64>(va[i] << (64 - bits_)) >>
-                               (64 - bits_);
-                const i64 sb = static_cast<i64>(vb[i] << (64 - bits_)) >>
-                               (64 - bits_);
-                expect = static_cast<u64>((sa * sb) >> (bits_ - 1)) &
-                         ((1ull << bits_) - 1);
-                break;
-              }
-            }
-            if (got[i] != (expect & slot_mask)) {
-                res.verified = false;
-                break;
-            }
-        }
+        Rng ra = startA, rb = startB;
+        res.verified =
+            chunks.verify(out, [&](u64, std::span<const u64> chunk) {
+                for (const u64 got : chunk)
+                    if (got != (expected(ra.below(bound), rb.below(bound)) &
+                                slot_mask))
+                        return false;
+                return true;
+            });
         return res;
     }
 
   private:
+    /** @return the host reference of one element's result. */
+    u64
+    expected(u64 a, u64 b) const
+    {
+        switch (op_) {
+          case Op::Add:
+            return a + b;
+          case Op::Mul:
+            return a * b;
+          case Op::MulQ: {
+            // Sign-extend to Q1.(n-1) and take the fixed product.
+            const i64 sa = static_cast<i64>(a << (64 - bits_)) >>
+                           (64 - bits_);
+            const i64 sb = static_cast<i64>(b << (64 - bits_)) >>
+                           (64 - bits_);
+            return static_cast<u64>((sa * sb) >> (bits_ - 1)) &
+                   ((1ull << bits_) - 1);
+          }
+        }
+        panic("bad Op");
+    }
+
     Op op_;
     u32 bits_;
     BaselineRates rates_;
@@ -293,9 +313,11 @@ class BitCountWorkload : public Workload
         const u32 slot = bits_ == 4 ? 4 : 8;
         const auto in = dev.alloc(elements, slot);
         const auto out = dev.alloc(elements, slot);
-        Rng rng(mixSeed(bits_, seed));
-        const auto values = rng.values(elements, 1ull << bits_);
-        dev.write(in, values);
+        const u64 bound = 1ull << bits_;
+        Chunker chunks(dev, in);
+        const Rng start(mixSeed(bits_, seed));
+        Rng rng = start;
+        chunks.write(in, drawInto(rng, bound));
         dev.apiBitcount(out, in, bits_); // warm LUT handle
         dev.resetStats();
         dev.apiBitcount(out, in, bits_);
@@ -303,15 +325,15 @@ class BitCountWorkload : public Workload
         res.timeNs = stats.timeNs;
         res.energyPj = stats.energyPj;
         res.hostNs = stats.counters.get("host.ns");
-        const auto got = dev.read(out);
-        res.verified = true;
-        for (u64 i = 0; i < elements; ++i) {
-            if (got[i] !=
-                static_cast<u64>(__builtin_popcountll(values[i]))) {
-                res.verified = false;
-                break;
-            }
-        }
+        rng = start;
+        res.verified =
+            chunks.verify(out, [&](u64, std::span<const u64> chunk) {
+                for (const u64 got : chunk)
+                    if (got != static_cast<u64>(
+                                   __builtin_popcountll(rng.below(bound))))
+                        return false;
+                return true;
+            });
         return res;
     }
 
@@ -325,7 +347,7 @@ class BitwiseWorkload : public Workload
 {
   public:
     explicit BitwiseWorkload(std::string kind)
-        : kind_(std::move(kind))
+        : kind_(std::move(kind)), gate_(gateFor(kind_))
     {
     }
 
@@ -363,11 +385,12 @@ class BitwiseWorkload : public Workload
         const auto b = dev.alloc(elements, 2);
         const auto packed = dev.alloc(elements, 2);
         const auto out = dev.alloc(elements, 2);
+        Chunker chunks(dev, a);
         Rng rng(mixSeed(kind_.size(), seed));
-        const auto va = rng.values(elements, 2);
-        const auto vb = rng.values(elements, 2);
-        dev.write(a, va);
-        dev.write(b, vb);
+        const Rng startA = rng;
+        chunks.write(a, drawInto(rng, 2));
+        const Rng startB = rng;
+        chunks.write(b, drawInto(rng, 2));
         const auto lut = dev.loadLut(kind_ + "1");
 
         dev.resetStats();
@@ -382,30 +405,41 @@ class BitwiseWorkload : public Workload
         res.energyPj = stats.energyPj;
         res.hostNs = stats.counters.get("host.ns");
 
-        const auto got = dev.read(out);
-        res.verified = true;
-        for (u64 i = 0; i < elements; ++i) {
-            u64 expect = 0;
-            if (kind_ == "and")
-                expect = va[i] & vb[i];
-            else if (kind_ == "or")
-                expect = va[i] | vb[i];
-            else if (kind_ == "xor")
-                expect = va[i] ^ vb[i];
-            else if (kind_ == "xnor")
-                expect = (~(va[i] ^ vb[i])) & 1;
-            else if (kind_ == "not")
-                expect = (~va[i]) & 1;
-            if (got[i] != expect) {
-                res.verified = false;
-                break;
-            }
-        }
+        Rng ra = startA, rb = startB;
+        res.verified =
+            chunks.verify(out, [&](u64, std::span<const u64> chunk) {
+                for (const u64 got : chunk) {
+                    const u64 va = ra.below(2);
+                    if (got != gate_[(va << 1) | rb.below(2)])
+                        return false;
+                }
+                return true;
+            });
         return res;
     }
 
   private:
+    /** Truth table indexed by (a << 1) | b; unknown kinds give 0. */
+    using Gate = std::array<u64, 4>;
+
+    static Gate
+    gateFor(const std::string &kind)
+    {
+        if (kind == "and")
+            return {0, 0, 0, 1};
+        if (kind == "or")
+            return {0, 1, 1, 1};
+        if (kind == "xor")
+            return {0, 1, 1, 0};
+        if (kind == "xnor")
+            return {1, 0, 0, 1};
+        if (kind == "not")
+            return {1, 1, 0, 0};
+        return {0, 0, 0, 0};
+    }
+
     std::string kind_;
+    Gate gate_;
 };
 
 } // namespace

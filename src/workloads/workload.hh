@@ -89,6 +89,13 @@ class Workload
      * model permits. `seed` perturbs the stochastic input generation
      * (scenario `sweep seed = ...` grids); seed 0 reproduces the
      * historical fixed inputs exactly.
+     *
+     * Host memory stays bounded as `elements` grows: inputs are
+     * generated and written, and outputs read back and checked, in
+     * row-aligned chunks (workloads/chunked.hh), with the reference
+     * recomputed per chunk (e.g. by replaying a saved copy of the
+     * seeded Rng). No implementation keeps a per-element host
+     * vector of its inputs, outputs or expected results.
      */
     virtual WorkloadResult run(runtime::PlutoDevice &dev, u64 elements,
                                u64 seed = 0) const = 0;

@@ -448,6 +448,31 @@ TEST(Rng, BelowInRange)
         EXPECT_LT(rng.below(17), 17u);
 }
 
+TEST(Rng, BelowDrawsMatchTheRejectionFormula)
+{
+    // Workloads replay saved Rng copies to recompute their inputs, so
+    // below() must keep this exact rule and draw count. 2^63 + 1
+    // rejects about half its draws, pinning the rejection path.
+    const auto formula = [](Rng &rng, u64 bound) {
+        const u64 threshold = (0 - bound) % bound;
+        for (;;) {
+            const u64 r = rng.next();
+            if (r >= threshold)
+                return r % bound;
+        }
+    };
+    for (const u64 bound :
+         {u64{1}, u64{2}, u64{3}, u64{56}, u64{255}, u64{256},
+          (u64{1} << 32) + 1, u64{1} << 63, (u64{1} << 63) + 1,
+          ~u64{0}}) {
+        Rng got(bound), want(bound);
+        for (int k = 0; k < 2000; ++k)
+            ASSERT_EQ(got.below(bound), formula(want, bound))
+                << "bound " << bound << " draw " << k;
+        EXPECT_EQ(got.next(), want.next()) << "bound " << bound;
+    }
+}
+
 TEST(Rng, UniformInRange)
 {
     Rng rng(2);

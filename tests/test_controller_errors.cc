@@ -94,6 +94,28 @@ TEST(ControllerErrors, OversizedWriteIsFatal)
                 "allocated");
 }
 
+TEST(ControllerErrors, MisalignedRangedTransferIsFatal)
+{
+    PlutoDevice dev(tinyConfig());
+    const auto v = dev.alloc(100, 8); // 32 slots per tiny row
+    std::vector<u64> one(1);
+    EXPECT_EXIT(dev.writeAt(v, 5, one), ::testing::ExitedWithCode(1),
+                "write: first element 5 is not row-aligned \\(32 slots");
+    EXPECT_EXIT(dev.readAt(v, 33, one), ::testing::ExitedWithCode(1),
+                "read: first element 33 is not row-aligned");
+}
+
+TEST(ControllerErrors, OutOfRangeRangedTransferIsFatal)
+{
+    PlutoDevice dev(tinyConfig());
+    const auto v = dev.alloc(100, 8);
+    std::vector<u64> five(5);
+    EXPECT_EXIT(dev.writeAt(v, 96, five), ::testing::ExitedWithCode(1),
+                "write: 5 values at element 96 > 100 allocated");
+    EXPECT_EXIT(dev.readAt(v, 128, {}), ::testing::ExitedWithCode(1),
+                "read: 0 values at element 128 > 100 allocated");
+}
+
 TEST(ControllerErrors, OutOfRangeLutIndexPanics)
 {
     // A slot holding an index >= lut_size is a program bug the

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/fixed_point.hh"
 #include "common/random.hh"
 #include "isa/program.hh"
@@ -101,6 +103,48 @@ TEST(Device, WriteReadRoundTrip)
     const auto values = rng.values(50, 256);
     dev.write(v, values);
     EXPECT_EQ(dev.read(v), values);
+}
+
+TEST(Device, RangedWriteReadRoundTrip)
+{
+    // Tiny rows hold 32 8-bit slots: 150 elements span 5 rows, the
+    // last one partial (22 slots).
+    constexpr u64 perRow = 32, n = 150, last = 4 * perRow;
+    PlutoDevice dev(tinyConfig());
+    const auto v = dev.alloc(n, 8);
+    Rng rng(11);
+    auto want = rng.values(n, 256);
+    dev.write(v, want);
+    const auto overwrite = [&](u64 first, const std::vector<u64> &vals) {
+        dev.writeAt(v, first, vals);
+        std::copy(vals.begin(), vals.end(),
+                  want.begin() + static_cast<std::ptrdiff_t>(first));
+        EXPECT_EQ(dev.read(v), want) << "write at " << first;
+    };
+    // Rows 1-2, then the partial last row; every other row keeps its
+    // values.
+    overwrite(perRow, rng.values(2 * perRow, 256));
+    overwrite(last, rng.values(n - last, 256));
+    // From 0, a ranged write leaves the rows past its values alone.
+    overwrite(0, rng.values(perRow, 256));
+    for (const u64 first : {u64{0}, perRow, 2 * perRow, last}) {
+        std::vector<u64> got(n - first);
+        dev.readAt(v, first, got);
+        EXPECT_TRUE(std::equal(got.begin(), got.end(),
+                               want.begin() +
+                                   static_cast<std::ptrdiff_t>(first)))
+            << "read at " << first;
+    }
+    // A short write zero-pads the rest of its (last) row, as write()
+    // zero-fills every row past its values.
+    dev.writeAt(v, last, std::vector<u64>{7});
+    std::fill(want.begin() + last, want.end(), 0);
+    want[last] = 7;
+    EXPECT_EQ(dev.read(v), want);
+    dev.write(v, std::vector<u64>(perRow, 9));
+    want.assign(n, 0);
+    std::fill(want.begin(), want.begin() + perRow, 9);
+    EXPECT_EQ(dev.read(v), want);
 }
 
 TEST(Device, LutOpEndToEnd)

@@ -24,10 +24,7 @@
 #include <set>
 #include <sstream>
 
-#include <sys/resource.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
+#include "child_rss.hh"
 #include "golden.hh"
 #include "nn/campaign.hh"
 #include "serve/cache.hh"
@@ -520,21 +517,6 @@ withBuckets(std::string line, const std::string &buckets)
     return line.replace(b, e + 2 - b, buckets);
 }
 
-/** Peak RSS (KiB) of a forked child running `fn`; the child exits
- *  with `fn`'s result, which must be 0. */
-long
-childPeakRssKb(const std::function<int()> &fn)
-{
-    const pid_t pid = fork();
-    if (pid == 0)
-        _exit(fn());
-    int status = 0;
-    rusage ru{};
-    EXPECT_EQ(wait4(pid, &status, 0, &ru), pid);
-    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
-    return ru.ru_maxrss;
-}
-
 TEST(CacheDecode, RejectsHistogramBucketsOutsideTheIndexRanges)
 {
     using obs::Histogram;
@@ -574,10 +556,10 @@ TEST(CacheDecode, RejectsHistogramBucketsOutsideTheIndexRanges)
         EXPECT_EQ(load(withBuckets(svc, b)), Loaded(0, 1)) << b;
 
     // ... and costs no more memory than replaying the control line.
-    const long control = childPeakRssKb([&] {
+    const long control = test::childPeakRssKb([&] {
         return load(withBuckets(svc, okIdx[4])) == Loaded(1, 0) ? 0 : 1;
     });
-    const long hostile = childPeakRssKb([&] {
+    const long hostile = test::childPeakRssKb([&] {
         for (const auto &b : bad)
             if (load(withBuckets(svc, b)) != Loaded(0, 1))
                 return 1;

@@ -8,6 +8,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "child_rss.hh"
+#include "common/random.hh"
+#include "workloads/chunked.hh"
+#include "workloads/crc.hh"
 #include "workloads/workload.hh"
 
 namespace pluto::workloads
@@ -137,6 +147,155 @@ TEST(WorkloadOrdering, CrcHostCombineDoesNotScale)
     const auto res = w->run(dev, 2048ull * 128);
     EXPECT_GT(res.hostNs, 0.0);
     EXPECT_LT(res.hostNs, res.timeNs);
+}
+
+// ---- CRC host reference ----
+
+/** Bit-serial CRC: the definition the table-driven reference must
+ *  reproduce. */
+u32
+bitSerialCrc(u32 width, std::span<const u8> bytes)
+{
+    u32 crc = width == 8 ? 0 : width == 16 ? 0xffff : 0xffffffffu;
+    for (const u8 b : bytes) {
+        crc ^= width == 16 ? u32{b} << 8 : u32{b};
+        for (int k = 0; k < 8; ++k) {
+            if (width == 32)
+                crc = (crc & 1) ? (crc >> 1) ^ 0xEDB88320u : crc >> 1;
+            else if (width == 16)
+                crc = ((crc & 0x8000) ? (crc << 1) ^ 0x1021 : crc << 1) &
+                      0xffff;
+            else
+                crc = ((crc & 0x80) ? (crc << 1) ^ 0x07 : crc << 1) & 0xff;
+        }
+    }
+    return crc;
+}
+
+TEST(CrcReference, TableMatchesBitSerialRule)
+{
+    for (const u32 width : {8u, 16u, 32u}) {
+        const CrcReference ref(width);
+        for (const u64 seed : {1, 2, 3, 99}) {
+            Rng rng(seed);
+            const auto bytes = rng.bytes(rng.below(300));
+            EXPECT_EQ(ref.of(bytes), bitSerialCrc(width, bytes))
+                << "CRC-" << width << " seed " << seed;
+        }
+    }
+}
+
+TEST(CrcReference, StandardCheckValues)
+{
+    // Catalogue check values over "123456789": CRC-8 (0x07), CRC-16/
+    // CCITT-FALSE, and CRC-32 before its final XOR (~0xCBF43926).
+    const std::string s = "123456789";
+    const std::span<const u8> check(
+        reinterpret_cast<const u8 *>(s.data()), s.size());
+    EXPECT_EQ(CrcReference(8).of(check), 0xF4u);
+    EXPECT_EQ(CrcReference(16).of(check), 0x29B1u);
+    EXPECT_EQ(CrcReference(32).of(check), ~0xCBF43926u);
+    EXPECT_EQ(bitSerialCrc(32, check), ~0xCBF43926u);
+}
+
+// ---- The host oracle still catches a wrong device result ----
+
+/** Each workload whose verified result passes through a LUT query,
+ *  with the library name of that LUT. */
+const std::pair<const char *, const char *> kLutBacked[] = {
+    {"CRC-8", "crc8"},      {"CRC-16", "crc16"},
+    {"CRC-32", "crc32"},    {"ImgBin", "binarize128"},
+    {"ColorGrade", "colorgrade"},
+    {"ADD4", "add4"},       {"ADD8", "add8"},
+    {"MUL4", "mul4"},       {"MUL8", "mul8"},
+    {"MULQ1.7", "mulq8"},   {"BC4", "bc4"},
+    {"BC8", "bc8"},         {"Bitwise-AND", "and1"},
+    {"Bitwise-XOR", "xor1"},
+};
+
+TEST(WorkloadOracle, FlippedLutEntryFailsVerification)
+{
+    for (const auto &[name, lutName] : kLutBacked) {
+        const auto w = makeWorkload(name);
+        runtime::PlutoDevice dev(deviceConfig());
+        // A copy: registering the flipped LUT drops the cached one.
+        const core::Lut good = dev.library().get(lutName);
+        auto values = good.values();
+        values[1] ^= 1;
+        dev.library().registerLut(core::Lut(
+            lutName, good.indexBits(), good.elemBits(), values));
+        // Enough elements that index 1 is queried: 16 per LUT entry
+        // covers MUL8's 2^16-entry table too.
+        const u64 elements = std::max<u64>(testScale(*w), 16 * good.size());
+        EXPECT_FALSE(w->run(dev, elements).verified) << name;
+    }
+}
+
+TEST(WorkloadOracle, VerifyReachesAMismatchInThePartialLastChunk)
+{
+    // Tiny rows hold 32 8-bit slots and a wave is 2 rows, so 150
+    // elements stage as chunks of 64, 64 and 22.
+    runtime::DeviceConfig cfg;
+    cfg.geometry = dram::Geometry::tiny();
+    cfg.salp = 2;
+    runtime::PlutoDevice dev(cfg);
+    const auto v = dev.alloc(150, 8);
+    Chunker chunks(dev, v);
+    ASSERT_EQ(chunks.chunkElements(), 64u);
+    const auto value = [](u64 i) { return (i * 37 + 5) & 0xff; };
+    std::vector<u64> firsts;
+    chunks.write(v, [&](u64 first, std::span<u64> chunk) {
+        firsts.push_back(first);
+        for (u64 k = 0; k < chunk.size(); ++k)
+            chunk[k] = value(first + k);
+    });
+    EXPECT_EQ(firsts, (std::vector<u64>{0, 64, 128}));
+    const auto expected = [&](u64 first, std::span<const u64> chunk) {
+        for (u64 k = 0; k < chunk.size(); ++k)
+            if (chunk[k] != value(first + k))
+                return false;
+        return true;
+    };
+    EXPECT_TRUE(chunks.verify(v, expected));
+    std::vector<u64> tail(22);
+    for (u64 k = 0; k < tail.size(); ++k)
+        tail[k] = value(128 + k);
+    tail.back() ^= 1;
+    dev.writeAt(v, 128, tail);
+    EXPECT_FALSE(chunks.verify(v, expected));
+}
+
+// ---- Bounded host memory ----
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define PLUTO_TEST_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define PLUTO_TEST_SANITIZED 1
+#endif
+#endif
+
+TEST(WorkloadMemory, ColorGradeHostMemoryGrowsUnder3BytesPerElement)
+{
+#ifdef PLUTO_TEST_SANITIZED
+    GTEST_SKIP() << "sanitizer shadow memory distorts ru_maxrss";
+#endif
+    // The device rows themselves hold 2 B per element (8-bit input
+    // and output); per-element host vectors cost about 11 B more.
+    const auto peakKb = [](u64 elements) {
+        return test::childPeakRssKb([elements] {
+            runtime::PlutoDevice dev(deviceConfig());
+            return makeWorkload("ColorGrade")->run(dev, elements).verified
+                       ? 0
+                       : 1;
+        });
+    };
+    constexpr u64 small = 1048576, large = 4194304;
+    const long a = peakKb(small), b = peakKb(large);
+    const double perElem =
+        static_cast<double>(b - a) * 1024.0 / (large - small);
+    EXPECT_LE(perElem, 3.0) << a << " KiB at " << small << ", " << b
+                            << " KiB at " << large;
 }
 
 TEST(Registry, AllNamesConstruct)
