@@ -8,6 +8,12 @@
  * controller hot paths must keep them byte-stable — any intended
  * model change shows up as a reviewable golden diff.
  *
+ * charge_model.golden pins the command-charge model itself: for each
+ * design x tFAW {0, 0.75} x refresh {off, on}, the exact elapsed
+ * time and energy (hex doubles), a hash of every counter, and every
+ * traced command span of the functional, batch timed-only, stacked
+ * and LUT-load paths.
+ *
  * Regeneration: PLUTO_UPDATE_GOLDEN=1 ./test_golden_trace
  * rewrites tests/golden/ in the source tree (see tests/README.md).
  */
@@ -18,6 +24,7 @@
 #include <functional>
 #include <sstream>
 
+#include "common/digest.hh"
 #include "golden.hh"
 #include "runtime/device.hh"
 
@@ -139,6 +146,119 @@ INSTANTIATE_TEST_SUITE_P(Cases, GoldenTrace,
                              return std::string(
                                  cases[info.param].name);
                          });
+
+// ---- Charge model: exact time, energy, counters and trace spans ----
+
+/** One charge-model case: a body run on a freshly built device. */
+struct ChargeCase
+{
+    const char *name;
+    std::function<void(PlutoDevice &)> body;
+};
+
+std::vector<ChargeCase>
+chargeCases()
+{
+    return {
+        {"api_add",
+         [](PlutoDevice &dev) {
+             const auto a = dev.alloc(16, 8);
+             const auto b = dev.alloc(16, 8);
+             const auto out = dev.alloc(16, 8);
+             dev.write(a, operandValues(16, 16));
+             dev.write(b, operandValues(16, 16));
+             dev.apiAdd(out, a, b, 4);
+         }},
+        {"lut_op_x2",
+         [](PlutoDevice &dev) {
+             const auto lut = dev.loadLut("bc8");
+             const auto src = dev.alloc(48, 8);
+             const auto dst = dev.alloc(48, 8);
+             dev.write(src, operandValues(48, 256));
+             dev.lutOp(dst, src, lut);
+             dev.lutOp(dst, src, lut);
+         }},
+        {"timed_only_cold",
+         [](PlutoDevice &dev) {
+             // An evicted LUT: the first query pays the cold reload.
+             const auto lut = dev.loadLut("bc8");
+             dev.controller().lutPlacement(lut.reg).loaded = false;
+             dev.lutOpTimedOnly(lut, 37, 2);
+         }},
+        {"timed_only_warm",
+         [](PlutoDevice &dev) {
+             const auto lut = dev.loadLut("bc8");
+             dev.lutOpTimedOnly(lut, 37, 2);
+             dev.lutOpTimedOnly(lut, 37, 2);
+         }},
+        {"stacked_x2",
+         [](PlutoDevice &dev) {
+             // Two 16-entry LUTs stacked in one subarray, one fused
+             // sweep over both at 2-way parallelism.
+             auto &store = dev.lutStore();
+             const u32 sq = store.place(
+                 core::Lut::fromFunction(
+                     "sq", 4, 8, [](u64 x) { return (x * x) & 0xff; }),
+                 {{0, 2}}, core::LutLoadMethod::FromMemory, 0);
+             const u32 inv = store.place(
+                 core::Lut::fromFunction(
+                     "inv", 4, 8, [](u64 x) { return 15 - x; }),
+                 {{0, 2}}, core::LutLoadMethod::FromMemory, 16);
+             dev.module().rowAt({0, 0, 0});
+             dev.engine().queryStacked(
+                 {&store.placement(sq), &store.placement(inv)},
+                 {0, 0, 0}, {0, 1, 0}, 2);
+         }},
+        {"lut_load", [](PlutoDevice &dev) { dev.loadLut("crc8"); }},
+    };
+}
+
+/**
+ * One line per case: elapsed time and command energy as exact hex
+ * doubles, the FNV-1a hash of the full counter dump, then every
+ * traced command span.
+ */
+std::string
+recordCharges(core::Design design, double faw, bool refresh,
+              const ChargeCase &c)
+{
+    DeviceConfig cfg = tinyConfig(design);
+    cfg.fawScale = faw;
+    cfg.modelRefresh = refresh;
+    PlutoDevice dev(cfg);
+    dev.scheduler().setTraceLimit(4096);
+    c.body(dev);
+
+    const auto &sched = dev.scheduler();
+    char buf[256];
+    std::snprintf(buf, sizeof(buf),
+                  "%s faw=%g refresh=%d %s elapsed=%a energy=%a "
+                  "counters=%s spans=%zu",
+                  core::designName(design), faw, refresh ? 1 : 0, c.name,
+                  sched.elapsed(), sched.energyTotal(),
+                  fnv1aHex(sched.stats().format()).c_str(),
+                  sched.trace().size());
+    std::string line = buf;
+    for (const auto &ev : sched.trace()) {
+        std::snprintf(buf, sizeof(buf), " %s@%a-%a", ev.name.c_str(),
+                      ev.start, ev.end);
+        line += buf;
+    }
+    return line + '\n';
+}
+
+TEST(ChargeModel, MatchesCheckedInFile)
+{
+    std::string got;
+    for (const auto design :
+         {core::Design::Bsa, core::Design::Gsa, core::Design::Gmc})
+        for (const double faw : {0.0, 0.75})
+            for (const bool refresh : {false, true})
+                for (const auto &c : chargeCases())
+                    got += recordCharges(design, faw, refresh, c);
+    test::expectGolden("charge_model", got,
+                       "scheduler or query-engine charge model");
+}
 
 /**
  * The recorded program must be re-executable: feeding the golden
