@@ -1,9 +1,9 @@
 /**
  * @file
  * Scheduler batch fast path: wall-clock of accounting a bulk
- * LUT-query row-burst through the per-command path (one
- * queryTimedOnly per query: per-query stats strings, map lookups and
- * trace checks) versus the batch path (one
+ * LUT-query row-burst through the per-query path (one
+ * lutOpTimedOnly call per query: per-query stats strings, map lookups
+ * and trace checks) versus the batch path (one
  * CommandScheduler::burst() submission per homogeneous burst), for
  * each pLUTo design with the tFAW window both disabled (paper
  * default) and nominal. The two paths must agree bit for bit on

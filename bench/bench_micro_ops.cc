@@ -195,8 +195,8 @@ struct EngineFixture
         : mod(dram::Geometry::tiny()),
           sched(dram::TimingParams::ddr4_2400(),
                 dram::EnergyParams::ddr4()),
-          ops(mod, sched), store(mod, sched),
-          engine(mod, sched, ops, store, core::Design::Bsa)
+          store(mod, sched),
+          engine(mod, sched, store, core::Design::Bsa)
     {
         const auto lut = core::Lut::fromFunction(
             "sq", 4, 8, [](u64 x) { return (x * x) & 0xff; });
@@ -210,7 +210,6 @@ struct EngineFixture
 
     dram::Module mod;
     dram::CommandScheduler sched;
-    ops::InDramOps ops;
     core::LutStore store;
     core::QueryEngine engine;
     u32 idx = 0;

@@ -87,124 +87,49 @@ CommandScheduler::setTraceLimit(std::size_t limit)
 }
 
 void
-CommandScheduler::op(const char *stat, TimeNs latency,
-                     EnergyPj energy_per_unit, u32 num_acts, u32 parallel)
-{
-    PLUTO_ASSERT(parallel >= 1);
-    TimeNs start = now_;
-    if (num_acts > 0) {
-        const u64 total_acts =
-            static_cast<u64>(num_acts) * static_cast<u64>(parallel);
-        start = faw_.reserveBatch(now_, total_acts);
-        stats_.add("dram.acts", static_cast<double>(total_acts));
-        // tFAW back-pressure: time the window pushed this command past
-        // its unconstrained issue point. Absent when unthrottled.
-        if (start > now_)
-            stats_.add("dram.tfaw_stall.ns", start - now_);
-    }
-    now_ = start + stretched(latency);
-    energy_ += energy_per_unit * parallel;
-    stats_.inc(stat);
-    stats_.add(std::string(stat) + ".ns", stretched(latency));
-    record(stat, start, now_);
-}
-
-void
-CommandScheduler::sweep(const char *stat, u32 num_rows, TimeNs step_latency,
-                        EnergyPj step_energy, u32 parallel,
-                        TimeNs tail_latency, EnergyPj tail_energy)
-{
-    PLUTO_ASSERT(parallel >= 1);
-    const TimeNs begin = now_;
-    const TimeNs step = stretched(step_latency);
-    TimeNs stall = 0.0;
-    for (u32 r = 0; r < num_rows; ++r) {
-        // All `parallel` subarrays activate their next LUT row in
-        // lock-step; each activation reserves a tFAW slot.
-        const TimeNs last_act = faw_.reserveBatch(now_, parallel);
-        stall += last_act - now_;
-        now_ = last_act + step;
-    }
-    now_ += stretched(tail_latency);
-    energy_ += (step_energy * num_rows + tail_energy) * parallel;
-    stats_.add("dram.acts",
-               static_cast<double>(num_rows) * parallel);
-    if (stall > 0.0)
-        stats_.add("dram.tfaw_stall.ns", stall);
-    stats_.inc(stat);
-    stats_.add(std::string(stat) + ".rows",
-               static_cast<double>(num_rows));
-    record(stat, begin, now_);
-}
-
-void
 CommandScheduler::burst(std::span<const BurstStep> steps, u64 reps)
 {
     if (steps.empty() || reps == 0)
         return;
     const TimeNs begin = now_;
-
-    // Per-step constants, computed once. Each is the same expression
-    // op()/sweep() evaluates per call on identical operands, so the
-    // per-repetition loop below reproduces the per-command arithmetic
-    // bit for bit.
-    struct Prep
-    {
-        TimeNs lat = 0.0;    // stretched op latency / sweep step
-        TimeNs tail = 0.0;   // stretched sweep tail latency
-        EnergyPj e = 0.0;    // energy added per repetition
-        u64 acts = 0;        // op: total ACTs per repetition
-    };
-    std::vector<Prep> prep(steps.size());
-    for (std::size_t s = 0; s < steps.size(); ++s) {
-        const BurstStep &st = steps[s];
-        PLUTO_ASSERT(st.parallel >= 1);
-        Prep &p = prep[s];
-        p.lat = stretched(st.latency);
-        if (st.isSweep) {
-            p.tail = stretched(st.tailLatency);
-            p.e = (st.energy * st.rows + st.tailEnergy) * st.parallel;
-        } else {
-            p.e = st.energy * st.parallel;
-            p.acts = static_cast<u64>(st.numActs) *
-                     static_cast<u64>(st.parallel);
-        }
-    }
-
+    // Issue time of the latest op, past its tFAW wait.
+    TimeNs issued = begin;
     TimeNs stall = 0.0;
     for (u64 k = 0; k < reps; ++k) {
-        for (std::size_t s = 0; s < steps.size(); ++s) {
-            const BurstStep &st = steps[s];
-            const Prep &p = prep[s];
+        for (const BurstStep &st : steps) {
+            PLUTO_ASSERT(st.parallel >= 1);
             if (st.isSweep) {
+                // All `parallel` subarrays activate their next row in
+                // lock-step; each activation reserves a tFAW slot.
+                const TimeNs step = stretched(st.latency);
                 for (u32 r = 0; r < st.rows; ++r) {
-                    const TimeNs last =
-                        faw_.reserveBatch(now_, st.parallel);
+                    const TimeNs last = faw_.reserveBatch(now_, st.parallel);
                     stall += last - now_;
-                    now_ = last + p.lat;
+                    now_ = last + step;
                 }
-                now_ += p.tail;
+                now_ += stretched(st.tailLatency);
+                energy_ += (st.energy * st.rows + st.tailEnergy) *
+                           st.parallel;
             } else {
-                TimeNs start = now_;
-                if (st.numActs > 0) {
-                    start = faw_.reserveBatch(now_, p.acts);
-                    stall += start - now_;
-                }
-                now_ = start + p.lat;
+                issued = faw_.reserveBatch(
+                    now_, static_cast<u64>(st.numActs) * st.parallel);
+                stall += issued - now_;
+                now_ = issued + stretched(st.latency);
+                energy_ += st.energy * st.parallel;
             }
-            energy_ += p.e;
         }
     }
 
-    // Bookkeeping, hoisted out of the hot loop. All counter deltas
-    // are integer-valued and stay below 2^53, so a single multiplied
-    // add equals `reps` unit adds exactly; the ".ns" sums are the one
-    // documented ulp-level divergence.
+    // Bookkeeping, once per step. All counter deltas are
+    // integer-valued and stay below 2^53, so a single multiplied add
+    // equals `reps` unit adds exactly; the ".ns" sums are the one
+    // documented ulp-level divergence. tFAW back-pressure (time the
+    // window pushed commands past their unconstrained issue points)
+    // is absent when unthrottled.
     if (stall > 0.0)
         stats_.add("dram.tfaw_stall.ns", stall);
     const double dreps = static_cast<double>(reps);
-    for (std::size_t s = 0; s < steps.size(); ++s) {
-        const BurstStep &st = steps[s];
+    for (const BurstStep &st : steps) {
         stats_.add(st.stat, dreps);
         if (st.isSweep) {
             stats_.add("dram.acts", static_cast<double>(st.rows) *
@@ -214,12 +139,15 @@ CommandScheduler::burst(std::span<const BurstStep> steps, u64 reps)
         } else {
             if (st.numActs > 0)
                 stats_.add("dram.acts",
-                           static_cast<double>(prep[s].acts) * dreps);
+                           static_cast<double>(static_cast<u64>(
+                               st.numActs) * st.parallel) * dreps);
             stats_.add(std::string(st.stat) + ".ns",
-                       prep[s].lat * dreps);
+                       stretched(st.latency) * dreps);
         }
     }
-    record(steps.front().stat, begin, now_);
+    const bool loneOp = reps == 1 && steps.size() == 1 &&
+                        !steps.front().isSweep;
+    record(steps.front().stat, loneOp ? issued : begin, now_);
 }
 
 void

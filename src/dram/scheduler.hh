@@ -80,11 +80,11 @@ struct TraceEvent
 };
 
 /**
- * One step of a homogeneous command burst (see
- * CommandScheduler::burst): either a serial op() (isSweep false;
- * latency / energy / numActs / parallel mean what they mean there) or
- * a sweep() (isSweep true; latency / energy are the per-row step
- * values, rows / tailLatency / tailEnergy as in sweep()).
+ * One DRAM command of a burst (see CommandScheduler::burst): either a
+ * serial op (isSweep false; latency / energy / numActs / parallel as
+ * in CommandScheduler::op) or a row sweep (isSweep true; latency /
+ * energy are the per-row step values, rows / tailLatency / tailEnergy
+ * as in CommandScheduler::sweep).
  */
 struct BurstStep
 {
@@ -124,8 +124,9 @@ class CommandScheduler
 
     /**
      * A serial DRAM operation executed simultaneously on `parallel`
-     * subarrays. Time advances once by `latency`; energy and ACT
-     * counts scale with `parallel`.
+     * subarrays: a one-command burst(). Time advances once by
+     * `latency` after the `num_acts * parallel` activations clear the
+     * tFAW window; energy and ACT counts scale with `parallel`.
      *
      * @param stat Counter name (e.g. "cmd.aap").
      * @param latency Operation latency in ns.
@@ -133,34 +134,55 @@ class CommandScheduler
      * @param num_acts Row activations per participating subarray.
      * @param parallel Number of subarrays operating in lock-step.
      */
-    void op(const char *stat, TimeNs latency, EnergyPj energy_per_unit,
-            u32 num_acts = 0, u32 parallel = 1);
+    void
+    op(const char *stat, TimeNs latency, EnergyPj energy_per_unit,
+       u32 num_acts = 0, u32 parallel = 1)
+    {
+        burst(BurstStep{.stat = stat, .latency = latency,
+                        .energy = energy_per_unit, .numActs = num_acts,
+                        .parallel = parallel});
+    }
 
     /**
-     * A pLUTo Row Sweep: `num_rows` consecutive activations in each of
-     * `parallel` subarrays, with `step_latency` between consecutive
-     * activations and an optional trailing `tail_latency` (e.g. the
-     * single final PRE of pLUTo-GSA/GMC sweeps).
+     * A pLUTo Row Sweep, a one-command burst(): `num_rows`
+     * consecutive activations in each of `parallel` subarrays, with
+     * `step_latency` between consecutive activations and an optional
+     * trailing `tail_latency` (e.g. the single final PRE of
+     * pLUTo-GSA/GMC sweeps).
      */
-    void sweep(const char *stat, u32 num_rows, TimeNs step_latency,
-               EnergyPj step_energy, u32 parallel,
-               TimeNs tail_latency = 0.0, EnergyPj tail_energy = 0.0);
+    void
+    sweep(const char *stat, u32 num_rows, TimeNs step_latency,
+          EnergyPj step_energy, u32 parallel, TimeNs tail_latency = 0.0,
+          EnergyPj tail_energy = 0.0)
+    {
+        burst(BurstStep{.stat = stat, .isSweep = true,
+                        .latency = step_latency, .energy = step_energy,
+                        .rows = num_rows, .parallel = parallel,
+                        .tailLatency = tail_latency,
+                        .tailEnergy = tail_energy});
+    }
 
     /**
-     * Batch fast path: account `reps` repetitions of the `steps`
-     * command group in one call. The per-repetition time, energy and
-     * tFAW arithmetic is exactly the sequence op()/sweep() would
-     * perform, in the same order, so elapsed(), energyTotal(), the
-     * tFAW window state and all integer counters are bit-identical to
-     * issuing the commands individually — only the bookkeeping is
-     * hoisted: stats are committed once per step (O(1) per burst
-     * instead of O(reps) string/map operations), and tracing records
-     * a single event spanning the burst (named after the first step).
-     * The one permitted divergence: per-step ".ns" counter sums may
-     * differ from the per-command path in the final ulp (a single
-     * product replaces `reps` accumulations).
+     * Account `reps` repetitions of the `steps` command group, in
+     * order. This is the scheduler's one arithmetic body: op(),
+     * sweep() and the batch fast path all advance time, energy and
+     * the tFAW window here, so `reps` repetitions are bit-identical
+     * to `reps` one-rep calls in elapsed(), energyTotal(), tFAW state
+     * and every integer counter. Stats are committed once per step
+     * (O(1) per burst, not O(reps) string/map operations); the one
+     * permitted divergence is that per-step ".ns" counter sums may
+     * differ from a one-rep loop in the final ulp (a single product
+     * replaces `reps` accumulations).
+     *
+     * Tracing records one span per call, named after the first step.
+     * A one-rep burst of a single op spans from the op's issue time,
+     * after its tFAW wait; every other burst (a sweep, a group, or
+     * `reps` > 1) spans from the call, so its tFAW stalls are inside.
      */
     void burst(std::span<const BurstStep> steps, u64 reps);
+
+    /** One-rep burst of a single command. */
+    void burst(const BurstStep &step) { burst({&step, 1}, 1); }
 
     /**
      * Host-side (CPU) serial time, e.g. the CRC reduction step that

@@ -7,9 +7,8 @@ namespace pluto::core
 {
 
 QueryEngine::QueryEngine(dram::Module &mod, dram::CommandScheduler &sched,
-                         ops::InDramOps &ops, LutStore &store, Design design,
-                         ScratchArena *arena)
-    : mod_(mod), sched_(sched), ops_(ops), store_(store), design_(design),
+                         LutStore &store, Design design, ScratchArena *arena)
+    : mod_(mod), sched_(sched), store_(store), design_(design),
       traits_(DesignTraits::of(design)), arena_(arena ? *arena : own_)
 {
 }
@@ -26,55 +25,80 @@ QueryEngine::gatherFor(const LutPlacement &p)
         .first->second;
 }
 
-void
-QueryEngine::chargeSweep(LutPlacement &p, u32 parallel)
+QueryEngine::CommandGroup
+QueryEngine::commandGroup(const char *sweep_stat, u32 rows, u32 lanes,
+                          u32 parallel, bool reload) const
 {
     const auto &t = sched_.timing();
     const auto &e = sched_.energyParams();
-    const u32 n = p.rowsPerPartition;
-    const u32 lanes = p.partitionCount() * parallel;
-
-    if (traits_.reloadPerQuery || !p.loaded) {
+    CommandGroup g;
+    if (reload) {
         // GSA destroyed the resident LUT (or it was never loaded):
         // restore it from the in-DRAM master copy, one LISA-RBM row
         // copy per LUT row per lane (Table 1: LISA_RBM x N).
-        sched_.op("pluto.lut_reload", t.lisaRbm * n, e.eLisa * n, n,
-                  lanes);
+        g.steps[g.size++] = {.stat = "pluto.lut_reload",
+                             .latency = t.lisaRbm * rows,
+                             .energy = e.eLisa * rows,
+                             .numActs = rows,
+                             .parallel = lanes};
+    }
+    dram::BurstStep sweep{.stat = sweep_stat, .isSweep = true,
+                          .rows = rows, .parallel = lanes};
+    // GMC's gated cells keep unmatched bitlines precharged,
+    // discounting activation energy.
+    const EnergyPj act =
+        traits_.gatedActivation ? e.eAct * e.gmcActDiscount : e.eAct;
+    if (traits_.prePerStep) {
+        // BSA: a full ACT + PRE per swept LUT row.
+        sweep.latency = t.tRCD + t.tRP;
+        sweep.energy = act + e.ePre;
+    } else {
+        // GSA / GMC: back-to-back activations, one final PRE. GSA's
+        // unmatched cells are never restored: the sweep destroys the
+        // LUT.
+        sweep.latency = t.tRCD;
+        sweep.energy = act;
+        sweep.tailLatency = t.tRP;
+        sweep.tailEnergy = e.ePre;
+    }
+    g.steps[g.size++] = sweep;
+    // Move the query result (FF buffer / gated row buffer) into the
+    // destination subarray's row buffer with one LISA-RBM operation.
+    g.steps[g.size++] = {.stat = "pluto.result_move",
+                         .latency = t.lisaRbm,
+                         .energy = e.eLisa,
+                         .numActs = 1,
+                         .parallel = parallel};
+    return g;
+}
+
+void
+QueryEngine::chargeSweep(LutPlacement &p, u32 parallel, u64 count,
+                         bool as_burst)
+{
+    const bool reload = traits_.reloadPerQuery || !p.loaded;
+    // Only the first query of a cold LUT reloads it.
+    PLUTO_ASSERT(count == 1 || !reload || traits_.reloadPerQuery);
+    const CommandGroup g =
+        commandGroup("pluto.sweep", p.rowsPerPartition,
+                     p.partitionCount() * parallel, parallel, reload);
+    if (as_burst)
+        sched_.burst(g.commands(), count);
+    else
+        for (const auto &step : g.commands())
+            sched_.burst(step);
+    sched_.stats().add("pluto.queries",
+                       static_cast<double>(parallel) * count);
+    if (reload) {
         // Cold reloads (non-GSA designs hitting an unloaded LUT) are
         // worth distinguishing from GSA's every-query restores.
         if (!traits_.reloadPerQuery)
             sched_.stats().inc("pluto.lut_reload.cold");
         if (p.materialized)
-            store_.materialize(p);
-        p.loaded = true;
-        ++p.loadCount;
+            store_.materialize(p); // idempotent; once per call
+        p.loadCount += count;
     }
-
-    switch (design_) {
-      case Design::Bsa:
-        // Full ACT + PRE per swept LUT row.
-        sched_.sweep("pluto.sweep", n, t.tRCD + t.tRP, e.eAct + e.ePre,
-                     lanes);
-        break;
-      case Design::Gsa:
-        // Charge-sharing-only activations; one final PRE. Unmatched
-        // cells are never restored: the sweep destroys the LUT.
-        sched_.sweep("pluto.sweep", n, t.tRCD, e.eAct, lanes, t.tRP,
-                     e.ePre);
-        p.loaded = false;
-        break;
-      case Design::Gmc:
-        // Back-to-back activations; gated cells keep unmatched
-        // bitlines precharged, discounting activation energy.
-        sched_.sweep("pluto.sweep", n, t.tRCD,
-                     e.eAct * e.gmcActDiscount, lanes, t.tRP, e.ePre);
-        break;
-    }
-
-    // Move the query result (FF buffer / gated row buffer) into the
-    // destination subarray's row buffer with one LISA-RBM operation.
-    sched_.op("pluto.result_move", t.lisaRbm, e.eLisa, 1, parallel);
-    sched_.stats().add("pluto.queries", parallel);
+    p.loaded = !traits_.destructiveReads;
 }
 
 void
@@ -117,90 +141,19 @@ QueryEngine::queryWave(LutPlacement &p, const std::vector<QueryPair> &pairs)
 }
 
 void
-QueryEngine::queryTimedOnly(LutPlacement &p, u32 parallel)
-{
-    PLUTO_ASSERT(parallel >= 1);
-    chargeSweep(p, parallel);
-    if (traits_.destructiveReads)
-        p.loaded = false;
-}
-
-void
 QueryEngine::queryTimedOnlyBatch(LutPlacement &p, u32 parallel, u64 count)
 {
     PLUTO_ASSERT(parallel >= 1);
     if (count == 0)
         return;
-
-    u64 reps = count;
     if (!traits_.reloadPerQuery && !p.loaded) {
         // Cold first query pays the one-time LUT load; the remaining
         // repetitions are then homogeneous.
-        queryTimedOnly(p, parallel);
-        if (--reps == 0)
+        chargeSweep(p, parallel);
+        if (--count == 0)
             return;
     }
-
-    const auto &t = sched_.timing();
-    const auto &e = sched_.energyParams();
-    const u32 n = p.rowsPerPartition;
-    const u32 lanes = p.partitionCount() * parallel;
-
-    // Mirror chargeSweep()'s per-query command group: [reload,] sweep,
-    // result move — submitted once as a burst.
-    std::vector<dram::BurstStep> steps;
-    if (traits_.reloadPerQuery) {
-        dram::BurstStep reload;
-        reload.stat = "pluto.lut_reload";
-        reload.latency = t.lisaRbm * n;
-        reload.energy = e.eLisa * n;
-        reload.numActs = n;
-        reload.parallel = lanes;
-        steps.push_back(reload);
-    }
-    dram::BurstStep sweep;
-    sweep.stat = "pluto.sweep";
-    sweep.isSweep = true;
-    sweep.rows = n;
-    sweep.parallel = lanes;
-    switch (design_) {
-      case Design::Bsa:
-        sweep.latency = t.tRCD + t.tRP;
-        sweep.energy = e.eAct + e.ePre;
-        break;
-      case Design::Gsa:
-        sweep.latency = t.tRCD;
-        sweep.energy = e.eAct;
-        sweep.tailLatency = t.tRP;
-        sweep.tailEnergy = e.ePre;
-        break;
-      case Design::Gmc:
-        sweep.latency = t.tRCD;
-        sweep.energy = e.eAct * e.gmcActDiscount;
-        sweep.tailLatency = t.tRP;
-        sweep.tailEnergy = e.ePre;
-        break;
-    }
-    steps.push_back(sweep);
-    dram::BurstStep move;
-    move.stat = "pluto.result_move";
-    move.latency = t.lisaRbm;
-    move.energy = e.eLisa;
-    move.numActs = 1;
-    move.parallel = parallel;
-    steps.push_back(move);
-
-    sched_.burst(steps, reps);
-    sched_.stats().add("pluto.queries",
-                       static_cast<double>(parallel) * reps);
-    if (traits_.reloadPerQuery) {
-        p.loadCount += reps;
-        if (p.materialized)
-            store_.materialize(p); // idempotent; once for the batch
-        p.loaded = true;
-    }
-    if (traits_.destructiveReads)
-        p.loaded = false;
+    chargeSweep(p, parallel, count, true);
 }
 
 void
@@ -258,26 +211,11 @@ QueryEngine::queryStacked(const std::vector<LutPlacement *> &luts,
         ov.set(s, owner->lut.at(v - owner->baseRow));
     }
 
-    // Timing: one sweep over the whole stacked region.
-    const u32 rows = last - first;
-    const auto &t = sched_.timing();
-    const auto &e = sched_.energyParams();
-    switch (design_) {
-      case Design::Bsa:
-        sched_.sweep("pluto.sweep_stacked", rows, t.tRCD + t.tRP,
-                     e.eAct + e.ePre, parallel);
-        break;
-      case Design::Gsa:
-        sched_.sweep("pluto.sweep_stacked", rows, t.tRCD, e.eAct,
-                     parallel, t.tRP, e.ePre);
-        break;
-      case Design::Gmc:
-        sched_.sweep("pluto.sweep_stacked", rows, t.tRCD,
-                     e.eAct * e.gmcActDiscount, parallel, t.tRP,
-                     e.ePre);
-        break;
-    }
-    sched_.op("pluto.result_move", t.lisaRbm, e.eLisa, 1, parallel);
+    // Timing: one sweep over the whole stacked region, no reload.
+    const CommandGroup g = commandGroup(
+        "pluto.sweep_stacked", last - first, parallel, parallel, false);
+    for (const auto &step : g.commands())
+        sched_.burst(step);
     sched_.stats().add("pluto.queries", parallel);
     if (traits_.destructiveReads) {
         auto &sub = mod_.subarrayAt(sa);

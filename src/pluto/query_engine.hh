@@ -4,19 +4,31 @@
  * every slot of a source row, producing a destination row, under one
  * of the three hardware designs.
  *
- * Two execution paths exist:
+ * Every query is charged as one Table 1 command group, built in one
+ * place (QueryEngine::commandGroup): [LISA-RBM LUT reload,] row sweep,
+ * LISA-RBM result move. The paths differ only in how they submit it:
  *  - query()/queryWave(): functional result computed directly
- *    (out[i] = LUT[in[i]]) with timing/energy charged per the Table 1
- *    design formulas — the fast path used by workloads and benches;
+ *    (out[i] = LUT[in[i]]); the group's commands issue one at a time,
+ *    so a traced query shows reload, sweep and move spans;
+ *  - queryTimedOnlyBatch(): no functional work; `count` queries go
+ *    to the scheduler as one burst of the group;
+ *  - queryStacked(): one sweep over several LUTs stacked in one
+ *    subarray, with the group's sweep and move;
  *  - queryViaSweep(): a microarchitectural emulation that walks the
  *    LUT rows one activation at a time, evaluates the Match Logic per
  *    slot, latches the FF buffer (BSA) or gates the sense amplifiers
- *    (GSA/GMC), and destroys GSA rows. Tests assert both paths agree.
+ *    (GSA/GMC), and destroys GSA rows. It charges nothing; tests
+ *    assert it agrees with query().
+ *
+ * pluto/analysis keeps an independent closed-form Table 1 that tests
+ * compare these charges against.
  */
 
 #ifndef PLUTO_PLUTO_QUERY_ENGINE_HH
 #define PLUTO_PLUTO_QUERY_ENGINE_HH
 
+#include <array>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -25,10 +37,8 @@
 #include "common/bitvec_bulk.hh"
 #include "dram/module.hh"
 #include "dram/scheduler.hh"
-#include "ops/indram_ops.hh"
 #include "pluto/design.hh"
 #include "pluto/lut_store.hh"
-#include "pluto/match_logic.hh"
 
 namespace pluto::core
 {
@@ -46,7 +56,7 @@ class QueryEngine
      *        a private one.
      */
     QueryEngine(dram::Module &mod, dram::CommandScheduler &sched,
-                ops::InDramOps &ops, LutStore &store, Design design,
+                LutStore &store, Design design,
                 ScratchArena *arena = nullptr);
 
     /** @return the hardware design this engine models. */
@@ -68,21 +78,15 @@ class QueryEngine
     void queryWave(LutPlacement &p, const std::vector<QueryPair> &pairs);
 
     /**
-     * Timing/energy-only query wave, used by model-scale benches
-     * where the parallelism exceeds the materialized module (e.g.
-     * the Figure 14 sweep up to 8192 subarrays).
-     */
-    void queryTimedOnly(LutPlacement &p, u32 parallel);
-
-    /**
-     * Batch fast path for bulk LUT-query accounting: equivalent to
-     * `count` successive queryTimedOnly() calls — bit-identical
-     * elapsed time, energy, tFAW state and integer counters — but the
-     * whole row-burst is submitted to the scheduler as one
-     * CommandScheduler::burst(), so the per-query bookkeeping
-     * (stats strings, map lookups, trace records) is O(1) in `count`
-     * instead of per-command. This is the path behind
-     * PlutoDevice::lutOpTimedOnly.
+     * Timing/energy-only accounting of `count` query waves of
+     * `parallel` lanes each, without functional execution: used by
+     * model-scale benches where the parallelism exceeds the
+     * materialized module (e.g. the Figure 14 sweep up to 8192
+     * subarrays), and the path behind PlutoDevice::lutOpTimedOnly.
+     * A cold LUT's first query is charged alone (it pays the reload);
+     * the rest go to the scheduler as one CommandScheduler::burst(),
+     * so the per-query bookkeeping is O(1) in `count` and the totals
+     * are bit-identical to `count` one-query calls.
      */
     void queryTimedOnlyBatch(LutPlacement &p, u32 parallel, u64 count);
 
@@ -109,8 +113,39 @@ class QueryEngine
                       const dram::RowAddress &dst, u32 parallel = 1);
 
   private:
-    /** Charge the Table 1 sweep timing/energy for one wave. */
-    void chargeSweep(LutPlacement &p, u32 parallel);
+    /** A query's commands, in issue order (at most three). */
+    struct CommandGroup
+    {
+        std::array<dram::BurstStep, 3> steps;
+        std::size_t size = 0;
+
+        std::span<const dram::BurstStep>
+        commands() const
+        {
+            return {steps.data(), size};
+        }
+    };
+
+    /**
+     * The Table 1 command group of one query wave under this design:
+     * when `reload`, a LISA-RBM reload of the `rows` LUT rows in each
+     * of `lanes` subarrays; then the sweep of those rows (counted as
+     * `sweep_stat`); then the LISA-RBM move of the `parallel` result
+     * rows. The only code in the engine that knows what a design
+     * charges.
+     */
+    CommandGroup commandGroup(const char *sweep_stat, u32 rows, u32 lanes,
+                              u32 parallel, bool reload) const;
+
+    /**
+     * Charge `count` query waves of `p` at `parallel`-way parallelism
+     * and update its load state (cold counter, materialized image,
+     * `loaded`, `loadCount`). The group's commands issue one at a
+     * time unless `as_burst`, which submits it once with `count`
+     * repetitions. Only a single query may hit a cold LUT.
+     */
+    void chargeSweep(LutPlacement &p, u32 parallel, u64 count = 1,
+                     bool as_burst = false);
 
     /** Functional out[i] = LUT[in[i]] for one row pair. */
     void applyFunctional(LutPlacement &p, const dram::RowAddress &src,
@@ -121,7 +156,6 @@ class QueryEngine
 
     dram::Module &mod_;
     dram::CommandScheduler &sched_;
-    ops::InDramOps &ops_;
     LutStore &store_;
     Design design_;
     DesignTraits traits_;

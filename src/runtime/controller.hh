@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "isa/program.hh"
+#include "ops/indram_ops.hh"
 #include "pluto/query_engine.hh"
 #include "runtime/allocator.hh"
 #include "runtime/lut_library.hh"

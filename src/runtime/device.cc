@@ -18,7 +18,7 @@ struct PlutoDevice::Impl
           sched(timing, energy, cfg.fawScale),
           ops(module, sched),
           store(module, sched, cfg.loadModel),
-          engine(module, sched, ops, store, cfg.design,
+          engine(module, sched, store, cfg.design,
                  cfg.arena ? cfg.arena : &ownArena),
           alloc(geom, cfg.salp ? cfg.salp : geom.defaultSalp),
           controller(module, sched, ops, store, engine, library, alloc,
@@ -119,12 +119,6 @@ PlutoDevice::read(const VecHandle &v)
     std::vector<u64> out(v.elements);
     readAt(v, 0, out);
     return out;
-}
-
-void
-PlutoDevice::readInto(const VecHandle &v, std::span<u64> out)
-{
-    readAt(v, 0, out);
 }
 
 void
@@ -253,46 +247,35 @@ void
 PlutoDevice::apiAdd(const VecHandle &dst, const VecHandle &a,
                     const VecHandle &b, u32 operand_bits)
 {
-    if (a.width != 2 * operand_bits || dst.width != 2 * operand_bits)
-        fatal("api_pluto_add: vectors must use %u-bit slots",
-              2 * operand_bits);
-    // Figure 5 lowering: pack the operands as (a << n) | b, then one
-    // pluto_op against the addN LUT.
-    const VecHandle tmp = scratch(a);
-    const LutHandle lut =
-        lutHandleFor("add" + std::to_string(operand_bits));
-    move(tmp, a);
-    shiftLeftBits(tmp, operand_bits);
-    mergeOr(tmp, tmp, b);
-    lutOp(dst, tmp, lut);
+    apiPacked("api_pluto_add", "add", dst, a, b, operand_bits);
 }
 
 void
 PlutoDevice::apiMul(const VecHandle &dst, const VecHandle &a,
                     const VecHandle &b, u32 operand_bits)
 {
-    if (a.width != 2 * operand_bits || dst.width != 2 * operand_bits)
-        fatal("api_pluto_mul: vectors must use %u-bit slots",
-              2 * operand_bits);
-    const VecHandle tmp = scratch(a);
-    const LutHandle lut =
-        lutHandleFor("mul" + std::to_string(operand_bits));
-    move(tmp, a);
-    shiftLeftBits(tmp, operand_bits);
-    mergeOr(tmp, tmp, b);
-    lutOp(dst, tmp, lut);
+    apiPacked("api_pluto_mul", "mul", dst, a, b, operand_bits);
 }
 
 void
 PlutoDevice::apiMulQ(const VecHandle &dst, const VecHandle &a,
                      const VecHandle &b, u32 operand_bits)
 {
+    apiPacked("api_pluto_mulq", "mulq", dst, a, b, operand_bits);
+}
+
+void
+PlutoDevice::apiPacked(const char *api, const char *lut_prefix,
+                       const VecHandle &dst, const VecHandle &a,
+                       const VecHandle &b, u32 operand_bits)
+{
     if (a.width != 2 * operand_bits || dst.width != 2 * operand_bits)
-        fatal("api_pluto_mulq: vectors must use %u-bit slots",
-              2 * operand_bits);
+        fatal("%s: vectors must use %u-bit slots", api, 2 * operand_bits);
+    // Figure 5 lowering: pack the operands as (a << n) | b, then one
+    // pluto_op against the LUT.
     const VecHandle tmp = scratch(a);
     const LutHandle lut =
-        lutHandleFor("mulq" + std::to_string(operand_bits));
+        lutHandleFor(lut_prefix + std::to_string(operand_bits));
     move(tmp, a);
     shiftLeftBits(tmp, operand_bits);
     mergeOr(tmp, tmp, b);

@@ -132,12 +132,6 @@ class PlutoDevice
     std::vector<u64> read(const VecHandle &v);
 
     /**
-     * Host read into a caller buffer (no allocation): fills `out`
-     * with the first out.size() <= v.elements element values.
-     */
-    void readInto(const VecHandle &v, std::span<u64> out);
-
-    /**
      * Ranged host read: fills `out` with the values starting at
      * row-aligned element `first` (fatal otherwise).
      */
@@ -217,6 +211,20 @@ class PlutoDevice
     void apiBitcount(const VecHandle &dst, const VecHandle &src,
                      u32 bits);
 
+    /**
+     * The scratch vector shaped like `like` that composed routines
+     * reuse, allocated on first use.
+     */
+    VecHandle scratch(const VecHandle &like);
+
+    /**
+     * The handle of library LUT `name` that composed routines reuse
+     * (e.g. "add4", "bc8"), loaded on first use. With scratch(), lets
+     * a timed run pay a routine's one-time set-up before
+     * resetStats() without running the routine.
+     */
+    LutHandle lutHandleFor(const std::string &name);
+
     // ---- Recording / statistics ----
 
     /** Begin recording executed instructions. */
@@ -251,9 +259,15 @@ class PlutoDevice
     i32 nextRowReg();
     i32 nextSaReg();
     void run(isa::Instruction instr);
-    VecHandle scratch(const VecHandle &like);
-    /** Load a named LUT once; reuse the handle on later calls. */
-    LutHandle lutHandleFor(const std::string &name);
+    /**
+     * The Figure 5 lowering shared by apiAdd/apiMul/apiMulQ: pack
+     * (a << n) | b into a scratch vector, then one pluto_op against
+     * library LUT `<lut_prefix><n>`. `api` names the routine in the
+     * slot-width diagnostic.
+     */
+    void apiPacked(const char *api, const char *lut_prefix,
+                   const VecHandle &dst, const VecHandle &a,
+                   const VecHandle &b, u32 operand_bits);
 
     DeviceConfig cfg_;
     struct Impl;

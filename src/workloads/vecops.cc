@@ -111,18 +111,10 @@ class VectorArithWorkload : public Workload
         const Rng startB = rng;
         chunks.write(b, drawInto(rng, bound));
 
-        // Warm the LUT handle outside the kernel timing.
-        switch (op_) {
-          case Op::Add:
-            dev.apiAdd(out, a, b, bits_);
-            break;
-          case Op::Mul:
-            dev.apiMul(out, a, b, bits_);
-            break;
-          case Op::MulQ:
-            dev.apiMulQ(out, a, b, bits_);
-            break;
-        }
+        // Resolve the kernel's scratch vector and LUT outside the
+        // timing, without running it.
+        dev.scratch(a);
+        dev.lutHandleFor(lutName());
         dev.resetStats();
         switch (op_) {
           case Op::Add:
@@ -154,6 +146,16 @@ class VectorArithWorkload : public Workload
     }
 
   private:
+    /** @return the library LUT the kernel's routine queries. */
+    std::string
+    lutName() const
+    {
+        const char *prefix = op_ == Op::Add   ? "add"
+                             : op_ == Op::Mul ? "mul"
+                                              : "mulq";
+        return prefix + std::to_string(bits_);
+    }
+
     /** @return the host reference of one element's result. */
     u64
     expected(u64 a, u64 b) const
@@ -318,7 +320,9 @@ class BitCountWorkload : public Workload
         const Rng start(mixSeed(bits_, seed));
         Rng rng = start;
         chunks.write(in, drawInto(rng, bound));
-        dev.apiBitcount(out, in, bits_); // warm LUT handle
+        // Resolve the LUT outside the timing, without running the
+        // kernel.
+        dev.lutHandleFor("bc" + std::to_string(bits_));
         dev.resetStats();
         dev.apiBitcount(out, in, bits_);
         const auto stats = dev.stats();

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/bitvec.hh"
 #include "common/random.hh"
 #include "pluto/query_engine.hh"
 #include "runtime/device.hh"
@@ -25,8 +26,8 @@ class StackedTest : public ::testing::TestWithParam<Design>
         : mod(Geometry::tiny()),
           sched(dram::TimingParams::ddr4_2400(),
                 dram::EnergyParams::ddr4()),
-          ops(mod, sched), store(mod, sched),
-          engine(mod, sched, ops, store, GetParam())
+          store(mod, sched),
+          engine(mod, sched, store, GetParam())
     {
         // Two 16-entry LUTs stacked in subarray b0.s2: squares at
         // rows 0..15, complements at rows 16..31.
@@ -41,7 +42,6 @@ class StackedTest : public ::testing::TestWithParam<Design>
 
     dram::Module mod;
     dram::CommandScheduler sched;
-    ops::InDramOps ops;
     LutStore store;
     QueryEngine engine;
     u32 sqIdx = 0, invIdx = 0;
@@ -131,9 +131,8 @@ TEST(StackedErrors, RejectsMixedSubarrays)
     dram::Module mod(Geometry::tiny());
     dram::CommandScheduler sched(dram::TimingParams::ddr4_2400(),
                                  dram::EnergyParams::ddr4());
-    ops::InDramOps ops(mod, sched);
     LutStore store(mod, sched);
-    QueryEngine engine(mod, sched, ops, store, Design::Bsa);
+    QueryEngine engine(mod, sched, store, Design::Bsa);
     const auto a = Lut::fromFunction("a", 4, 8,
                                      [](u64 x) { return x; });
     const u32 i1 = store.place(a, {{0, 2}});

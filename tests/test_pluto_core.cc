@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/bitvec.hh"
 #include "common/random.hh"
 #include "pluto/analysis.hh"
+#include "pluto/match_logic.hh"
 #include "pluto/query_engine.hh"
 
 namespace pluto::core
@@ -143,8 +145,8 @@ class EngineTest : public ::testing::TestWithParam<Design>
         : mod(Geometry::tiny()),
           sched(dram::TimingParams::ddr4_2400(),
                 dram::EnergyParams::ddr4()),
-          ops(mod, sched), store(mod, sched),
-          engine(mod, sched, ops, store, GetParam())
+          store(mod, sched),
+          engine(mod, sched, store, GetParam())
     {
     }
 
@@ -159,7 +161,6 @@ class EngineTest : public ::testing::TestWithParam<Design>
 
     dram::Module mod;
     dram::CommandScheduler sched;
-    ops::InDramOps ops;
     LutStore store;
     QueryEngine engine;
 };
@@ -233,6 +234,26 @@ TEST_P(EngineTest, EnergyMatchesTable1Formulas)
     EXPECT_NEAR(sched.energyTotal(), expect, 1e-9);
 }
 
+TEST_P(EngineTest, BatchMatchesTable1Formulas)
+{
+    // `count` warm timed-only queries of one lane at tFAW 0: each is
+    // the Table 1 query (GSA's reload folded in) plus one LISA result
+    // move.
+    auto &p = primesPlacement();
+    sched.reset();
+    const u64 count = 25;
+    engine.queryTimedOnlyBatch(p, 1, count);
+    const auto &t = sched.timing();
+    const auto &e = sched.energyParams();
+    const TimeNs expectNs =
+        count * (queryLatency(GetParam(), t, 4) + t.lisaRbm);
+    const EnergyPj expectPj =
+        count * (queryEnergy(GetParam(), e, 4) + e.eLisa);
+    EXPECT_NEAR(sched.elapsed(), expectNs, 1e-12 * expectNs);
+    EXPECT_NEAR(sched.energyTotal(), expectPj, 1e-12 * expectPj);
+    EXPECT_DOUBLE_EQ(sched.stats().get("pluto.queries"), count);
+}
+
 TEST_P(EngineTest, WaveTimeEqualsSingleQueryTime)
 {
     auto &p = primesPlacement();
@@ -264,9 +285,8 @@ TEST(EngineGsa, DestructiveReadsForceReload)
     dram::Module mod(Geometry::tiny());
     dram::CommandScheduler sched(dram::TimingParams::ddr4_2400(),
                                  dram::EnergyParams::ddr4());
-    ops::InDramOps ops(mod, sched);
     LutStore store(mod, sched);
-    QueryEngine engine(mod, sched, ops, store, Design::Gsa);
+    QueryEngine engine(mod, sched, store, Design::Gsa);
 
     const Lut primes("primes", 2, 8, {2, 3, 5, 7});
     auto &p = store.placement(store.place(primes, {{0, 2}}));
@@ -289,9 +309,8 @@ TEST(EngineGmc, LutSurvivesQueries)
     dram::Module mod(Geometry::tiny());
     dram::CommandScheduler sched(dram::TimingParams::ddr4_2400(),
                                  dram::EnergyParams::ddr4());
-    ops::InDramOps ops(mod, sched);
     LutStore store(mod, sched);
-    QueryEngine engine(mod, sched, ops, store, Design::Gmc);
+    QueryEngine engine(mod, sched, store, Design::Gmc);
 
     const Lut primes("primes", 2, 8, {2, 3, 5, 7});
     auto &p = store.placement(store.place(primes, {{0, 2}}));

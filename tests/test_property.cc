@@ -14,6 +14,7 @@
 #include <string>
 #include <string_view>
 
+#include "common/bitvec.hh"
 #include "common/random.hh"
 #include "pluto/query_engine.hh"
 #include "runtime/device.hh"
@@ -40,9 +41,8 @@ TEST_P(QueryProperty, FastPathSweepPathAndScalarAgree)
     dram::Module mod(dram::Geometry::tiny());
     dram::CommandScheduler sched(dram::TimingParams::ddr4_2400(),
                                  dram::EnergyParams::ddr4());
-    ops::InDramOps dops(mod, sched);
     core::LutStore store(mod, sched);
-    core::QueryEngine engine(mod, sched, dops, store, design);
+    core::QueryEngine engine(mod, sched, store, design);
 
     // Index width <= min(width, 6): tiny subarrays hold 64 rows.
     const u32 index_bits = std::min(width, 6u);
@@ -176,6 +176,29 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FawBatchProperty,
 
 // ---- Scheduler burst == per-command loop ----
 
+/**
+ * `batch` holds the same counters as `loop`, bit-identical except the
+ * ".ns" time sums, which may differ in the final ulps: one product
+ * replaces `reps` accumulations.
+ */
+void
+expectCountersMatch(const StatSet &batch, const StatSet &loop,
+                    const std::string &what)
+{
+    EXPECT_EQ(batch.counters().size(), loop.counters().size()) << what;
+    for (const auto &[name, value] : loop.counters()) {
+        if (name.size() > 3 &&
+            name.compare(name.size() - 3, 3, ".ns") == 0) {
+            EXPECT_NEAR(batch.get(name), value,
+                        1e-9 * std::max(1.0, value))
+                << name << " " << what;
+        } else {
+            EXPECT_DOUBLE_EQ(batch.get(name), value)
+                << name << " " << what;
+        }
+    }
+}
+
 TEST(SchedulerProperty, BurstMatchesPerCommandLoop)
 {
     const auto t = dram::TimingParams::ddr4_2400();
@@ -223,22 +246,11 @@ TEST(SchedulerProperty, BurstMatchesPerCommandLoop)
                             st.numActs, st.parallel);
             }
 
-        // Time, energy and every integer counter are bit-identical;
-        // only per-step ".ns" sums may differ in the final ulp.
         EXPECT_DOUBLE_EQ(burst.elapsed(), loop.elapsed()) << trial;
         EXPECT_DOUBLE_EQ(burst.energyTotal(), loop.energyTotal())
             << trial;
-        for (const auto &[name, value] : loop.stats().counters()) {
-            if (name.size() > 3 &&
-                name.compare(name.size() - 3, 3, ".ns") == 0) {
-                EXPECT_NEAR(burst.stats().get(name), value,
-                            1e-9 * std::max(1.0, value))
-                    << name << " trial " << trial;
-            } else {
-                EXPECT_DOUBLE_EQ(burst.stats().get(name), value)
-                    << name << " trial " << trial;
-            }
-        }
+        expectCountersMatch(burst.stats(), loop.stats(),
+                            "trial " + std::to_string(trial));
 
         // Subsequent commands see identical tFAW window state.
         burst.op("cmd.post", 5.0, 1.0, 2, 3);
@@ -357,10 +369,16 @@ class TimedOnlyBatchProperty
 {
 };
 
-TEST_P(TimedOnlyBatchProperty, MatchesPerQueryLoop)
+/**
+ * One 37-query lutOpTimedOnly call equals 37 one-query calls in time,
+ * energy and every counter. A `cold` LUT is evicted first, so the
+ * first query pays the cold reload.
+ */
+void
+expectBatchMatchesPerQueryLoop(Design design, bool cold)
 {
     runtime::DeviceConfig cfg;
-    cfg.design = GetParam();
+    cfg.design = design;
     cfg.geometry = dram::Geometry::tiny();
     cfg.salp = 2;
     cfg.fawScale = 0.75; // stress the tFAW tracker too
@@ -368,6 +386,10 @@ TEST_P(TimedOnlyBatchProperty, MatchesPerQueryLoop)
     runtime::PlutoDevice batch(cfg), loop(cfg);
     const auto lutA = batch.loadLut("bc8");
     const auto lutB = loop.loadLut("bc8");
+    if (cold) {
+        batch.controller().lutPlacement(lutA.reg).loaded = false;
+        loop.controller().lutPlacement(lutB.reg).loaded = false;
+    }
     batch.resetStats();
     loop.resetStats();
 
@@ -379,14 +401,19 @@ TEST_P(TimedOnlyBatchProperty, MatchesPerQueryLoop)
     const auto b = loop.stats();
     EXPECT_DOUBLE_EQ(a.timeNs, b.timeNs);
     EXPECT_DOUBLE_EQ(a.energyPj, b.energyPj);
-    EXPECT_DOUBLE_EQ(a.counters.get("pluto.queries"),
-                     b.counters.get("pluto.queries"));
-    EXPECT_DOUBLE_EQ(a.counters.get("dram.acts"),
-                     b.counters.get("dram.acts"));
-    EXPECT_DOUBLE_EQ(a.counters.get("pluto.sweep"),
-                     b.counters.get("pluto.sweep"));
-    EXPECT_DOUBLE_EQ(a.counters.get("pluto.lut_reload"),
-                     b.counters.get("pluto.lut_reload"));
+    expectCountersMatch(a.counters, b.counters, cold ? "cold" : "warm");
+    EXPECT_EQ(a.counters.get("pluto.lut_reload.cold"),
+              cold && design != Design::Gsa ? 1.0 : 0.0);
+}
+
+TEST_P(TimedOnlyBatchProperty, MatchesPerQueryLoop)
+{
+    expectBatchMatchesPerQueryLoop(GetParam(), false);
+}
+
+TEST_P(TimedOnlyBatchProperty, MatchesPerQueryLoopFromAColdLut)
+{
+    expectBatchMatchesPerQueryLoop(GetParam(), true);
 }
 
 INSTANTIATE_TEST_SUITE_P(Designs, TimedOnlyBatchProperty,

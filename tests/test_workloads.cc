@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <span>
 #include <string>
 #include <utility>
@@ -296,6 +297,35 @@ TEST(WorkloadMemory, ColorGradeHostMemoryGrowsUnder3BytesPerElement)
         static_cast<double>(b - a) * 1024.0 / (large - small);
     EXPECT_LE(perElem, 3.0) << a << " KiB at " << small << ", " << b
                             << " KiB at " << large;
+}
+
+// ---- The measured kernel runs once ----
+
+TEST(WorkloadProgram, EachKernelInstructionRunsOnce)
+{
+    // The composed-routine workloads pay their scratch allocation and
+    // LUT load before resetStats() without running the kernel, so the
+    // recorded program holds set-up (allocations, the LUT load) and
+    // each kernel instruction exactly once.
+    for (const char *name : {"ADD4", "MUL4", "MULQ1.7", "BC8"}) {
+        const auto w = makeWorkload(name);
+        runtime::PlutoDevice dev(deviceConfig());
+        dev.startRecording();
+        EXPECT_TRUE(w->run(dev, 4096).verified) << name;
+        const isa::Program prog = dev.stopRecording();
+        std::map<isa::Opcode, int> kernel;
+        for (const auto &instr : prog.instructions())
+            if (instr.op != isa::Opcode::RowAlloc &&
+                instr.op != isa::Opcode::SubarrayAlloc)
+                ++kernel[instr.op];
+        EXPECT_EQ(kernel[isa::Opcode::LutOp], 1) << name;
+        for (const auto &[op, count] : kernel)
+            EXPECT_EQ(count, 1) << name << " " << isa::opcodeName(op);
+        // The timed statistics count the kernel alone.
+        EXPECT_DOUBLE_EQ(dev.stats().counters.get("isa.instructions"),
+                         static_cast<double>(kernel.size()))
+            << name;
+    }
 }
 
 TEST(Registry, AllNamesConstruct)
