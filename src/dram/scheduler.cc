@@ -138,9 +138,8 @@ CommandScheduler::burst(std::span<const BurstStep> steps, u64 reps)
                        static_cast<double>(st.rows) * dreps);
         } else {
             if (st.numActs > 0)
-                stats_.add("dram.acts",
-                           static_cast<double>(static_cast<u64>(
-                               st.numActs) * st.parallel) * dreps);
+                stats_.add("dram.acts", static_cast<double>(st.numActs) *
+                                            st.parallel * dreps);
             stats_.add(std::string(st.stat) + ".ns",
                        stretched(st.latency) * dreps);
         }
