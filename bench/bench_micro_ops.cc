@@ -196,7 +196,7 @@ struct EngineFixture
           sched(dram::TimingParams::ddr4_2400(),
                 dram::EnergyParams::ddr4()),
           store(mod, sched),
-          engine(mod, sched, store, core::Design::Bsa)
+          engine(mod, sched, core::Design::Bsa)
     {
         const auto lut = core::Lut::fromFunction(
             "sq", 4, 8, [](u64 x) { return (x * x) & 0xff; });

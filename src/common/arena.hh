@@ -42,6 +42,8 @@ class ScratchArena
     {
         /** QueryEngine::queryViaSweep FF/gated-row-buffer image. */
         SweepFf = 0,
+        /** QueryEngine::queryViaSweep activated LUT row image. */
+        SweepLutRow,
         /** BitSerialEngine::write transposed plane being built. */
         BitPlane,
         /** BitSerialEngine add/mul (non-nesting) row-wide sum. */

@@ -72,7 +72,9 @@ deviceDescriptor(const runtime::DeviceConfig &cfg)
       << fmtDoubleExact(cfg.loadModel.memoryBw) << ','
       << fmtDoubleExact(cfg.loadModel.storageBw) << ','
       << fmtDoubleExact(cfg.loadModel.generateNsPerElem) << ','
-      << cfg.loadModel.materializeLimitBytes << '|';
+      // The retired row-image budget (64 MiB), kept so keys stay
+      // byte-identical until the ROADMAP's "One device-schema bump".
+      << "67108864" << '|';
     if (cfg.geometry) {
         const auto &g = *cfg.geometry;
         d << "geom:" << g.banks << ',' << g.subarraysPerBank << ','

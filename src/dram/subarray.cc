@@ -28,7 +28,6 @@ Subarray::row(RowIndex idx)
     auto it = storage_.find(idx);
     if (it == storage_.end())
         it = storage_.emplace(idx, std::vector<u8>(rowBytes_, 0)).first;
-    destroyed_[idx] = false;
     return it->second;
 }
 
@@ -66,21 +65,6 @@ Subarray::clearRow(RowIndex idx)
     checkRow(idx);
     auto dst = row(idx);
     std::fill(dst.begin(), dst.end(), 0);
-}
-
-bool
-Subarray::rowValid(RowIndex idx) const
-{
-    checkRow(idx);
-    const auto it = destroyed_.find(idx);
-    return it == destroyed_.end() || !it->second;
-}
-
-void
-Subarray::destroyRow(RowIndex idx)
-{
-    checkRow(idx);
-    destroyed_[idx] = true;
 }
 
 void

@@ -5,10 +5,9 @@
  * untouched rows read as all-zero, so paper-scale geometries (8 GB
  * modules) can be modeled without allocating 8 GB.
  *
- * The subarray also tracks per-row validity, which the pLUTo-GSA
- * design uses to model its destructive row sweeps (Section 5.2.1):
- * after a GSA sweep, unmatched LUT rows lose their contents and must
- * be reloaded before the next query.
+ * A subarray holds data rows only. LUT rows are not stored here: a
+ * LUT's contents are its Lut values, and pLUTo-GSA's destructive
+ * sweeps (Section 5.2.1) are tracked by `LutPlacement::loaded`.
  */
 
 #ifndef PLUTO_DRAM_SUBARRAY_HH
@@ -37,7 +36,7 @@ class Subarray
 
     /**
      * Mutable access to a row's cells, allocating backing storage on
-     * first touch. Marks the row valid.
+     * first touch.
      */
     std::span<u8> row(RowIndex idx);
 
@@ -54,21 +53,8 @@ class Subarray
     /** Overwrite a row's contents (data must be rowBytes long). */
     void writeRow(RowIndex idx, std::span<const u8> data);
 
-    /** Zero a row and mark it valid. */
+    /** Zero a row. */
     void clearRow(RowIndex idx);
-
-    /**
-     * @return true if the row currently holds defined data. Rows start
-     * valid (all-zero); destroyRow() invalidates them.
-     */
-    bool rowValid(RowIndex idx) const;
-
-    /**
-     * Model a destructive read: the row's charge was shared with the
-     * bitline and never restored (pLUTo-GSA sweeps). The contents
-     * become undefined until the next writeRow()/row() touch.
-     */
-    void destroyRow(RowIndex idx);
 
     /**
      * Intra-subarray copy (RowClone-FPM semantics, Section 2.2):
@@ -84,8 +70,6 @@ class Subarray
     u32 rowBytes_;
     /** Lazily allocated row storage. */
     std::unordered_map<RowIndex, std::vector<u8>> storage_;
-    /** Rows whose contents were destroyed by a GSA sweep. */
-    std::unordered_map<RowIndex, bool> destroyed_;
 };
 
 } // namespace pluto::dram

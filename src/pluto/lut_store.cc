@@ -1,6 +1,5 @@
 #include "pluto/lut_store.hh"
 
-#include "common/bitvec.hh"
 #include "common/logging.hh"
 
 namespace pluto::core
@@ -94,33 +93,9 @@ LutStore::placement(u32 idx) const
 }
 
 void
-LutStore::materialize(LutPlacement &p)
-{
-    const auto &geom = mod_.geometry();
-    const u32 width = p.lut.elemBits();
-    const u64 image_bytes = p.lut.size() * geom.rowBytes;
-
-    // Materialize the replicated element image, one bulk-filled LUT
-    // row at a time, unless it exceeds the host-memory budget.
-    p.materialized = image_bytes <= model_.materializeLimitBytes;
-    for (u32 part = 0; p.materialized && part < p.partitionCount();
-         ++part) {
-        const auto &sa = p.partitions[part];
-        for (u32 r = 0; r < p.rowsPerPartition; ++r) {
-            const u64 global =
-                static_cast<u64>(part) * p.rowsPerPartition + r;
-            ElementView(mod_.rowAt(sa.rowAt(p.baseRow + r)), width)
-                .fill(p.lut.at(global));
-        }
-    }
-}
-
-void
 LutStore::load(LutPlacement &p, LutLoadMethod method)
 {
     const auto &geom = mod_.geometry();
-    materialize(p);
-
     // Charge the loading cost: the full subarray image crosses the
     // channel (or is generated) once.
     const TimeNs t = model_.loadTime(method, p.lut.size(), geom.rowBytes);

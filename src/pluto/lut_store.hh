@@ -2,14 +2,17 @@
  * @file
  * LUT placement and loading (Sections 6.5 and 8.5).
  *
- * A LutPlacement materializes a Lut into one or more pLUTo-enabled
- * subarrays: each LUT row holds its element replicated across all
- * slots of the row. LUTs larger than a subarray are partitioned
- * across consecutive subarrays (Section 5.6). The store models the
+ * A LutPlacement assigns a Lut to one or more pLUTo-enabled
+ * subarrays: in hardware each LUT row holds its element replicated
+ * across all slots of the row. LUTs larger than a subarray are
+ * partitioned across consecutive subarrays (Section 5.6). The
+ * simulator keeps each LUT once, as its Lut values; it never writes
+ * the replicated row image into the DRAM model. The store models the
  * three loading methods the paper evaluates — first-time generation,
  * loading from memory (19.2 GB/s DDR4 channel) and loading from
- * secondary storage (7.5 GB/s M.2 SSD) — and tracks GSA's destructive
- * sweeps so a destroyed LUT is reloaded before its next query.
+ * secondary storage (7.5 GB/s M.2 SSD) — and `LutPlacement::loaded`
+ * is the only record of GSA's destructive sweeps, so a destroyed LUT
+ * is reloaded before its next query.
  */
 
 #ifndef PLUTO_PLUTO_LUT_STORE_HH
@@ -48,15 +51,6 @@ struct LutLoadModel
     BytesPerNs storageBw = 7.5;
     /** Host-side cost of computing one LUT element from scratch. */
     TimeNs generateNsPerElem = 10.0;
-    /**
-     * Materialize the replicated row image into the functional module
-     * only when it fits this budget; larger LUTs (e.g. a 2^16-entry
-     * LUT replicated over 8 kB rows is a 512 MB image) keep their
-     * loading *cost* but skip the host-memory materialization. Only
-     * the microarchitectural sweep emulation needs the image; the
-     * fast query path reads the Lut object.
-     */
-    u64 materializeLimitBytes = 64ull << 20;
 
     /**
      * Time to load a LUT that occupies `rows` rows of `row_bytes`
@@ -84,11 +78,6 @@ struct LutPlacement
     u32 rowsPerPartition = 0;
     /** False once a GSA sweep destroyed the resident copy. */
     bool loaded = false;
-    /**
-     * Whether the replicated row image exists in the functional
-     * module (see LutLoadModel::materializeLimitBytes).
-     */
-    bool materialized = false;
     /** How many times this placement has been (re)loaded. */
     u64 loadCount = 0;
 
@@ -126,18 +115,10 @@ class LutStore
     u32 size() const { return static_cast<u32>(placements_.size()); }
 
     /**
-     * (Re)load a placement's rows: write the replicated element image
-     * into the module and charge the loading cost. Used at placement
-     * time and before each GSA query.
+     * (Re)load a placement: charge the loading cost of its replicated
+     * row image and mark it loaded. Used at placement time.
      */
     void load(LutPlacement &p, LutLoadMethod method);
-
-    /**
-     * Rewrite the replicated row image without charging any cost
-     * (used when the query engine models an in-DRAM reload whose
-     * timing it charges itself, Table 1's LISA_RBM x N term).
-     */
-    void materialize(LutPlacement &p);
 
     /** Minimum partitions needed for `lut` under geometry `g`. */
     static u32 partitionsFor(const Lut &lut, const dram::Geometry &g);

@@ -7,8 +7,8 @@ namespace pluto::core
 {
 
 QueryEngine::QueryEngine(dram::Module &mod, dram::CommandScheduler &sched,
-                         LutStore &store, Design design, ScratchArena *arena)
-    : mod_(mod), sched_(sched), store_(store), design_(design),
+                         Design design, ScratchArena *arena)
+    : mod_(mod), sched_(sched), design_(design),
       traits_(DesignTraits::of(design)), arena_(arena ? *arena : own_)
 {
 }
@@ -94,8 +94,6 @@ QueryEngine::chargeSweep(LutPlacement &p, u32 parallel, u64 count,
         // worth distinguishing from GSA's every-query restores.
         if (!traits_.reloadPerQuery)
             sched_.stats().inc("pluto.lut_reload.cold");
-        if (p.materialized)
-            store_.materialize(p); // idempotent; once per call
         p.loadCount += count;
     }
     p.loaded = !traits_.destructiveReads;
@@ -131,13 +129,6 @@ QueryEngine::queryWave(LutPlacement &p, const std::vector<QueryPair> &pairs)
     for (const auto &[src, dst] : pairs)
         applyFunctional(p, src, dst);
     chargeSweep(p, static_cast<u32>(pairs.size()));
-    if (traits_.destructiveReads) {
-        for (const auto &sa : p.partitions) {
-            auto &sub = mod_.subarrayAt(sa);
-            for (u32 r = 0; r < p.rowsPerPartition; ++r)
-                sub.destroyRow(p.baseRow + r);
-        }
-    }
 }
 
 void
@@ -217,13 +208,9 @@ QueryEngine::queryStacked(const std::vector<LutPlacement *> &luts,
     for (const auto &step : g.commands())
         sched_.burst(step);
     sched_.stats().add("pluto.queries", parallel);
-    if (traits_.destructiveReads) {
-        auto &sub = mod_.subarrayAt(sa);
-        for (RowIndex r = first; r < last; ++r)
-            sub.destroyRow(r);
+    if (traits_.destructiveReads)
         for (auto *p : luts)
             p->loaded = false;
-    }
 }
 
 void
@@ -235,10 +222,6 @@ QueryEngine::queryViaSweep(LutPlacement &p, const dram::RowAddress &src,
 
     if (!p.loaded)
         panic("LUT '%s': sweep over a destroyed LUT", p.lut.name().c_str());
-    if (!p.materialized)
-        panic("LUT '%s': sweep emulation needs a materialized row "
-              "image (LUT exceeds materializeLimitBytes)",
-              p.lut.name().c_str());
 
     const auto in = mod_.peekRow(src);
     // The FF buffer (BSA) / gated row buffer (GSA, GMC) accumulates
@@ -246,23 +229,18 @@ QueryEngine::queryViaSweep(LutPlacement &p, const dram::RowAddress &src,
     // (precharged) state.
     auto ff = arena_.bytes(ScratchArena::SweepFf, geom.rowBytes);
     std::fill(ff.begin(), ff.end(), 0);
+    auto lut_row = arena_.bytes(ScratchArena::SweepLutRow, geom.rowBytes);
 
-    for (u32 part = 0; part < p.partitionCount(); ++part) {
-        auto &sub = mod_.subarrayAt(p.partitions[part]);
-        for (u32 r = 0; r < p.rowsPerPartition; ++r) {
-            const u64 global =
-                static_cast<u64>(part) * p.rowsPerPartition + r;
-            // Activate LUT row `global`: its element appears,
-            // replicated, in the pLUTo-enabled row buffer. The Match
-            // Logic compares every source slot against the activated
-            // row's index and latches matching slots — one
-            // word-parallel select over the packed row.
-            const auto lut_row = mod_.peekRow(
-                p.partitions[part].rowAt(p.baseRow + r));
-            bulk::bulkMatchSelect(in, lut_row, ff, width, global);
-            if (traits_.destructiveReads)
-                sub.destroyRow(p.baseRow + r);
-        }
+    // Partition p holds LUT rows [p * rowsPerPartition, ...), so the
+    // sweep activates LUT rows in global index order.
+    for (u64 global = 0; global < p.lut.size(); ++global) {
+        // Activate LUT row `global`: its element appears, replicated,
+        // in the pLUTo-enabled row buffer. The Match Logic compares
+        // every source slot against the activated row's index and
+        // latches matching slots — one word-parallel select over the
+        // packed row.
+        ElementView(lut_row, width).fill(p.lut.at(global));
+        bulk::bulkMatchSelect(in, lut_row, ff, width, global);
     }
 
     mod_.writeRow(dst, ff);

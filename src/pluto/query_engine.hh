@@ -15,10 +15,15 @@
  *  - queryStacked(): one sweep over several LUTs stacked in one
  *    subarray, with the group's sweep and move;
  *  - queryViaSweep(): a microarchitectural emulation that walks the
- *    LUT rows one activation at a time, evaluates the Match Logic per
- *    slot, latches the FF buffer (BSA) or gates the sense amplifiers
- *    (GSA/GMC), and destroys GSA rows. It charges nothing; tests
- *    assert it agrees with query().
+ *    LUT rows one activation at a time, builds each activated row's
+ *    replicated image from the Lut values, evaluates the Match Logic
+ *    per slot and latches the FF buffer (BSA) or gates the sense
+ *    amplifiers (GSA/GMC). It charges nothing; tests assert it agrees
+ *    with query().
+ *
+ * The engine writes no LUT rows into the module: a placement's Lut
+ * values are its contents, and `LutPlacement::loaded` is its only
+ * load state (a GSA sweep clears it, a reload sets it).
  *
  * pluto/analysis keeps an independent closed-form Table 1 that tests
  * compare these charges against.
@@ -56,8 +61,7 @@ class QueryEngine
      *        a private one.
      */
     QueryEngine(dram::Module &mod, dram::CommandScheduler &sched,
-                LutStore &store, Design design,
-                ScratchArena *arena = nullptr);
+                Design design, ScratchArena *arena = nullptr);
 
     /** @return the hardware design this engine models. */
     Design design() const { return design_; }
@@ -92,8 +96,8 @@ class QueryEngine
 
     /**
      * Microarchitectural sweep emulation (Figure 3's step-by-step
-     * walk). Produces the same destination row as query(); destroys
-     * the LUT rows under pLUTo-GSA.
+     * walk). Produces the same destination row as query(); under
+     * pLUTo-GSA it leaves the LUT not loaded.
      */
     void queryViaSweep(LutPlacement &p, const dram::RowAddress &src,
                        const dram::RowAddress &dst);
@@ -139,8 +143,8 @@ class QueryEngine
 
     /**
      * Charge `count` query waves of `p` at `parallel`-way parallelism
-     * and update its load state (cold counter, materialized image,
-     * `loaded`, `loadCount`). The group's commands issue one at a
+     * and update its load state (cold counter, `loaded`,
+     * `loadCount`). The group's commands issue one at a
      * time unless `as_burst`, which submits it once with `count`
      * repetitions. Only a single query may hit a cold LUT.
      */
@@ -156,7 +160,6 @@ class QueryEngine
 
     dram::Module &mod_;
     dram::CommandScheduler &sched_;
-    LutStore &store_;
     Design design_;
     DesignTraits traits_;
     ScratchArena own_;

@@ -18,7 +18,7 @@ struct PlutoDevice::Impl
           sched(timing, energy, cfg.fawScale),
           ops(module, sched),
           store(module, sched, cfg.loadModel),
-          engine(module, sched, store, cfg.design,
+          engine(module, sched, cfg.design,
                  cfg.arena ? cfg.arena : &ownArena),
           alloc(geom, cfg.salp ? cfg.salp : geom.defaultSalp),
           controller(module, sched, ops, store, engine, library, alloc,

@@ -80,17 +80,6 @@ TEST(Subarray, CopyRowFpm)
     EXPECT_EQ(s.readRow(5), data);
 }
 
-TEST(Subarray, DestroyInvalidatesUntilRewrite)
-{
-    Subarray s(8, 4);
-    s.writeRow(1, std::vector<u8>{1, 1, 1, 1});
-    EXPECT_TRUE(s.rowValid(1));
-    s.destroyRow(1);
-    EXPECT_FALSE(s.rowValid(1));
-    s.writeRow(1, std::vector<u8>{2, 2, 2, 2});
-    EXPECT_TRUE(s.rowValid(1));
-}
-
 TEST(Module, AddressedAccess)
 {
     Module m(Geometry::tiny());

@@ -27,7 +27,7 @@ class StackedTest : public ::testing::TestWithParam<Design>
           sched(dram::TimingParams::ddr4_2400(),
                 dram::EnergyParams::ddr4()),
           store(mod, sched),
-          engine(mod, sched, store, GetParam())
+          engine(mod, sched, GetParam())
     {
         // Two 16-entry LUTs stacked in subarray b0.s2: squares at
         // rows 0..15, complements at rows 16..31.
@@ -93,9 +93,7 @@ TEST_P(StackedTest, CheaperThanTwoSeparateQueries)
     const TimeNs fused = sched.elapsed();
 
     sched.reset();
-    store.materialize(store.placement(sqIdx));
     store.placement(sqIdx).loaded = true;
-    store.materialize(store.placement(invIdx));
     store.placement(invIdx).loaded = true;
     engine.query(store.placement(sqIdx), {0, 0, 0}, {0, 1, 1});
     engine.query(store.placement(invIdx), {0, 0, 0}, {0, 1, 2});
@@ -111,10 +109,9 @@ TEST_P(StackedTest, GsaDestroysWholeStack)
     if (GetParam() == Design::Gsa) {
         EXPECT_FALSE(store.placement(sqIdx).loaded);
         EXPECT_FALSE(store.placement(invIdx).loaded);
-        EXPECT_FALSE(mod.subarrayAt({0, 2}).rowValid(20));
     } else {
         EXPECT_TRUE(store.placement(sqIdx).loaded);
-        EXPECT_TRUE(mod.subarrayAt({0, 2}).rowValid(20));
+        EXPECT_TRUE(store.placement(invIdx).loaded);
     }
 }
 
@@ -132,7 +129,7 @@ TEST(StackedErrors, RejectsMixedSubarrays)
     dram::CommandScheduler sched(dram::TimingParams::ddr4_2400(),
                                  dram::EnergyParams::ddr4());
     LutStore store(mod, sched);
-    QueryEngine engine(mod, sched, store, Design::Bsa);
+    QueryEngine engine(mod, sched, Design::Bsa);
     const auto a = Lut::fromFunction("a", 4, 8,
                                      [](u64 x) { return x; });
     const u32 i1 = store.place(a, {{0, 2}});

@@ -146,7 +146,7 @@ class EngineTest : public ::testing::TestWithParam<Design>
           sched(dram::TimingParams::ddr4_2400(),
                 dram::EnergyParams::ddr4()),
           store(mod, sched),
-          engine(mod, sched, store, GetParam())
+          engine(mod, sched, GetParam())
     {
     }
 
@@ -286,7 +286,7 @@ TEST(EngineGsa, DestructiveReadsForceReload)
     dram::CommandScheduler sched(dram::TimingParams::ddr4_2400(),
                                  dram::EnergyParams::ddr4());
     LutStore store(mod, sched);
-    QueryEngine engine(mod, sched, store, Design::Gsa);
+    QueryEngine engine(mod, sched, Design::Gsa);
 
     const Lut primes("primes", 2, 8, {2, 3, 5, 7});
     auto &p = store.placement(store.place(primes, {{0, 2}}));
@@ -296,8 +296,6 @@ TEST(EngineGsa, DestructiveReadsForceReload)
     mod.rowAt({0, 0, 0});
     engine.query(p, {0, 0, 0}, {0, 1, 0});
     EXPECT_FALSE(p.loaded);
-    // LUT rows are physically invalidated.
-    EXPECT_FALSE(mod.subarrayAt({0, 2}).rowValid(0));
 
     // The next query transparently reloads first.
     engine.query(p, {0, 0, 0}, {0, 1, 0});
@@ -310,7 +308,7 @@ TEST(EngineGmc, LutSurvivesQueries)
     dram::CommandScheduler sched(dram::TimingParams::ddr4_2400(),
                                  dram::EnergyParams::ddr4());
     LutStore store(mod, sched);
-    QueryEngine engine(mod, sched, store, Design::Gmc);
+    QueryEngine engine(mod, sched, Design::Gmc);
 
     const Lut primes("primes", 2, 8, {2, 3, 5, 7});
     auto &p = store.placement(store.place(primes, {{0, 2}}));
@@ -320,7 +318,6 @@ TEST(EngineGmc, LutSurvivesQueries)
         engine.query(p, {0, 0, 0}, {0, 1, 0});
     EXPECT_TRUE(p.loaded);
     EXPECT_EQ(p.loadCount, loads0);
-    EXPECT_TRUE(mod.subarrayAt({0, 2}).rowValid(0));
 }
 
 TEST(LutStore, PartitionedPlacement)
@@ -331,16 +328,59 @@ TEST(LutStore, PartitionedPlacement)
     dram::CommandScheduler sched(dram::TimingParams::ddr4_2400(),
                                  dram::EnergyParams::ddr4());
     LutStore store(mod, sched);
-    const auto lut = Lut::fromFunction("id128", 7, 8,
-                                       [](u64 x) { return x; });
+    QueryEngine engine(mod, sched, Design::Bsa);
+    const auto lut = Lut::fromFunction(
+        "affine128", 7, 8, [](u64 x) { return (3 * x + 1) & 0xff; });
     EXPECT_EQ(LutStore::partitionsFor(lut, mod.geometry()), 2u);
     auto &p = store.placement(store.place(lut, {{0, 2}, {0, 3}}));
     EXPECT_EQ(p.rowsPerPartition, 64u);
-    // Partition 1, local row 5 holds element 69 replicated.
-    const auto row = mod.readRow({0, 3, 5});
-    ConstElementView v(row, 8);
-    for (u64 s = 0; s < v.size(); ++s)
-        EXPECT_EQ(v.get(s), 69u);
+    // The sweep walks both partitions: slot 0 asks for element 69
+    // (partition 1, local row 5), the rest for elements on either
+    // side of the partition boundary.
+    auto row = mod.rowAt({0, 0, 0});
+    ElementView in(row, 8);
+    in.set(0, 69);
+    for (u64 s = 1; s < in.size(); ++s)
+        in.set(s, (60 + s) % 128);
+    engine.queryViaSweep(p, {0, 0, 0}, {0, 1, 0});
+    const auto out = mod.readRow({0, 1, 0});
+    ConstElementView v(out, 8);
+    EXPECT_EQ(v.get(0), lut.at(69));
+    for (u64 s = 1; s < v.size(); ++s)
+        EXPECT_EQ(v.get(s), lut.at((60 + s) % 128)) << "slot " << s;
+}
+
+TEST(LutStore, SweepMatchesQueryBeyondOldImageBudget)
+{
+    // A 2^14-entry LUT of 16-bit elements replicated over 8 kB rows
+    // is a 128 MiB row image, twice the 64 MiB budget above which
+    // the sweep emulation used to refuse to run. The emulation builds
+    // each activated row from the Lut values, so it needs no image.
+    const Geometry g = Geometry::ddr4();
+    dram::Module mod(g);
+    dram::CommandScheduler sched(dram::TimingParams::ddr4_2400(),
+                                 dram::EnergyParams::ddr4());
+    LutStore store(mod, sched);
+    QueryEngine engine(mod, sched, Design::Gsa);
+    const auto lut = Lut::fromFunction(
+        "big", 14, 16, [](u64 x) { return (x * 40503) & 0xffff; });
+    ASSERT_GT(lut.size() * g.rowBytes, 64ull << 20);
+    std::vector<dram::SubarrayAddress> parts;
+    for (u32 i = 0; i < LutStore::partitionsFor(lut, g); ++i)
+        parts.push_back({1, i});
+    auto &p = store.placement(store.place(lut, parts));
+
+    Rng rng(5);
+    auto row = mod.rowAt({0, 0, 0});
+    ElementView in(row, 16);
+    for (u64 s = 0; s < in.size(); ++s)
+        in.set(s, rng.below(lut.size()));
+    engine.query(p, {0, 0, 0}, {0, 1, 0});
+    EXPECT_FALSE(p.loaded);
+    store.load(p, LutLoadMethod::FromMemory);
+    engine.queryViaSweep(p, {0, 0, 0}, {0, 1, 1});
+    EXPECT_FALSE(p.loaded);
+    EXPECT_EQ(mod.readRow({0, 1, 0}), mod.readRow({0, 1, 1}));
 }
 
 TEST(LutStore, LoadTimesFollowBandwidths)
@@ -361,14 +401,29 @@ TEST(LutStore, BaseRowSupportsMultipleLutsPerSubarray)
     dram::CommandScheduler sched(dram::TimingParams::ddr4_2400(),
                                  dram::EnergyParams::ddr4());
     LutStore store(mod, sched);
+    QueryEngine engine(mod, sched, Design::Bsa);
     const Lut a("a", 2, 8, {1, 2, 3, 4});
     const Lut b("b", 2, 8, {5, 6, 7, 8});
-    store.place(a, {{0, 2}}, LutLoadMethod::FromMemory, 0);
-    store.place(b, {{0, 2}}, LutLoadMethod::FromMemory, 4);
-    const auto rowA = mod.readRow({0, 2, 0});
-    const auto rowB = mod.readRow({0, 2, 4});
-    EXPECT_EQ(ConstElementView(rowA, 8).get(0), 1u);
-    EXPECT_EQ(ConstElementView(rowB, 8).get(0), 5u);
+    auto &pa = store.placement(
+        store.place(a, {{0, 2}}, LutLoadMethod::FromMemory, 0));
+    auto &pb = store.placement(
+        store.place(b, {{0, 2}}, LutLoadMethod::FromMemory, 4));
+    EXPECT_EQ(pa.baseRow, 0u);
+    EXPECT_EQ(pb.baseRow, 4u);
+    // Each LUT answers from its own rows of the shared subarray.
+    auto row = mod.rowAt({0, 0, 0});
+    ElementView in(row, 8);
+    for (u64 s = 0; s < in.size(); ++s)
+        in.set(s, s % 4);
+    engine.queryViaSweep(pa, {0, 0, 0}, {0, 1, 0});
+    engine.queryViaSweep(pb, {0, 0, 0}, {0, 1, 1});
+    const auto outA = mod.readRow({0, 1, 0});
+    const auto outB = mod.readRow({0, 1, 1});
+    ConstElementView va(outA, 8), vb(outB, 8);
+    for (u64 s = 0; s < va.size(); ++s) {
+        EXPECT_EQ(va.get(s), 1 + s % 4) << "slot " << s;
+        EXPECT_EQ(vb.get(s), 5 + s % 4) << "slot " << s;
+    }
 }
 
 } // namespace

@@ -42,7 +42,7 @@ TEST_P(QueryProperty, FastPathSweepPathAndScalarAgree)
     dram::CommandScheduler sched(dram::TimingParams::ddr4_2400(),
                                  dram::EnergyParams::ddr4());
     core::LutStore store(mod, sched);
-    core::QueryEngine engine(mod, sched, store, design);
+    core::QueryEngine engine(mod, sched, design);
 
     // Index width <= min(width, 6): tiny subarrays hold 64 rows.
     const u32 index_bits = std::min(width, 6u);
@@ -316,47 +316,6 @@ TEST_P(ViewProperty, FillMatchesScalarSets)
         EXPECT_EQ(bulk, scalar) << "width " << width << " bytes "
                                 << bytes;
     }
-}
-
-TEST_P(ViewProperty, LutMaterializeMatchesScalarImage)
-{
-    // A partitioned placement (2 to 4 partitions at base row 16 on
-    // the tiny geometry) materializes the same replicated row image
-    // a per-slot set() loop writes.
-    const u32 width = GetParam();
-    dram::Module mod(dram::Geometry::tiny());
-    dram::CommandScheduler sched(dram::TimingParams::ddr4_2400(),
-                                 dram::EnergyParams::ddr4());
-    core::LutStore store(mod, sched);
-    Rng rng(width * 31);
-    // The element width bounds the index width (paper footnote 5).
-    const u32 indexBits = std::min(width, 7u);
-    const u64 mask = (1ull << width) - 1;
-    std::vector<u64> values(1ull << indexBits);
-    for (auto &v : values)
-        v = rng.next() & mask;
-    const Lut lut("fill", indexBits, width, values);
-    std::vector<dram::SubarrayAddress> subarrays = {
-        {0, 1}, {0, 2}, {1, 3}, {1, 5}};
-    subarrays.resize(std::min<std::size_t>(4, values.size()));
-    const auto &p = store.placement(store.place(
-        lut, subarrays, core::LutLoadMethod::FromMemory, 16));
-    ASSERT_TRUE(p.materialized);
-    ASSERT_GE(p.partitionCount(), 2u);
-    const u64 rowBytes = mod.geometry().rowBytes;
-    for (u32 part = 0; part < p.partitionCount(); ++part)
-        for (u32 r = 0; r < p.rowsPerPartition; ++r) {
-            std::vector<u8> want(rowBytes, 0);
-            ElementView view(want, width);
-            const u64 elem = lut.at(part * p.rowsPerPartition + r);
-            for (u64 s = 0; s < view.size(); ++s)
-                view.set(s, elem);
-            EXPECT_EQ(mod.readRow(p.partitions[part].rowAt(
-                          p.baseRow + r)),
-                      want)
-                << "width " << width << " partition " << part
-                << " row " << r;
-        }
 }
 
 INSTANTIATE_TEST_SUITE_P(Widths, ViewProperty,
