@@ -202,15 +202,24 @@ QueryEngine::queryStacked(const std::vector<LutPlacement *> &luts,
         ov.set(s, owner->lut.at(v - owner->baseRow));
     }
 
-    // Timing: one sweep over the whole stacked region, no reload.
+    // Timing: one sweep over the whole stacked region, after a
+    // reload of that region when the design restores every query
+    // (GSA) or a stacked LUT is not resident.
+    bool reload = traits_.reloadPerQuery;
+    for (const auto *p : luts)
+        reload = reload || !p->loaded;
     const CommandGroup g = commandGroup(
-        "pluto.sweep_stacked", last - first, parallel, parallel, false);
+        "pluto.sweep_stacked", last - first, parallel, parallel, reload);
     for (const auto &step : g.commands())
         sched_.burst(step);
     sched_.stats().add("pluto.queries", parallel);
-    if (traits_.destructiveReads)
-        for (auto *p : luts)
-            p->loaded = false;
+    if (reload && !traits_.reloadPerQuery)
+        sched_.stats().inc("pluto.lut_reload.cold");
+    for (auto *p : luts) {
+        if (reload)
+            ++p->loadCount;
+        p->loaded = !traits_.destructiveReads;
+    }
 }
 
 void

@@ -13,7 +13,7 @@
  *  - queryTimedOnlyBatch(): no functional work; `count` queries go
  *    to the scheduler as one burst of the group;
  *  - queryStacked(): one sweep over several LUTs stacked in one
- *    subarray, with the group's sweep and move;
+ *    subarray, with the group's reload, sweep and move;
  *  - queryViaSweep(): a microarchitectural emulation that walks the
  *    LUT rows one activation at a time, builds each activated row's
  *    replicated image from the Lut values, evaluates the Match Logic
@@ -110,7 +110,9 @@ class QueryEngine
      * sweep over the stacked region serves every LUT at once.
      *
      * All placements must be single-partition, share one subarray,
-     * and use the same element width.
+     * and use the same element width. The region's `last - first`
+     * rows are reloaded first when the design reloads every query
+     * (GSA) or any stacked placement is not loaded.
      */
     void queryStacked(const std::vector<LutPlacement *> &luts,
                       const dram::RowAddress &src,

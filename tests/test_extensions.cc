@@ -115,6 +115,49 @@ TEST_P(StackedTest, GsaDestroysWholeStack)
     }
 }
 
+TEST_P(StackedTest, SecondQueryReloadsDestroyedStack)
+{
+    // GSA's first stacked sweep destroyed both LUTs, so the second
+    // restores all 32 stacked rows first (Table 1: LISA_RBM x N).
+    // BSA and GMC sweeps leave the stack resident.
+    const bool gsa = GetParam() == Design::Gsa;
+    mod.rowAt({0, 0, 0});
+    std::vector<LutPlacement *> luts = {&store.placement(sqIdx),
+                                        &store.placement(invIdx)};
+    engine.queryStacked(luts, {0, 0, 0}, {0, 1, 0});
+    const u64 loads0 = store.placement(sqIdx).loadCount;
+    sched.reset();
+    engine.queryStacked(luts, {0, 0, 0}, {0, 1, 0});
+    EXPECT_DOUBLE_EQ(sched.stats().get("pluto.lut_reload"),
+                     gsa ? 1.0 : 0.0);
+    EXPECT_NEAR(sched.stats().get("pluto.lut_reload.ns"),
+                gsa ? 32 * sched.timing().lisaRbm : 0.0, 1e-9);
+    EXPECT_DOUBLE_EQ(sched.stats().get("pluto.lut_reload.cold"), 0.0);
+    EXPECT_EQ(store.placement(sqIdx).loadCount, loads0 + (gsa ? 1 : 0));
+    for (const auto *p : luts)
+        EXPECT_EQ(p->loaded, !gsa) << p->lut.name();
+}
+
+TEST_P(StackedTest, EvictedMemberReloadsStack)
+{
+    // One evicted LUT makes every design restore the stacked region;
+    // afterwards the stack is resident unless the sweep destroyed it.
+    const bool gsa = GetParam() == Design::Gsa;
+    mod.rowAt({0, 0, 0});
+    store.placement(invIdx).loaded = false;
+    std::vector<LutPlacement *> luts = {&store.placement(sqIdx),
+                                        &store.placement(invIdx)};
+    sched.reset();
+    engine.queryStacked(luts, {0, 0, 0}, {0, 1, 0});
+    EXPECT_DOUBLE_EQ(sched.stats().get("pluto.lut_reload"), 1.0);
+    EXPECT_DOUBLE_EQ(sched.stats().get("pluto.lut_reload.cold"),
+                     gsa ? 0.0 : 1.0);
+    for (const auto *p : luts) {
+        EXPECT_EQ(p->loadCount, 2u) << p->lut.name();
+        EXPECT_EQ(p->loaded, !gsa) << p->lut.name();
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllDesigns, StackedTest,
                          ::testing::Values(Design::Bsa, Design::Gsa,
                                            Design::Gmc),
