@@ -240,8 +240,8 @@ QueryEngine::queryViaSweep(LutPlacement &p, const dram::RowAddress &src,
     std::fill(ff.begin(), ff.end(), 0);
     auto lut_row = arena_.bytes(ScratchArena::SweepLutRow, geom.rowBytes);
 
-    // Partition p holds LUT rows [p * rowsPerPartition, ...), so the
-    // sweep activates LUT rows in global index order.
+    // Partitions hold consecutive LUT rows, so walking the global
+    // index visits them in sweep order.
     for (u64 global = 0; global < p.lut.size(); ++global) {
         // Activate LUT row `global`: its element appears, replicated,
         // in the pLUTo-enabled row buffer. The Match Logic compares

@@ -93,8 +93,6 @@ TEST_P(StackedTest, CheaperThanTwoSeparateQueries)
     const TimeNs fused = sched.elapsed();
 
     sched.reset();
-    store.placement(sqIdx).loaded = true;
-    store.placement(invIdx).loaded = true;
     engine.query(store.placement(sqIdx), {0, 0, 0}, {0, 1, 1});
     engine.query(store.placement(invIdx), {0, 0, 0}, {0, 1, 2});
     EXPECT_LT(fused, sched.elapsed());
