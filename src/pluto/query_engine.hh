@@ -110,9 +110,10 @@ class QueryEngine
      * sweep over the stacked region serves every LUT at once.
      *
      * All placements must be single-partition, share one subarray,
-     * and use the same element width. The region's `last - first`
-     * rows are reloaded first when the design reloads every query
-     * (GSA) or any stacked placement is not loaded.
+     * and use the same element width. The stacked region (lowest
+     * base row to the end of the highest LUT) is reloaded first when
+     * the design reloads every query (GSA) or any stacked placement
+     * is not loaded.
      */
     void queryStacked(const std::vector<LutPlacement *> &luts,
                       const dram::RowAddress &src,
