@@ -54,8 +54,8 @@ printHelp(const std::vector<Mode> &modes)
         "  --timeseries FILE  service mode: write the virtual-time\n"
         "                  series CSV (one row per timeseries_ms\n"
         "                  window per cell)\n"
-        "  --log-level L   stderr threshold: info, warn (default),\n"
-        "                  error (alias: quiet)\n"
+        "  --log-level L   stderr threshold: warn (default) or error\n"
+        "                  (alias: quiet)\n"
         "  --list          list registered workload names and exit\n"
         "  --list-workloads  print the workload registry table and "
         "exit\n"
@@ -225,8 +225,8 @@ cliMain(int argc, char **argv, const std::vector<Mode> &modes)
             const std::string level = next();
             LogLevel threshold;
             if (!parseLogLevel(level, threshold)) {
-                usageError("pluto_sim: --log-level wants info, warn "
-                           "or error, got '%s'\n",
+                usageError("pluto_sim: --log-level wants warn or "
+                           "error, got '%s'\n",
                            level);
                 return 1;
             }

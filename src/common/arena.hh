@@ -4,8 +4,8 @@
  *
  * A ScratchArena owns one grow-only buffer per named slot. Hot loops
  * that previously allocated a fresh std::vector per call (query row
- * snapshots, sweep-emulation FF buffers, bit-plane scratch) borrow a
- * slot instead: the buffer grows to the high-water mark once and is
+ * snapshots, sweep-emulation FF buffers, serve request queues) borrow
+ * a slot instead: the buffer grows to the high-water mark once and is
  * then reused allocation-free for the rest of the campaign.
  *
  * Ownership rules:
@@ -44,16 +44,6 @@ class ScratchArena
         SweepFf = 0,
         /** QueryEngine::queryViaSweep activated LUT row image. */
         SweepLutRow,
-        /** BitSerialEngine::write transposed plane being built. */
-        BitPlane,
-        /** BitSerialEngine add/mul (non-nesting) row-wide sum. */
-        PlaneSum,
-        /** BitSerialEngine add/mul (non-nesting) ripple carry. */
-        PlaneCarry,
-        /** BitSerialEngine add/mul (non-nesting) next-carry buffer. */
-        PlaneCarry2,
-        /** BitSerialEngine::mul partial product row. */
-        PlanePartial,
         /** serve::RequestPool chunked per-device queue storage. */
         ServeRequests,
         kSlotCount,

@@ -363,32 +363,6 @@ matchSelect8Avx2(const u8 *src, const u8 *lut, u8 *ff,
     return i;
 }
 
-/**
- * Bit-plane transpose, 8 values (one output byte) per step: shift
- * the wanted bit into the sign position and harvest the four sign
- * bits of each ymm with `vmovmskpd`.
- */
-__attribute__((target("avx2"))) std::size_t
-bitPlaneAvx2(const u64 *v, std::size_t n, u32 bit, u8 *out)
-{
-    const int sh = 63 - static_cast<int>(bit);
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __m256i a = _mm256_slli_epi64(
-            _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(v + i)),
-            sh);
-        const __m256i b = _mm256_slli_epi64(
-            _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(v + i + 4)),
-            sh);
-        const int m0 = _mm256_movemask_pd(_mm256_castsi256_pd(a));
-        const int m1 = _mm256_movemask_pd(_mm256_castsi256_pd(b));
-        out[i / 8] = static_cast<u8>(m0 | (m1 << 4));
-    }
-    return i;
-}
-
 #endif // PLUTO_X86_SIMD
 
 } // namespace
@@ -956,28 +930,6 @@ bulkShiftRight(std::span<u8> row, u32 bits)
                               : 0;
             storeWord(row.data() + 8 * w, (cur >> bit_shift) | hi);
         }
-    }
-}
-
-void
-bitPlane(std::span<const u64> values, u32 bit, std::span<u8> out)
-{
-    PLUTO_ASSERT(bit < 64);
-    const std::size_t n = values.size();
-    PLUTO_ASSERT(out.size() >= (n + 7) / 8);
-    const u64 *v = values.data();
-
-    std::size_t i = 0;
-#ifdef PLUTO_X86_SIMD
-    if (simd::tier() >= simd::Tier::Avx2)
-        i = bitPlaneAvx2(v, n, bit, out.data());
-#endif
-    for (; i < n; i += 8) {
-        const std::size_t lim = std::min<std::size_t>(8, n - i);
-        u8 b = 0;
-        for (std::size_t k = 0; k < lim; ++k)
-            b |= static_cast<u8>(((v[i + k] >> bit) & 1) << k);
-        out[i / 8] = b;
     }
 }
 

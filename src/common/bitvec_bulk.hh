@@ -19,9 +19,7 @@
  *  - bulkMatchSelect is the word-parallel Match Logic + FF-latch step
  *    of the sweep emulation;
  *  - bulkNot/And/Or/Xor/Xnor/Maj and bulkShiftLeft/Right are the
- *    row-wide ops over u64 spans backing ops/rowmath;
- *  - bitPlane extracts one bit plane of a u64 array into a packed
- *    row (the transpose step of the bit-serial baseline).
+ *    row-wide ops over u64 spans backing ops/rowmath.
  *
  * The hot kernels additionally carry explicit SIMD paths, selected
  * at runtime through simd::tier() (common/cpuid.hh):
@@ -32,7 +30,7 @@
  *    into a nibble->nibble map, so two shuffles translate 16 packed
  *    bytes — 32/64/128 elements — per step;
  *  - packBulk/unpackBulk at widths <= 8 use AVX2 narrowing/widening
- *    (unpack also at 16/32), bitPlane uses AVX2 sign-bit extraction.
+ *    (unpack also at 16/32).
  *
  * The scalar paths are kept verbatim as the fallback and as the
  * property-test oracle: every SIMD path is bit-exact against them
@@ -130,8 +128,8 @@ class LutGather
  * Word-parallel Match Logic + latch (sweep emulation): for every
  * packed `width`-bit slot whose source index equals `row_index`,
  * latch the corresponding slot of `lut_row` into `ff`; other slots
- * keep their ff contents. Equivalent to MatchLogic::matches + a
- * per-slot ElementView copy.
+ * keep their ff contents. Equivalent to a per-slot ElementView
+ * compare-and-copy.
  */
 void bulkMatchSelect(std::span<const u8> src, std::span<const u8> lut_row,
                      std::span<u8> ff, u32 width, u64 row_index);
@@ -166,15 +164,6 @@ void bulkShiftLeft(std::span<u8> row, u32 bits);
 
 /** In-place little-endian right shift by `bits` (zero fill). */
 void bulkShiftRight(std::span<u8> row, u32 bits);
-
-/**
- * Extract bit `bit` of every value into a packed LSB-first row:
- * out[i/8] bit i%8 = (values[i] >> bit) & 1 — the per-plane
- * transpose of the bit-serial baseline's vertical layout. Writes
- * ceil(values.size() / 8) bytes of `out` (tail bits of the last
- * byte are zeroed); `bit` must be < 64.
- */
-void bitPlane(std::span<const u64> values, u32 bit, std::span<u8> out);
 
 } // namespace pluto::bulk
 

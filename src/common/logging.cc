@@ -34,9 +34,7 @@ logThreshold()
 bool
 parseLogLevel(const std::string &name, LogLevel &out)
 {
-    if (name == "info") {
-        out = LogLevel::Inform;
-    } else if (name == "warn") {
+    if (name == "warn") {
         out = LogLevel::Warn;
     } else if (name == "error" || name == "quiet") {
         out = LogLevel::Fatal;
@@ -44,29 +42,6 @@ parseLogLevel(const std::string &name, LogLevel &out)
         return false;
     }
     return true;
-}
-
-void
-setLogVerbose(bool verbose)
-{
-    g_threshold = verbose ? LogLevel::Inform : LogLevel::Warn;
-}
-
-bool
-logVerbose()
-{
-    return g_threshold <= LogLevel::Inform;
-}
-
-void
-inform(const char *fmt, ...)
-{
-    if (g_threshold > LogLevel::Inform)
-        return;
-    va_list args;
-    va_start(args, fmt);
-    vreport("info", fmt, args);
-    va_end(args);
 }
 
 void

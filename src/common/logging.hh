@@ -4,8 +4,8 @@
  *
  * panic() is for internal invariant violations (simulator bugs) and
  * aborts; fatal() is for user errors (bad configuration, invalid
- * arguments) and exits cleanly; warn()/inform() report conditions
- * without stopping the simulation.
+ * arguments) and exits cleanly; warn() reports a condition without
+ * stopping the simulation.
  */
 
 #ifndef PLUTO_COMMON_LOGGING_HH
@@ -21,16 +21,14 @@ namespace pluto
 /** Severity of a log message. */
 enum class LogLevel
 {
-    Inform,
     Warn,
     Fatal,
     Panic,
 };
 
 /**
- * Global threshold: messages below it are dropped. Inform prints
- * everything; Warn (the default) drops inform(); Fatal additionally
- * drops warn(). fatal()/panic() always print.
+ * Global threshold: messages below it are dropped. Warn (the default)
+ * prints everything; Fatal drops warn(). fatal()/panic() always print.
  */
 void setLogThreshold(LogLevel level);
 
@@ -38,22 +36,10 @@ void setLogThreshold(LogLevel level);
 LogLevel logThreshold();
 
 /**
- * Parse a --log-level value ("info", "warn", "error"/"quiet").
+ * Parse a --log-level value ("warn", "error"/"quiet").
  * @return true and set `out` on success.
  */
 bool parseLogLevel(const std::string &name, LogLevel &out);
-
-/** Back-compat toggle: verbose = Inform threshold, else Warn. */
-void setLogVerbose(bool verbose);
-
-/** @return true if inform() messages are printed. */
-bool logVerbose();
-
-/**
- * Report an informational message to stderr (suppressed unless
- * verbose logging is enabled).
- */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /** Report a warning to stderr. Never stops the simulation. */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));

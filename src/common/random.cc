@@ -51,12 +51,6 @@ Rng::gaussian()
     return u * m;
 }
 
-double
-Rng::gaussian(double mean, double stddev)
-{
-    return mean + stddev * gaussian();
-}
-
 std::vector<u8>
 Rng::bytes(u64 n)
 {

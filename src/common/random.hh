@@ -71,9 +71,6 @@ class Rng
     /** @return standard normal deviate (Box-Muller). */
     double gaussian();
 
-    /** @return normal deviate with the given mean/stddev. */
-    double gaussian(double mean, double stddev);
-
     /** Fill `n` bytes with uniform random values. */
     std::vector<u8> bytes(u64 n);
 

@@ -60,14 +60,6 @@ Subarray::writeRow(RowIndex idx, std::span<const u8> data)
 }
 
 void
-Subarray::clearRow(RowIndex idx)
-{
-    checkRow(idx);
-    auto dst = row(idx);
-    std::fill(dst.begin(), dst.end(), 0);
-}
-
-void
 Subarray::copyRow(RowIndex src, RowIndex dst)
 {
     if (src == dst)

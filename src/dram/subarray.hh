@@ -53,9 +53,6 @@ class Subarray
     /** Overwrite a row's contents (data must be rowBytes long). */
     void writeRow(RowIndex idx, std::span<const u8> data);
 
-    /** Zero a row. */
-    void clearRow(RowIndex idx);
-
     /**
      * Intra-subarray copy (RowClone-FPM semantics, Section 2.2):
      * activate src, then dst, so the row buffer's contents latch into

@@ -41,23 +41,6 @@ opcodeName(Opcode op)
     panic("bad Opcode");
 }
 
-bool
-opcodeWritesRow(Opcode op)
-{
-    switch (op) {
-      case Opcode::LutOp:
-      case Opcode::Not:
-      case Opcode::And:
-      case Opcode::Or:
-      case Opcode::Xor:
-      case Opcode::MergeOr:
-      case Opcode::Move:
-        return true;
-      default:
-        return false;
-    }
-}
-
 std::string
 Instruction::str() const
 {

@@ -55,11 +55,8 @@ enum class Opcode
     Move,
 };
 
-/** @return assembler mnemonic for `op`. */
+/** @return mnemonic for `op` (as Instruction::str prints it). */
 const char *opcodeName(Opcode op);
-
-/** @return true if the opcode writes a row register. */
-bool opcodeWritesRow(Opcode op);
 
 /** One pLUTo ISA instruction. */
 struct Instruction

@@ -5,20 +5,6 @@
 namespace pluto::core
 {
 
-const char *
-lutLoadMethodName(LutLoadMethod m)
-{
-    switch (m) {
-      case LutLoadMethod::FirstTimeGeneration:
-        return "first-time generation";
-      case LutLoadMethod::FromMemory:
-        return "from memory";
-      case LutLoadMethod::FromStorage:
-        return "from storage";
-    }
-    panic("bad LutLoadMethod");
-}
-
 TimeNs
 LutLoadModel::loadTime(LutLoadMethod m, u64 rows, u64 row_bytes) const
 {

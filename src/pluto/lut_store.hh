@@ -39,9 +39,6 @@ enum class LutLoadMethod
     FromStorage,
 };
 
-/** @return display name of a load method. */
-const char *lutLoadMethodName(LutLoadMethod m);
-
 /** Bandwidth/cost constants of the loading model (Section 8.5). */
 struct LutLoadModel
 {

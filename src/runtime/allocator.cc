@@ -64,20 +64,4 @@ RowAllocator::allocLutSubarrays(u32 count)
     return out;
 }
 
-u32
-RowAllocator::minFreeRowsPerLane() const
-{
-    u32 used = 0;
-    for (const u32 c : laneCursor_)
-        used = std::max(used, c);
-    return geom_.rowsPerSubarray - used;
-}
-
-void
-RowAllocator::reset()
-{
-    laneCursor_.assign(salp_, 0);
-    lutCursor_ = 0;
-}
-
 } // namespace pluto::runtime

@@ -44,12 +44,6 @@ class RowAllocator
     /** Allocate `count` exclusive LUT-pool subarrays. */
     std::vector<dram::SubarrayAddress> allocLutSubarrays(u32 count);
 
-    /** @return rows still free on the fullest-used lane. */
-    u32 minFreeRowsPerLane() const;
-
-    /** Release everything (fresh device state). */
-    void reset();
-
   private:
     dram::SubarrayAddress laneSubarray(u32 lane) const;
 

@@ -32,14 +32,6 @@ struct RunTask
 ScenarioRunner::ScenarioRunner(SimConfig cfg) : cfg_(std::move(cfg)) {}
 
 ScenarioReport
-ScenarioRunner::run(u32 threads, const Progress &progress) const
-{
-    RunOptions opt;
-    opt.threads = threads;
-    return run(opt, progress);
-}
-
-ScenarioReport
 ScenarioRunner::run(const RunOptions &opt,
                     const Progress &progress) const
 {

@@ -67,13 +67,6 @@ class ScenarioRunner
     const SimConfig &config() const { return cfg_; }
 
     /**
-     * Execute every run on `threads` worker threads (0 = hardware
-     * concurrency). @return the aggregated report.
-     */
-    ScenarioReport run(u32 threads = 0,
-                       const Progress &progress = nullptr) const;
-
-    /**
      * Execute this process's shard of the scenario under `opt`
      * (which must validate()). @return the aggregated report of the
      * executed shard.

@@ -143,6 +143,15 @@ TEST(MulEfficiency, EnergyGrowsMonotonicallyWithWidth)
     }
 }
 
+TEST(MulEfficiency, SimdramEnergyQuadraticInWidth)
+{
+    // Section 8.6: bit-serial multiplication incurs a quadratic
+    // number of DRAM activations in the bit width.
+    EXPECT_DOUBLE_EQ(simdramMulEnergyPerOp(8, timing, geom) /
+                         simdramMulEnergyPerOp(4, timing, geom),
+                     4.0);
+}
+
 TEST(MulEfficiency, OpsPerJouleInverse)
 {
     EXPECT_DOUBLE_EQ(opsPerJoule(1e12), 1.0);

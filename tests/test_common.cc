@@ -233,30 +233,6 @@ TEST_P(BulkKernelWidths, MatchSelectMatchesScalar)
     }
 }
 
-TEST_P(BulkKernelWidths, BitPlaneMatchesScalarTranspose)
-{
-    // bitPlane feeds the bit-serial baseline's transpose; compare
-    // against direct per-bit extraction at ragged counts.
-    Rng rng(this->width() * 29 + 6);
-    for (const u64 n : counts()) {
-        std::vector<u64> values(n);
-        for (auto &v : values)
-            v = rng.next();
-        std::vector<u8> out((n + 7) / 8, 0xa5);
-        for (const u32 bit : {0u, 1u, 31u, 63u}) {
-            bulk::bitPlane(values, bit, out);
-            for (u64 i = 0; i < n; ++i)
-                EXPECT_EQ((out[i / 8] >> (i % 8)) & 1,
-                          (values[i] >> bit) & 1)
-                    << "n " << n << " bit " << bit << " slot " << i;
-            if (n % 8) {
-                EXPECT_EQ(out[n / 8] >> (n % 8), 0)
-                    << "tail bits must be zeroed";
-            }
-        }
-    }
-}
-
 INSTANTIATE_TEST_SUITE_P(
     AllWidthsAllTiers, BulkKernelWidths,
     ::testing::Combine(::testing::Values(1, 2, 4, 8, 16, 32),
@@ -400,7 +376,7 @@ TEST(ScratchArena, GrowOnlyAndStable)
     EXPECT_EQ(b.data(), a.data());
     EXPECT_EQ(b[0], 0xcd); // contents persist (callers overwrite)
     // Slots are independent.
-    auto c = arena.bytes(ScratchArena::BitPlane, 8);
+    auto c = arena.bytes(ScratchArena::SweepLutRow, 8);
     EXPECT_NE(c.data(), a.data());
 }
 

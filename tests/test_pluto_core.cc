@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the pLUTo core: designs, LUTs, the Table 1 analysis
- * formulas, match logic, LUT store, and the query engine — including
+ * formulas, LUT store, and the query engine — including
  * the cross-check between the fast functional path and the
  * microarchitectural sweep emulation, and GSA's destructive reads.
  */
@@ -11,7 +11,6 @@
 #include "common/bitvec.hh"
 #include "common/random.hh"
 #include "pluto/analysis.hh"
-#include "pluto/match_logic.hh"
 #include "pluto/query_engine.hh"
 
 namespace pluto::core
@@ -125,17 +124,6 @@ TEST(Analysis, ThroughputScalesInverselyWithLutSize)
     const double t256 =
         queryThroughputPerSec(Design::Bsa, t, g, 8, 256);
     EXPECT_NEAR(t16 / t256, 16.0, 0.01);
-}
-
-TEST(MatchLogic, ExactMatchesOnly)
-{
-    MatchLogic m(4);
-    const auto row = packElements({1, 0, 1, 3, 2, 1}, 4);
-    const auto hits = m.matches(row, 1);
-    EXPECT_EQ(hits, (std::vector<bool>{true, false, true, false, false,
-                                       true}));
-    EXPECT_EQ(m.matchCount(row, 1), 3u);
-    EXPECT_EQ(m.matchCount(row, 7), 0u);
 }
 
 class EngineTest : public ::testing::TestWithParam<Design>

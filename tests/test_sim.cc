@@ -491,11 +491,19 @@ elements = 65536
     return *cfg;
 }
 
+RunOptions
+onThreads(u32 threads)
+{
+    RunOptions opt;
+    opt.threads = threads;
+    return opt;
+}
+
 TEST(ScenarioRunner, DeterministicAcrossRepeatsAndThreads)
 {
     const ScenarioRunner runner(smallScenario());
-    const auto serial = runner.run(1);
-    const auto parallel = runner.run(4);
+    const auto serial = runner.run(onThreads(1));
+    const auto parallel = runner.run(onThreads(4));
 
     ASSERT_EQ(serial.runs.size(), 6u);
     ASSERT_EQ(parallel.runs.size(), serial.runs.size());
@@ -531,7 +539,7 @@ TEST(ScenarioRunner, DeterministicAcrossRepeatsAndThreads)
 TEST(MetricsSink, CsvSchema)
 {
     const auto cfg = smallScenario();
-    const auto report = ScenarioRunner(cfg).run(1);
+    const auto report = ScenarioRunner(cfg).run(onThreads(1));
     const std::string csv = MetricsSink::renderCsv(cfg, report);
 
     std::istringstream in(csv);
@@ -559,7 +567,7 @@ TEST(MetricsSink, CsvSchema)
 TEST(MetricsSink, JsonSchemaAndFiles)
 {
     auto cfg = smallScenario();
-    const auto report = ScenarioRunner(cfg).run(1);
+    const auto report = ScenarioRunner(cfg).run(onThreads(1));
 
     const std::string json = MetricsSink::renderJson(cfg, report);
     for (const char *key :

@@ -312,7 +312,9 @@ sweep seed = 0, 3
 )",
                                       err);
     ASSERT_TRUE(cfg) << err;
-    const auto report = ScenarioRunner(*cfg).run(1);
+    RunOptions opt;
+    opt.threads = 1;
+    const auto report = ScenarioRunner(*cfg).run(opt);
     ASSERT_EQ(report.runs.size(), 2u);
     EXPECT_TRUE(report.allVerified());
     EXPECT_EQ(report.runs[0].seed, 0u);
