@@ -35,12 +35,29 @@ msSince(const std::chrono::steady_clock::time_point &t0)
         .count();
 }
 
+namespace
+{
+
+u32
+threadBudget(u32 threads)
+{
+    return threads ? threads
+                   : std::max(1u, std::thread::hardware_concurrency());
+}
+
+} // namespace
+
 u32
 resolveThreads(std::size_t count, u32 threads)
 {
-    if (threads == 0)
-        threads = std::max(1u, std::thread::hardware_concurrency());
-    return std::min<u32>(threads, std::max<std::size_t>(count, 1));
+    return std::min<u32>(threadBudget(threads),
+                         std::max<std::size_t>(count, 1));
+}
+
+u32
+spareThreads(std::size_t count, u32 threads)
+{
+    return threadBudget(threads) - resolveThreads(count, threads);
 }
 
 void

@@ -92,6 +92,11 @@ double msSince(const std::chrono::steady_clock::time_point &t0);
 /** Effective worker count forEachTask will use for `count` tasks. */
 u32 resolveThreads(std::size_t count, u32 threads);
 
+/** Threads of the `threads` budget (0 = hardware concurrency) left
+ *  over when forEachTask runs `count` tasks: a cell may borrow them
+ *  to pipeline its own work. */
+u32 spareThreads(std::size_t count, u32 threads);
+
 /**
  * Execute `count` indexed tasks across `threads` worker threads
  * (0 = hardware concurrency, clamped to the task count) pulling

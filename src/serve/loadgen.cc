@@ -8,6 +8,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <system_error>
 
 #include "common/logging.hh"
 #include "workloads/workload.hh"
@@ -39,9 +40,10 @@ buildMix(const sim::SimConfig &cfg, const runtime::DeviceConfig &dev)
 }
 
 LoadGen::LoadGen(const sim::ServiceSpec &spec,
-                 const std::vector<RequestClass> &mix)
-    : spec_(spec), mix_(mix), rng_(spec.seed),
-      durationNs_(spec.durationMs * 1e6)
+                 const std::vector<RequestClass> &mix,
+                 ArrivalDriver driver)
+    : spec_(spec), mix_(mix), durationNs_(spec.durationMs * 1e6),
+      rng_(spec.seed)
 {
     PLUTO_ASSERT(!mix_.empty());
     double acc = 0.0;
@@ -70,15 +72,40 @@ LoadGen::LoadGen(const sim::ServiceSpec &spec,
         // Each client issues its first request after one think draw,
         // staggering the initial wave the way think time staggers
         // steady state.
-        openDone_ = true;
         for (u32 i = 0; i < spec_.clients; ++i) {
             const TimeNs at = drawThink();
             if (at <= durationNs_)
                 push(at);
         }
-    } else {
-        refill(0.0);
+        return;
     }
+    takeBlock();
+    // A producer pays for its start-up only on a schedule longer
+    // than one block.
+    if (driver == ArrivalDriver::Thread && end_ - cur_ == kBlock) {
+        for (auto &slot : ring_)
+            if (!slot)
+                slot = std::make_unique<Block>();
+        published_.store(1, std::memory_order_relaxed);
+        try {
+            producer_ = std::thread(&LoadGen::produce, this);
+        } catch (const std::system_error &) {
+            // No thread to spare after all: the inline fill draws
+            // the same schedule.
+        }
+    }
+}
+
+LoadGen::~LoadGen()
+{
+    if (!producer_.joinable())
+        return;
+    // Changing released_ wakes a producer blocked on a full ring; it
+    // sees stop_ before it draws another block.
+    stop_.store(true);
+    released_.fetch_add(1);
+    released_.notify_one();
+    producer_.join();
 }
 
 TimeNs
@@ -86,8 +113,7 @@ LoadGen::nextArrivalAt() const
 {
     if (!hasPending())
         return std::numeric_limits<double>::infinity();
-    return spec_.closedLoop ? pending_.top().arriveNs
-                            : fifo_[head_].arriveNs;
+    return spec_.closedLoop ? pending_.top().arriveNs : cur_->arriveNs;
 }
 
 u32
@@ -120,16 +146,7 @@ LoadGen::push(TimeNs at)
     r.cls = drawClass();
     r.tenant = mix_[r.cls].tenant;
     r.arriveNs = at;
-    if (spec_.closedLoop) {
-        pending_.push(r);
-        return;
-    }
-    if (head_ >= 64 && 2 * head_ >= fifo_.size()) {
-        fifo_.erase(fifo_.begin(),
-                    fifo_.begin() + static_cast<std::ptrdiff_t>(head_));
-        head_ = 0;
-    }
-    fifo_.push_back(r);
+    pending_.push(r);
 }
 
 TimeNs
@@ -143,24 +160,73 @@ LoadGen::drawThink()
     return -std::log1p(-rng_.uniform()) * mean;
 }
 
-void
-LoadGen::refill(TimeNs until)
+LoadGen::Block &
+LoadGen::fill(u32 n)
 {
-    // Keep at least one arrival beyond `until` pending so
-    // nextArrivalAt() always reflects the true next event.
-    while (!openDone_ && (!hasPending() || frontier_ <= until)) {
+    std::unique_ptr<Block> &slot = ring_[n % kBlocks];
+    if (!slot)
+        slot = std::make_unique<Block>();
+    Block &b = *slot;
+    // Per request the gap draw comes first, then the class draw:
+    // every schedule is a pure function of that order.
+    u32 count = 0;
+    while (count < kBlock) {
         const TimeNs gap =
             spec_.uniformArrivals
                 ? 1e9 / spec_.ratePerSec
                 : -std::log1p(-rng_.uniform()) * 1e9 /
                       spec_.ratePerSec;
         frontier_ += gap;
-        if (frontier_ > durationNs_) {
-            openDone_ = true;
-            return;
-        }
-        push(frontier_);
+        if (frontier_ > durationNs_)
+            break;
+        Request &r = b.reqs[count++];
+        r.id = nextId_++;
+        r.cls = drawClass();
+        r.tenant = mix_[r.cls].tenant;
+        r.arriveNs = frontier_;
     }
+    b.count = count;
+    return b;
+}
+
+void
+LoadGen::produce() noexcept
+{
+    // Cannot throw: every slot is allocated, and drawing allocates
+    // nothing.
+    for (u32 n = published_.load(std::memory_order_relaxed);
+         !stop_.load(); ++n) {
+        u32 released = released_.load(std::memory_order_acquire);
+        while (n - released == kBlocks) {
+            released_.wait(released, std::memory_order_acquire);
+            if (stop_.load())
+                return;
+            released = released_.load(std::memory_order_acquire);
+        }
+        const Block &b = fill(n);
+        published_.store(n + 1, std::memory_order_release);
+        published_.notify_one();
+        if (b.count < kBlock)
+            return;
+    }
+}
+
+void
+LoadGen::takeBlock()
+{
+    const u32 head = released_.load(std::memory_order_relaxed);
+    if (producer_.joinable()) {
+        u32 published = published_.load(std::memory_order_acquire);
+        while (published == head) {
+            published_.wait(published, std::memory_order_acquire);
+            published = published_.load(std::memory_order_acquire);
+        }
+    } else {
+        fill(head);
+    }
+    const Block &b = *ring_[head % kBlocks];
+    cur_ = b.reqs.data();
+    end_ = cur_ + b.count;
 }
 
 bool
@@ -173,11 +239,23 @@ LoadGen::poll(TimeNs until, Request &out)
         pending_.pop();
         return true;
     }
-    refill(until);
-    if (head_ == fifo_.size() || fifo_[head_].arriveNs > until)
+    if (cur_ == end_ || cur_->arriveNs > until)
         return false;
-    out = fifo_[head_++];
+    out = *cur_++;
+    if (cur_ == end_)
+        nextBlock();
     return true;
+}
+
+void
+LoadGen::nextBlock()
+{
+    const u32 head = released_.load(std::memory_order_relaxed);
+    if (ring_[head % kBlocks]->count < kBlock)
+        return; // the schedule's last block: nothing is pending
+    released_.store(head + 1, std::memory_order_release);
+    released_.notify_one();
+    takeBlock();
 }
 
 void

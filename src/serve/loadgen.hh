@@ -21,9 +21,16 @@
  * function of (ServiceSpec, mix).
  *
  * Pending arrivals wait in (time, id) order. Open-loop arrivals are
- * drawn in that order (`frontier_ += gap` only grows, ids count up),
- * so they queue in a FIFO; closed-loop clients complete out of
- * order, so their next arrivals go through a heap.
+ * drawn in that order (`frontier_ += gap` only grows, ids count up)
+ * into a fixed single-producer/single-consumer ring of request
+ * blocks; closed-loop clients complete out of order, so their next
+ * arrivals go through a heap.
+ *
+ * The open-loop ring has one code path and two drivers (see
+ * ArrivalDriver): a producer thread that draws up to kBlocks blocks
+ * ahead of the consumer, or the consumer itself, which fills the
+ * next block inline when the ring runs dry. Both draw the same
+ * sequence, so the driver never changes a result.
  *
  * With `tenant_skew` s > 0 the class draw goes through a Zipf(s)
  * tenant draw first: the mix's distinct tenant ids are ranked
@@ -35,8 +42,12 @@
 #ifndef PLUTO_SERVE_LOADGEN_HH
 #define PLUTO_SERVE_LOADGEN_HH
 
+#include <array>
+#include <atomic>
+#include <memory>
 #include <optional>
 #include <queue>
+#include <thread>
 #include <vector>
 
 #include "common/random.hh"
@@ -84,12 +95,39 @@ struct Request
 std::vector<RequestClass> buildMix(const sim::SimConfig &cfg,
                                    const runtime::DeviceConfig &dev);
 
+/** Who draws the open-loop arrival schedule (closed loop always
+ *  draws on the consuming thread: its arrivals follow completions). */
+enum class ArrivalDriver : u8
+{
+    /** The consuming thread fills the next block when the ring is
+     *  empty. */
+    Inline,
+    /** A producer thread fills blocks ahead of the consumer. The
+     *  consumer still draws block 0, and a schedule that ends within
+     *  it starts no thread. */
+    Thread,
+};
+
 /** Deterministic arrival source for one serving simulation. */
 class LoadGen
 {
   public:
+    /** Requests per ring block. */
+    static constexpr u32 kBlock = 1024;
+    /** Blocks in the open-loop ring. */
+    static constexpr u32 kBlocks = 8;
+
     LoadGen(const sim::ServiceSpec &spec,
-            const std::vector<RequestClass> &mix);
+            const std::vector<RequestClass> &mix,
+            ArrivalDriver driver = ArrivalDriver::Inline);
+
+    /** Stops and joins the producer thread, even when it is blocked
+     *  on a full ring. */
+    ~LoadGen();
+
+    // The producer thread holds `this`.
+    LoadGen(const LoadGen &) = delete;
+    LoadGen &operator=(const LoadGen &) = delete;
 
     /** @return earliest pending arrival time; +inf when none. */
     TimeNs nextArrivalAt() const;
@@ -97,16 +135,15 @@ class LoadGen
     /** @return true when at least one arrival is pending. */
     bool hasPending() const
     {
-        return spec_.closedLoop ? !pending_.empty()
-                                : head_ < fifo_.size();
+        return spec_.closedLoop ? !pending_.empty() : cur_ != end_;
     }
 
     /**
      * Streaming arrival pop: write the earliest pending arrival with
      * time <= `until` to `out` and return true, or return false when
      * none is due. Repeated calls walk the schedule in (time, id)
-     * order; open-loop generation refills lazily. Allocation-free on
-     * the steady path — a drained tick is a single comparison.
+     * order. Allocation-free — a drained tick is a single
+     * comparison, and the threads synchronize once per block.
      */
     bool poll(TimeNs until, Request &out);
 
@@ -117,18 +154,37 @@ class LoadGen
      */
     void onComplete(const Request &r, TimeNs finishNs);
 
-    /** @return requests issued so far. */
-    u64 issued() const { return nextId_; }
-
   private:
+    /** One ring slot: `count` requests; a short block (count <
+     *  kBlock, possibly 0) is the last of the schedule. */
+    struct Block
+    {
+        std::array<Request, kBlock> reqs;
+        u32 count = 0;
+    };
+
     /** Draw the next class index from the mix weights. */
     u32 drawClass();
 
-    /** Schedule one request at `at`. */
+    /** Closed loop: schedule one request at `at`. */
     void push(TimeNs at);
 
-    /** Open loop: extend the schedule up to (and one past) `until`. */
-    void refill(TimeNs until);
+    /** Open loop: draw block `n` of the schedule into its slot.
+     *  @return the slot. */
+    Block &fill(u32 n);
+
+    /** Producer-thread body: fill and publish blocks until the
+     *  schedule ends or the destructor stops it. */
+    void produce() noexcept;
+
+    /** Consumer: point cur_/end_ at block `released_`, drawing it
+     *  first (inline) or waiting until it is published (thread). */
+    void takeBlock();
+
+    /** Consumer, head block read to its end: release it and take
+     *  the next, unless it was the schedule's last. Keeping the next
+     *  arrival in view keeps nextArrivalAt() exact. */
+    void nextBlock();
 
     /** One think-time draw, ns. */
     TimeNs drawThink();
@@ -153,18 +209,37 @@ class LoadGen
     std::vector<TenantClasses> tenants_;
     /** Tenant-rank sampler; engaged iff tenant_skew > 0. */
     std::optional<ZipfSampler> zipf_;
-    Rng rng_;
     TimeNs durationNs_ = 0.0;
-    /** Open loop: next undrawn arrival instant. */
+    /** Open loop: the ring. Block n lives in slot n % kBlocks,
+     *  allocated when a producer starts or by the first inline fill
+     *  that needs it; the producer (or
+     *  the inline fill) writes only blocks in [released_, released_
+     *  + kBlocks), the consumer reads only block released_ once it
+     *  is below published_. */
+    std::array<std::unique_ptr<Block>, kBlocks> ring_;
+
+    // The draw state, the two counters and the consumer's view each
+    // get their own cache line: with a producer thread, the draw
+    // state is rewritten once per request on one core while the
+    // consumer reads its view once per request on another.
+
+    /** Cache-line size the groups below are aligned to. */
+    static constexpr std::size_t kLine = 64;
+    alignas(kLine) Rng rng_;
+    /** Open loop: last drawn arrival instant. */
     TimeNs frontier_ = 0.0;
-    bool openDone_ = false;
     u64 nextId_ = 0;
 
-    /** Open loop: pending arrivals, [head_, size) of fifo_. The
-     *  consumed prefix is dropped once it is the larger half, so the
-     *  buffer stays as short as the lookahead. */
-    std::vector<Request> fifo_;
-    std::size_t head_ = 0;
+    /** Blocks published to the producer thread's consumer (counts
+     *  up; the constructor publishes block 0 before starting it). */
+    alignas(kLine) std::atomic<u32> published_{0};
+    /** Blocks the consumer is done with (counts up). */
+    alignas(kLine) std::atomic<u32> released_{0};
+    /** Set by the destructor; the producer exits at its next check. */
+    std::atomic<bool> stop_{false};
+    /** Consumer's unread part of the head block. */
+    alignas(kLine) const Request *cur_ = nullptr;
+    const Request *end_ = nullptr;
 
     /** Closed loop: pending arrivals, earliest (time, id) on top. */
     struct Later
@@ -177,6 +252,11 @@ class LoadGen
         }
     };
     std::priority_queue<Request, std::vector<Request>, Later> pending_;
+
+    /** Open loop with ArrivalDriver::Thread, once block 0 came out
+     *  full: the producer. Declared last, so it starts after and
+     *  stops before everything it uses. */
+    std::thread producer_;
 };
 
 } // namespace pluto::serve

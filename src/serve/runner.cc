@@ -5,6 +5,7 @@
 
 #include "serve/runner.hh"
 
+#include <atomic>
 #include <mutex>
 #include <vector>
 
@@ -24,6 +25,39 @@ struct CellTask
 {
     u32 device = 0;
     u32 service = 0;
+};
+
+/**
+ * The campaign's spare threads as tokens: an open-loop cell that
+ * takes one draws its arrivals on a producer thread, and returns the
+ * token when it ends (also by exception).
+ */
+class SpareThread
+{
+  public:
+    SpareThread(std::atomic<u32> &free, bool wanted) : free_(free)
+    {
+        u32 n = wanted ? free_.load() : 0;
+        while (n > 0 && !free_.compare_exchange_weak(n, n - 1)) {
+        }
+        held_ = n > 0;
+    }
+    ~SpareThread()
+    {
+        if (held_)
+            free_.fetch_add(1);
+    }
+    SpareThread(const SpareThread &) = delete;
+    SpareThread &operator=(const SpareThread &) = delete;
+
+    ArrivalDriver arrivals() const
+    {
+        return held_ ? ArrivalDriver::Thread : ArrivalDriver::Inline;
+    }
+
+  private:
+    std::atomic<u32> &free_;
+    bool held_ = false;
 };
 
 } // namespace
@@ -51,6 +85,15 @@ ServiceRunner::run(const campaign::RunOptions &opt,
     for (u32 d = 0; d < cfg_.devices.size(); ++d)
         for (u32 s = 0; s < cfg_.services.size(); ++s)
             tasks.push_back({d, s});
+
+    // Threads the --threads budget leaves beyond one per cell running
+    // at once go to cells as arrival producers. (runCampaign rejects
+    // invalid options before any cell runs.)
+    std::size_t mine = 0;
+    if (opt.validate().empty())
+        for (std::size_t g = 0; g < tasks.size(); ++g)
+            mine += opt.inShard(g);
+    std::atomic<u32> spare{campaign::spareThreads(mine, opt.threads)};
 
     // The request mix and its calibration depend only on the variant
     // config, so every service cell of one variant shares them.
@@ -91,9 +134,10 @@ ServiceRunner::run(const campaign::RunOptions &opt,
             if (auto *sh = obs::shard())
                 sh->inc("serve/calibrations");
         });
-        const ServeSimulator simulator(ds, cfg_.services[t.service],
-                                       v.mix);
-        rec.out = simulator.run(&v.cal);
+        const sim::ServiceSpec &svc = cfg_.services[t.service];
+        const ServeSimulator simulator(ds, svc, v.mix);
+        const SpareThread producer(spare, !svc.closedLoop);
+        rec.out = simulator.run(&v.cal, nullptr, producer.arrivals());
     };
     return campaign::runCampaign<ServiceCache>(tasks, opt, cfg_.name,
                                                cell, progress);

@@ -143,7 +143,8 @@ ServeSimulator::calibrateAll(const runtime::DeviceConfig &cfg,
 }
 
 ServiceOutcome
-ServeSimulator::run(const Calibration *cal, BatchMemo *extMemo) const
+ServeSimulator::run(const Calibration *cal, BatchMemo *extMemo,
+                    ArrivalDriver arrivals) const
 {
     // ---- Calibration: demand model per class, wave law once ----
     Calibration local;
@@ -214,7 +215,7 @@ ServeSimulator::run(const Calibration *cal, BatchMemo *extMemo) const
     const u32 gang = std::max(1u, salp / lanes);
 
     const auto policy = BatchPolicy::make(spec_);
-    LoadGen gen(spec_, mix_);
+    LoadGen gen(spec_, mix_, arrivals);
     ServiceMetrics metrics(MetricsConfig::from(spec_, mix_));
 
     // Request queues live in one chunked pool on the worker's
@@ -558,7 +559,8 @@ ServeSimulator::run(const Calibration *cal, BatchMemo *extMemo) const
         //    equivalence sketch in the file comment).
         if (!mayArriveNow(drain))
             markWaiting();
-        std::sort(dirty.begin(), dirty.end());
+        if (dirty.size() > 1)
+            std::sort(dirty.begin(), dirty.end());
         for (const u32 idx : dirty) {
             inDirty[idx] = 0;
             PoolSlot &d = pool[idx];

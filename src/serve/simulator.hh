@@ -113,9 +113,12 @@ class ServeSimulator
      * bundle mismatch. Outcomes are bit-identical across all three.
      * `memo` optionally injects a shared signature table (tests);
      * it must come from an identical (variant, spec, mix) cell.
+     * `arrivals` picks who draws the open-loop schedule (see
+     * LoadGen); it never changes the outcome.
      */
-    ServiceOutcome run(const Calibration *cal = nullptr,
-                       BatchMemo *memo = nullptr) const;
+    ServiceOutcome
+    run(const Calibration *cal = nullptr, BatchMemo *memo = nullptr,
+        ArrivalDriver arrivals = ArrivalDriver::Inline) const;
 
     /** Calibrate every class of a mix on one configuration. */
     static Calibration

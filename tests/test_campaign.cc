@@ -66,6 +66,8 @@ TEST(ForEachTask, MoreThreadsThanTasksCoversEveryIndexOnce)
     // 64 requested workers, 5 tasks: the pool clamps to the task
     // count and still runs every index exactly once.
     EXPECT_EQ(resolveThreads(5, 64), 5u);
+    EXPECT_EQ(spareThreads(5, 64), 59u);
+    EXPECT_EQ(spareThreads(64, 5), 0u);
     std::vector<std::atomic<u32>> ran(5);
     forEachTask(5, 64, [&](std::size_t i, u32 w) {
         EXPECT_LT(w, 5u);

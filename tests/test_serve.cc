@@ -18,12 +18,17 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <limits>
 #include <map>
+#include <memory>
+#include <optional>
+#include <thread>
 
 #include "golden.hh"
 
@@ -233,6 +238,144 @@ TEST(LoadGen, PollIsAnIncrementalTake)
         EXPECT_EQ(all[i].id, steps[i].id);
         EXPECT_DOUBLE_EQ(all[i].arriveNs, steps[i].arriveNs);
         EXPECT_EQ(all[i].cls, steps[i].cls);
+    }
+}
+
+/**
+ * The open-loop schedule by the plain rule, independent of LoadGen's
+ * ring: per request a gap draw, then the class draw (a Zipf tenant
+ * rank first when tenant_skew > 0, tenants ranked by ascending id),
+ * for the first `n` requests regardless of the duration.
+ */
+std::vector<Request>
+referenceArrivals(const sim::ServiceSpec &svc,
+                  const std::vector<RequestClass> &mix, std::size_t n)
+{
+    const auto weighted = [](Rng &rng, const std::vector<u32> &classes,
+                             const std::vector<RequestClass> &m) {
+        double total = 0.0;
+        for (const u32 c : classes)
+            total += m[c].weight;
+        const double x = rng.uniform() * total;
+        double acc = 0.0;
+        for (const u32 c : classes) {
+            acc += m[c].weight;
+            if (x < acc)
+                return c;
+        }
+        return classes.back();
+    };
+    std::map<u32, std::vector<u32>> byTenant;
+    std::vector<u32> all;
+    for (u32 i = 0; i < mix.size(); ++i) {
+        byTenant[mix[i].tenant].push_back(i);
+        all.push_back(i);
+    }
+    std::vector<std::vector<u32>> ranked;
+    for (const auto &[tenant, classes] : byTenant)
+        ranked.push_back(classes);
+    std::optional<ZipfSampler> zipf;
+    if (svc.tenantSkew > 0.0)
+        zipf.emplace(ranked.size(), svc.tenantSkew);
+
+    Rng rng(svc.seed);
+    std::vector<Request> out;
+    TimeNs t = 0.0;
+    for (u64 id = 0; id < n; ++id) {
+        t += svc.uniformArrivals
+                 ? 1e9 / svc.ratePerSec
+                 : -std::log1p(-rng.uniform()) * 1e9 / svc.ratePerSec;
+        Request r;
+        r.id = id;
+        if (zipf) {
+            const auto &classes = ranked[zipf->sample(rng) - 1];
+            r.cls = classes.size() == 1 ? classes.front()
+                                        : weighted(rng, classes, mix);
+        } else {
+            r.cls = weighted(rng, all, mix);
+        }
+        r.tenant = mix[r.cls].tenant;
+        r.arriveNs = t;
+        out.push_back(r);
+    }
+    return out;
+}
+
+TEST(LoadGen, ProducerAndInlineStreamsMatchTheReference)
+{
+    // Both arrival drivers must walk the plain rule's schedule bit
+    // for bit across ring-block boundaries: the window is cut between
+    // two reference arrivals so exactly n requests fall inside it.
+    constexpr std::size_t kB = LoadGen::kBlock;
+    auto mix = twoClassMix();
+    RequestClass extra = mix[1]; // a second class on tenant 0
+    extra.tenant = 0;
+    extra.weight = 2.0;
+    mix.push_back(extra);
+    const auto bits = [](TimeNs t) {
+        u64 b = 0;
+        std::memcpy(&b, &t, sizeof b);
+        return b;
+    };
+    for (const bool uniform : {false, true})
+        for (const double skew : {0.0, 2.0})
+            for (const std::size_t n :
+                 {std::size_t{0}, std::size_t{1}, kB - 1, kB, kB + 1,
+                  3 * kB + 5, LoadGen::kBlocks * kB * 2 + 7}) {
+                SCOPED_TRACE(std::string(uniform ? "uniform" : "poisson") +
+                             " skew=" + std::to_string(skew) +
+                             " n=" + std::to_string(n));
+                sim::ServiceSpec svc;
+                svc.uniformArrivals = uniform;
+                svc.ratePerSec = 1e6;
+                svc.seed = 7;
+                svc.tenantSkew = skew;
+                const auto ref = referenceArrivals(svc, mix, n + 1);
+                const TimeNs lo = n ? ref[n - 1].arriveNs : 0.0;
+                svc.durationMs = (lo + ref[n].arriveNs) / 2 * 1e-6;
+                for (const auto driver :
+                     {ArrivalDriver::Inline, ArrivalDriver::Thread}) {
+                    LoadGen gen(svc, mix, driver);
+                    // Let a producer fill the ring and block on it
+                    // before the first read.
+                    if (driver == ArrivalDriver::Thread)
+                        std::this_thread::sleep_for(
+                            std::chrono::milliseconds(5));
+                    const auto got = drainAll(gen);
+                    ASSERT_EQ(got.size(), n);
+                    for (std::size_t i = 0; i < n; ++i) {
+                        ASSERT_EQ(got[i].id, ref[i].id) << i;
+                        ASSERT_EQ(got[i].cls, ref[i].cls) << i;
+                        ASSERT_EQ(got[i].tenant, ref[i].tenant) << i;
+                        ASSERT_EQ(bits(got[i].arriveNs),
+                                  bits(ref[i].arriveNs))
+                            << i;
+                    }
+                    EXPECT_FALSE(gen.hasPending());
+                    EXPECT_EQ(gen.nextArrivalAt(),
+                              std::numeric_limits<double>::infinity());
+                }
+            }
+}
+
+TEST(LoadGen, DestroyingABlockedProducerReturnsPromptly)
+{
+    // A schedule far too long to draw: destruction must stop the
+    // producer, whether it is mid-fill or blocked on a full ring.
+    sim::ServiceSpec svc;
+    svc.ratePerSec = 1e9;
+    svc.durationMs = 1e9;
+    for (const int settleMs : {0, 50}) {
+        auto gen = std::make_unique<LoadGen>(svc, twoClassMix(),
+                                             ArrivalDriver::Thread);
+        Request r;
+        ASSERT_TRUE(gen->poll(1e12, r));
+        // The producer fills the remaining ring within microseconds.
+        std::this_thread::sleep_for(std::chrono::milliseconds(settleMs));
+        const auto t0 = std::chrono::steady_clock::now();
+        gen.reset();
+        EXPECT_LT(std::chrono::steady_clock::now() - t0,
+                  std::chrono::seconds(2));
     }
 }
 
@@ -854,6 +997,23 @@ TEST(ServeSimulator, RerunsAreBitIdentical)
     ASSERT_GT(a.requests, 0u);
     EXPECT_TRUE(a.verified);
     expectSameOutcome(a, b);
+}
+
+TEST(ServeSimulator, ProducerThreadKeepsTheOutcome)
+{
+    // A fleet-shape cell on a 2.5 ms window (~22k requests, ~21 ring
+    // blocks) gives the same outcome whichever thread draws arrivals.
+    const auto variant = goldenVariants().front();
+    auto svc = fleetService(256);
+    svc.durationMs = 2.5;
+    const auto mix = fleetMix();
+    const auto cal = ServeSimulator::calibrateAll(variant.config, mix);
+    const ServeSimulator sim(variant, svc, mix);
+    const auto inl = sim.run(&cal, nullptr, ArrivalDriver::Inline);
+    const auto thr = sim.run(&cal, nullptr, ArrivalDriver::Thread);
+    ASSERT_GT(inl.requests, 20000u);
+    expectSameOutcome(inl, thr);
+    EXPECT_EQ(outcomeDigest(inl), outcomeDigest(thr));
 }
 
 TEST(ServeSimulator, SkewedTenantsStayDeterministic)
