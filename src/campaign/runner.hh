@@ -149,6 +149,10 @@ struct CellFns
     std::function<std::string(const Task &)> key;
     /** Compute `rec.out` fresh, on the worker's scratch arena. */
     std::function<void(const Task &, Record &, ScratchArena &)> compute;
+    /** Optional: told once, before any cell runs, how many threads
+     *  of the `--threads` budget this shard's cells leave idle
+     *  (spareThreads); the mode may lend them to its cells. */
+    std::function<void(u32)> spare;
 };
 
 /**
@@ -204,6 +208,8 @@ runCampaign(const std::vector<Task> &tasks, const RunOptions &opt,
 
     std::vector<ScratchArena> arenas(
         resolveThreads(count, opt.threads));
+    if (cell.spare)
+        cell.spare(spareThreads(count, opt.threads));
 
     forEachTask(count, opt.threads, [&](std::size_t i, u32 worker) {
         const Task &task = *mine[i];

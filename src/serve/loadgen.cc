@@ -79,13 +79,13 @@ LoadGen::LoadGen(const sim::ServiceSpec &spec,
         }
         return;
     }
+    ring_[0] = std::make_unique<Block>();
     takeBlock();
     // A producer pays for its start-up only on a schedule longer
     // than one block.
     if (driver == ArrivalDriver::Thread && end_ - cur_ == kBlock) {
-        for (auto &slot : ring_)
-            if (!slot)
-                slot = std::make_unique<Block>();
+        for (u32 i = 1; i < kBlocks; ++i)
+            ring_[i] = std::make_unique<Block>();
         published_.store(1, std::memory_order_relaxed);
         try {
             producer_ = std::thread(&LoadGen::produce, this);
@@ -160,13 +160,9 @@ LoadGen::drawThink()
     return -std::log1p(-rng_.uniform()) * mean;
 }
 
-LoadGen::Block &
-LoadGen::fill(u32 n)
+void
+LoadGen::fill(Block &b)
 {
-    std::unique_ptr<Block> &slot = ring_[n % kBlocks];
-    if (!slot)
-        slot = std::make_unique<Block>();
-    Block &b = *slot;
     // Per request the gap draw comes first, then the class draw:
     // every schedule is a pure function of that order.
     u32 count = 0;
@@ -186,7 +182,6 @@ LoadGen::fill(u32 n)
         r.arriveNs = frontier_;
     }
     b.count = count;
-    return b;
 }
 
 void
@@ -203,12 +198,21 @@ LoadGen::produce() noexcept
                 return;
             released = released_.load(std::memory_order_acquire);
         }
-        const Block &b = fill(n);
+        Block &b = *ring_[n % kBlocks];
+        fill(b);
         published_.store(n + 1, std::memory_order_release);
         published_.notify_one();
         if (b.count < kBlock)
             return;
     }
+}
+
+LoadGen::Block &
+LoadGen::slot(u32 n)
+{
+    // Inline, the consumer is done with every earlier block when it
+    // draws the next, so one slot serves them all.
+    return *ring_[producer_.joinable() ? n % kBlocks : 0];
 }
 
 void
@@ -222,9 +226,9 @@ LoadGen::takeBlock()
             published = published_.load(std::memory_order_acquire);
         }
     } else {
-        fill(head);
+        fill(slot(head));
     }
-    const Block &b = *ring_[head % kBlocks];
+    const Block &b = slot(head);
     cur_ = b.reqs.data();
     end_ = cur_ + b.count;
 }
@@ -251,7 +255,7 @@ void
 LoadGen::nextBlock()
 {
     const u32 head = released_.load(std::memory_order_relaxed);
-    if (ring_[head % kBlocks]->count < kBlock)
+    if (slot(head).count < kBlock)
         return; // the schedule's last block: nothing is pending
     released_.store(head + 1, std::memory_order_release);
     released_.notify_one();

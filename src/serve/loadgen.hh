@@ -169,9 +169,11 @@ class LoadGen
     /** Closed loop: schedule one request at `at`. */
     void push(TimeNs at);
 
-    /** Open loop: draw block `n` of the schedule into its slot.
-     *  @return the slot. */
-    Block &fill(u32 n);
+    /** Open loop: draw the schedule's next block into `b`. */
+    void fill(Block &b);
+
+    /** Consumer: the slot that holds block `n`. */
+    Block &slot(u32 n);
 
     /** Producer-thread body: fill and publish blocks until the
      *  schedule ends or the destructor stops it. */
@@ -210,12 +212,11 @@ class LoadGen
     /** Tenant-rank sampler; engaged iff tenant_skew > 0. */
     std::optional<ZipfSampler> zipf_;
     TimeNs durationNs_ = 0.0;
-    /** Open loop: the ring. Block n lives in slot n % kBlocks,
-     *  allocated when a producer starts or by the first inline fill
-     *  that needs it; the producer (or
-     *  the inline fill) writes only blocks in [released_, released_
-     *  + kBlocks), the consumer reads only block released_ once it
-     *  is below published_. */
+    /** Open loop: the ring. With a producer, block n lives in slot
+     *  n % kBlocks; the producer writes only blocks in [released_,
+     *  released_ + kBlocks), the consumer reads only block released_
+     *  once it is below published_. Inline, every block is drawn
+     *  into slot 0, allocated with the LoadGen. */
     std::array<std::unique_ptr<Block>, kBlocks> ring_;
 
     // The draw state, the two counters and the consumer's view each

@@ -86,15 +86,6 @@ ServiceRunner::run(const campaign::RunOptions &opt,
         for (u32 s = 0; s < cfg_.services.size(); ++s)
             tasks.push_back({d, s});
 
-    // Threads the --threads budget leaves beyond one per cell running
-    // at once go to cells as arrival producers. (runCampaign rejects
-    // invalid options before any cell runs.)
-    std::size_t mine = 0;
-    if (opt.validate().empty())
-        for (std::size_t g = 0; g < tasks.size(); ++g)
-            mine += opt.inShard(g);
-    std::atomic<u32> spare{campaign::spareThreads(mine, opt.threads)};
-
     // The request mix and its calibration depend only on the variant
     // config, so every service cell of one variant shares them.
     // Calibration is lazy — a fully cached variant never calibrates.
@@ -108,7 +99,11 @@ ServiceRunner::run(const campaign::RunOptions &opt,
     for (u32 d = 0; d < cfg_.devices.size(); ++d)
         variants[d].mix = buildMix(cfg_, cfg_.devices[d].config);
 
+    // Threads the --threads budget leaves beyond one per cell running
+    // at once go to cells as arrival producers.
+    std::atomic<u32> spare{0};
     campaign::CellFns<CellTask, ServiceRunRecord> cell;
+    cell.spare = [&](u32 n) { spare.store(n); };
     cell.label = [&](const CellTask &t, ServiceRunRecord &rec) {
         const sim::ServiceSpec &svc = cfg_.services[t.service];
         rec.variant = cfg_.devices[t.device].name;

@@ -315,6 +315,32 @@ TEST(RunCampaign, CountsHitsAndZerosWallUnderDeterminism)
     fs::remove_all(dir);
 }
 
+TEST(RunCampaign, TellsTheModeItsSpareThreadsBeforeAnyCell)
+{
+    std::vector<int> tasks(10);
+    for (int t = 0; t < 10; ++t)
+        tasks[t] = t;
+    std::atomic<int> computes{0};
+    auto cell = tinyCells(computes);
+    int calls = 0;
+    u32 told = 0;
+    cell.spare = [&](u32 n) {
+        ++calls;
+        told = n;
+        EXPECT_EQ(computes.load(), 0);
+    };
+
+    // Shard 1/3 holds 3 of the 10 cells: 3 of 6 threads run them.
+    RunOptions opt;
+    opt.threads = 6;
+    opt.shardIndex = 1;
+    opt.shardCount = 3;
+    runCampaign<TinyCache>(tasks, opt, "spare", cell);
+    EXPECT_EQ(calls, 1);
+    EXPECT_EQ(told, 3u);
+    EXPECT_EQ(computes.load(), 3);
+}
+
 TEST(JsonlCacheFormat, NewFilesLeadWithVersionHeader)
 {
     const auto dir = scratchDir("pluto_campaign_header_test");
